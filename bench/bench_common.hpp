@@ -11,8 +11,7 @@
  *   PEARL_BENCH_TRAIN    training cycles per pair     (default 30000)
  *   PEARL_BENCH_TRAIN_PAIRS  training pairs, 0 = all  (default 0)
  *   PEARL_BENCH_CSV      also print CSV               (default 0)
- *   PEARL_THREADS        shared engine thread budget (sweep
- *                        workers x step lanes); 1 = serial
+ *   PEARL_THREADS        sweep job worker threads; 1 = serial
  *                        (default: hardware concurrency)
  *   PEARL_TRACE          per-window event tracing     (default 0)
  *   PEARL_TRACE_PATH     trace file stem (".jsonl" -> JSONL backend,

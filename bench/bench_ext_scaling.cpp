@@ -23,10 +23,9 @@
  * paper-sized 16-cluster chip.
  *
  * Knobs: PEARL_BENCH_CYCLES (60000), PEARL_BENCH_WARMUP (10000),
- * PEARL_BENCH_JSON (BENCH_scaling.json), PEARL_THREADS (worker
- * lanes for the deterministic parallel stepper; simulation output is
- * bit-identical at any value), plus the Runner's observability knobs
- * (PEARL_TRACE, PEARL_METRICS_DUMP, PEARL_VERIFY).
+ * PEARL_BENCH_JSON (BENCH_scaling.json), plus the Runner's
+ * observability knobs (PEARL_TRACE, PEARL_METRICS_DUMP, PEARL_VERIFY).
+ * Each topology is a single run, so it steps on one thread.
  */
 
 #include <cstdlib>
@@ -164,8 +163,7 @@ run()
     }
 
     // Each spec runs serially on the calling thread so the CPU-time
-    // delta around it is that topology's own host cost (the stepper's
-    // worker lanes are included — getrusage covers all threads).
+    // delta around it is that topology's own host cost.
     metrics::Runner runner;
     TextTable t({"clusters", "groups", "thru (flits/cyc)",
                  "thru/cluster", "vs 16", "avg lat", "cpu lat",

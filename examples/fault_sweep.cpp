@@ -13,9 +13,9 @@
  * the guardrails decided the model could no longer be trusted.
  *
  * The 5 severities x 4 policies grid runs through the parallel sweep
- * engine (PEARL_THREADS=1 forces the serial path); every cell
- * keeps the same traffic seed so the policies stay comparable under an
- * identical fault realisation.
+ * engine, one simulation per job thread (PEARL_THREADS=1 runs the
+ * jobs one after another); every cell keeps the same traffic seed so
+ * the policies stay comparable under an identical fault realisation.
  *
  * Usage: fault_sweep [cpu_abbrev gpu_abbrev [cycles]]
  */

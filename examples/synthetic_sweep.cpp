@@ -6,8 +6,9 @@
  * offered load — for the PEARL photonic crossbar and the electrical
  * CMESH under a chosen synthetic pattern, showing where each network
  * saturates.  Every (network, load) point is an independent simulation,
- * so the grid runs through the parallel sweep engine; results are
- * bit-identical at any PEARL_THREADS setting.
+ * so the grid runs through the parallel sweep engine, one simulation
+ * per job thread; results are bit-identical at any PEARL_THREADS
+ * setting.
  *
  * Usage: synthetic_sweep [pattern]   (uniform|transpose|bitcomp|hotspot|
  *                                     neighbor; default uniform)

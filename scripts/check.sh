@@ -57,9 +57,9 @@ run_flavour() {
     }
 
     if [ "$flavour" = verify ]; then
-        # PEARL_THREADS=4 drives the whole differential suite —
-        # including the 128-cluster invariant-clean smoke — through the
-        # shared-engine parallel step path, audited under ASan.
+        # PEARL_THREADS sizes only sweep job pools; the differential
+        # suite and the 128-cluster invariant-clean smoke step on one
+        # thread, audited under ASan.
         echo "==> [verify] ctest -L verify (invariants on, fuzz smoke," \
              "PEARL_THREADS=4)"
         PEARL_VERIFY=1 \
@@ -68,9 +68,9 @@ run_flavour() {
         PEARL_FUZZ_SECONDS="${PEARL_FUZZ_SECONDS:-30}" \
             ctest --test-dir "$dir" -L verify --output-on-failure
     elif [ "$flavour" = tsan ]; then
-        # A shared engine budget forces worker lanes on, so
-        # ThreadSanitizer race-checks the execution engine — nested
-        # sweep x step leasing included — across the whole suite.
+        # PEARL_THREADS=8 sizes every sweep job pool, so
+        # ThreadSanitizer race-checks the concurrent sweep jobs across
+        # the whole suite; single runs step on one thread.
         echo "==> [tsan] ctest -L tier1 (PEARL_THREADS=8)"
         PEARL_THREADS=8 \
             ctest --test-dir "$dir" -L tier1 --output-on-failure

@@ -201,22 +201,6 @@ envRegistry()
         {"PEARL_FAST_FORWARD", "bool", "1",
          "analytic idle fast-forward in system runs; set 0 to force "
          "cycle-by-cycle stepping"},
-        {"PEARL_PIN", "bool", "0",
-         "pin leased worker lanes to consecutive cores "
-         "(pthread_setaffinity_np; no-op where unsupported, never "
-         "affects results)"},
-        {"PEARL_REBALANCE", "bool", "0",
-         "re-pack PEARL step shards from per-router busy counters at "
-         "every full reservation-window boundary (deterministic, "
-         "results unchanged)"},
-        {"PEARL_STEP_THREADS", "u64", "1",
-         "DEPRECATED alias consulted only while PEARL_THREADS is "
-         "unset: worker lanes for intra-run parallel stepping"},
-        {"PEARL_THREADS", "u64", "0 (= tier defaults)",
-         "shared execution-engine thread budget: step lanes for single "
-         "runs, and for sweeps the job x lane split (N jobs on C "
-         "threads get min(C, N) workers x floor(C/W) lanes); "
-         "bit-identical results at any value"},
         {"PEARL_VERIFY", "bool", "0",
          "install the invariant auditor on every network built through "
          "the Runner facade (packet conservation, buffer and express "
@@ -239,9 +223,8 @@ envRegistry()
         {"PEARL_SWEEP_RETRY", "u64", "0",
          "extra attempts for a failed sweep job with the identical "
          "seed; config errors still fail fast"},
-        {"PEARL_SWEEP_THREADS", "u64", "hardware threads",
-         "DEPRECATED alias consulted only while PEARL_THREADS is "
-         "unset: job worker threads for every sweep"},
+        {"PEARL_THREADS", "u64", "hardware threads",
+         "job worker threads for sweeps; single runs use one thread"},
         // Guarded-ML thresholds (ml::GuardrailConfig::fromEnv).
         {"PEARL_GUARD_ENTER_ERROR", "double", "0.7",
          "windowed mean error above this counts against the model"},

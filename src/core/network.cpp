@@ -190,14 +190,102 @@ PearlNetwork::step()
         }
     }
 
-    // 2-4. Transmit, ejection and power integration — the per-router
-    // middle of the step, sharded across the worker pool when one is
-    // installed.  Both variants produce bit-identical state; the
-    // serial one is the pre-parallelism code verbatim.
-    if (!shards_.empty())
-        stepParallelMiddle();
-    else
-        stepSerialMiddle();
+    // 2. Transmit: serialise flits onto each router's waveguide.
+    // Routers run in ascending id (CPU class before GPU within each),
+    // which is also the express-slot arbitration order on grouped
+    // chips — deterministic and mirrored by verify::RefNetwork.
+    for (std::size_t r = 0; r < routers_.size(); ++r) {
+        auto &router = routers_[r];
+        if (faults_.enabled())
+            router->setWlCap(faults_.wlCap(static_cast<int>(r)));
+        doneScratch_.clear();
+        const int bits = router->transmitCycle(cycle_, doneScratch_);
+        bitsScratch_[r] = bits;
+        dynamicEnergyJ_ +=
+            static_cast<double>(bits) * dynEnergyPerBitJ_;
+        for (auto &completion : doneScratch_) {
+            Packet &pkt = completion.pkt;
+            if (faults_.enabled()) {
+                if (pkt.attempt == 0)
+                    pkt.seq = nextSeq_[r]++;
+                trackTransmission(pkt);
+                if (faults_.dropsReservation(static_cast<int>(r))) {
+                    // The receive rings were never tuned: the flits
+                    // sail past an untuned detector.  Only the ACK
+                    // timeout recovers this loss.
+                    stats_.noteReservationDrop();
+                    if (tracer_)
+                        traceFaultEvent("res_drop", static_cast<int>(r),
+                                        pkt);
+                    continue;
+                }
+            }
+            inFlight_.push(InFlight{
+                cycle_ + static_cast<Cycle>(cfg_.linkLatencyCycles),
+                std::move(pkt)});
+        }
+    }
+
+    // 3. Ejection to the local cores/caches.
+    for (auto &router : routers_) {
+        const std::size_t before = delivered_.size();
+        router->ejectCycle(cycle_, delivered_);
+        for (std::size_t i = before; i < delivered_.size(); ++i)
+            stats_.noteDelivered(delivered_[i]);
+    }
+
+    // 4. Occupancy telemetry and power integration.
+    for (std::size_t r = 0; r < routers_.size(); ++r) {
+        auto &router = routers_[r];
+        router->accumulateOccupancy();
+        router->laser().tick(cfg_.cycleSeconds);
+        if (cfg_.useThermalModel) {
+            // Switching activity (transceiver + laser share) heats the
+            // bank; the heater controller sets the trimming power.
+            const double activity_w =
+                bitsScratch_[r] * dynEnergyPerBitJ_ /
+                    cfg_.cycleSeconds +
+                routerPower_.laserPowerW(router->laser().state());
+            auto &bank = thermal_[r];
+            bank.step(activity_w, cfg_.cycleSeconds);
+            trimmingEnergyJ_ += bank.heaterPowerW() * cfg_.cycleSeconds;
+            if (!bank.locked()) {
+                // Loss of lock is counted even with the fault plane
+                // off; with it on, the BER model also reacts (stage 1).
+                stats_.noteThermalUnlocked(static_cast<int>(r));
+                ++router->telemetry().outOfLockCycles;
+            }
+            if (tracer_) {
+                // Trace lock *transitions*, not one event per
+                // unlocked cycle.
+                if (tracedLock_.size() != routers_.size())
+                    tracedLock_.assign(routers_.size(), 1);
+                const char locked_now = bank.locked() ? 1 : 0;
+                if (tracedLock_[r] != locked_now) {
+                    tracedLock_[r] = locked_now;
+                    obs::TraceEvent e;
+                    e.cat = obs::Category::Fault;
+                    e.name = locked_now ? "thermal_relock"
+                                        : "thermal_unlock";
+                    e.ts = cycle_;
+                    e.tid = static_cast<int>(r) + 1;
+                    tracer_->record(std::move(e));
+                }
+            }
+        } else {
+            trimmingEnergyJ_ +=
+                trimPowerW_[r][static_cast<std::size_t>(
+                    static_cast<int>(router->laser().state()))] *
+                cfg_.cycleSeconds;
+        }
+    }
+    // Grouped chips keep one always-on express reservation channel per
+    // group; ungrouped chips accrue nothing here (bit-identity).
+    if (cfg_.grouped()) {
+        expressLaserEnergyJ_ += static_cast<double>(cfg_.numGroups()) *
+                                cfg_.expressResLaserW *
+                                cfg_.cycleSeconds;
+    }
 
     // 5. Reservation-window boundaries (staggered per router).  One
     // shared `cycle_ % rw` against precomputed per-router offsets — the
@@ -317,363 +405,12 @@ PearlNetwork::step()
         router.resetWindow(next);
     }
 
-    // Dynamic shard rebalancing: at every full reservation-window
-    // boundary, re-pack the shard ranges from the busy counters the
-    // parallel middle accumulated.  The trigger and the packing are
-    // pure functions of simulation state (never timing), and the
-    // serial folds concatenate shards in ascending-router order under
-    // any contiguous packing, so results are byte-identical.
-    if (rebalance_ && !shards_.empty() && rw > 0 && cycle_ > 0 &&
-        now_mod == 0)
-        rebalanceShards();
-
     // Verification plane: the auditor sees the post-step state tagged
     // with the cycle that just executed.
     if (auditor_)
         auditor_->afterStep(*this);
 
     ++cycle_;
-}
-
-void
-PearlNetwork::foldCompletion(int r, TxCompletion &completion)
-{
-    if (faults_.enabled()) {
-        Packet &pkt = completion.pkt;
-        if (pkt.attempt == 0)
-            pkt.seq = nextSeq_[static_cast<std::size_t>(r)]++;
-        trackTransmission(pkt);
-        if (faults_.dropsReservation(r)) {
-            // The receive rings were never tuned: the flits sail past
-            // an untuned detector.  Only the ACK timeout recovers this
-            // loss.
-            stats_.noteReservationDrop();
-            if (tracer_)
-                traceFaultEvent("res_drop", r, pkt);
-            return;
-        }
-    }
-    inFlight_.push(
-        InFlight{cycle_ + static_cast<Cycle>(cfg_.linkLatencyCycles),
-                 std::move(completion.pkt)});
-}
-
-void
-PearlNetwork::stepSerialMiddle()
-{
-    // 2. Transmit: serialise flits onto each router's waveguide.
-    // Routers run in ascending id (CPU class before GPU within each),
-    // which is also the express-slot arbitration order on grouped
-    // chips — deterministic and mirrored by verify::RefNetwork.
-    for (std::size_t r = 0; r < routers_.size(); ++r) {
-        auto &router = routers_[r];
-        if (faults_.enabled())
-            router->setWlCap(faults_.wlCap(static_cast<int>(r)));
-        doneScratch_.clear();
-        const int bits = router->transmitCycle(cycle_, doneScratch_);
-        bitsScratch_[r] = bits;
-        dynamicEnergyJ_ +=
-            static_cast<double>(bits) * dynEnergyPerBitJ_;
-        for (auto &completion : doneScratch_)
-            foldCompletion(static_cast<int>(r), completion);
-    }
-
-    // 3. Ejection to the local cores/caches.
-    for (auto &router : routers_) {
-        const std::size_t before = delivered_.size();
-        router->ejectCycle(cycle_, delivered_);
-        for (std::size_t i = before; i < delivered_.size(); ++i)
-            stats_.noteDelivered(delivered_[i]);
-    }
-
-    // 4. Occupancy telemetry and power integration.
-    for (std::size_t r = 0; r < routers_.size(); ++r) {
-        auto &router = routers_[r];
-        router->accumulateOccupancy();
-        router->laser().tick(cfg_.cycleSeconds);
-        if (cfg_.useThermalModel) {
-            // Switching activity (transceiver + laser share) heats the
-            // bank; the heater controller sets the trimming power.
-            const double activity_w =
-                bitsScratch_[r] * dynEnergyPerBitJ_ /
-                    cfg_.cycleSeconds +
-                routerPower_.laserPowerW(router->laser().state());
-            auto &bank = thermal_[r];
-            bank.step(activity_w, cfg_.cycleSeconds);
-            trimmingEnergyJ_ += bank.heaterPowerW() * cfg_.cycleSeconds;
-            if (!bank.locked()) {
-                // Loss of lock is counted even with the fault plane
-                // off; with it on, the BER model also reacts (stage 1).
-                stats_.noteThermalUnlocked(static_cast<int>(r));
-                ++router->telemetry().outOfLockCycles;
-            }
-            if (tracer_) {
-                // Trace lock *transitions*, not one event per
-                // unlocked cycle.
-                if (tracedLock_.size() != routers_.size())
-                    tracedLock_.assign(routers_.size(), 1);
-                const char locked_now = bank.locked() ? 1 : 0;
-                if (tracedLock_[r] != locked_now) {
-                    tracedLock_[r] = locked_now;
-                    obs::TraceEvent e;
-                    e.cat = obs::Category::Fault;
-                    e.name = locked_now ? "thermal_relock"
-                                        : "thermal_unlock";
-                    e.ts = cycle_;
-                    e.tid = static_cast<int>(r) + 1;
-                    tracer_->record(std::move(e));
-                }
-            }
-        } else {
-            trimmingEnergyJ_ +=
-                trimPowerW_[r][static_cast<std::size_t>(
-                    static_cast<int>(router->laser().state()))] *
-                cfg_.cycleSeconds;
-        }
-    }
-    // Grouped chips keep one always-on express reservation channel per
-    // group; ungrouped chips accrue nothing here (bit-identity).
-    if (cfg_.grouped()) {
-        expressLaserEnergyJ_ += static_cast<double>(cfg_.numGroups()) *
-                                cfg_.expressResLaserW *
-                                cfg_.cycleSeconds;
-    }
-}
-
-void
-PearlNetwork::stepParallelMiddle()
-{
-    // Shard-local work: stages 2-4 fused per router.  Fusing is sound
-    // because transmit/eject/power of one router read and write only
-    // that router's state (plus its group's express pool, which the
-    // group-aligned shard owns exclusively) — the stage ordering only
-    // matters *within* a router, and that order is preserved.  All
-    // cross-shard effects (energy and stats accumulation, the fault
-    // plane's per-completion work, heap pushes) are parked in
-    // per-shard scratch and applied by the serial folds below in
-    // exactly the order the serial path would have produced.
-    const bool faults_on = faults_.enabled();
-    pool_->parallelFor(
-        static_cast<int>(shards_.size()), [&](int s) {
-            const StepShard sh = shards_[static_cast<std::size_t>(s)];
-            auto &done = shardDone_[static_cast<std::size_t>(s)];
-            auto &del = shardDelivered_[static_cast<std::size_t>(s)];
-            done.clear();
-            del.clear();
-            for (int r = sh.begin; r < sh.end; ++r) {
-                auto &router = *routers_[static_cast<std::size_t>(r)];
-                if (faults_on)
-                    router.setWlCap(faults_.wlCap(r));
-                if (router.idle()) {
-                    // Active-set skip: a quiescent router collapses to
-                    // the few counters the full calls would touch.
-                    router.quiescentCycle(cycle_);
-                    bitsScratch_[static_cast<std::size_t>(r)] = 0;
-                } else {
-                    bitsScratch_[static_cast<std::size_t>(r)] =
-                        router.transmitCycle(cycle_, done);
-                    router.ejectCycle(cycle_, del);
-                    router.accumulateOccupancy();
-                    // Rebalance telemetry: each router belongs to
-                    // exactly one shard, so the counter is race-free.
-                    if (rebalance_)
-                        ++busyScratch_[static_cast<std::size_t>(r)];
-                }
-                router.laser().tick(cfg_.cycleSeconds);
-                if (cfg_.useThermalModel) {
-                    const double activity_w =
-                        bitsScratch_[static_cast<std::size_t>(r)] *
-                            dynEnergyPerBitJ_ / cfg_.cycleSeconds +
-                        routerPower_.laserPowerW(router.laser().state());
-                    auto &bank = thermal_[static_cast<std::size_t>(r)];
-                    bank.step(activity_w, cfg_.cycleSeconds);
-                    trimScratch_[static_cast<std::size_t>(r)] =
-                        bank.heaterPowerW() * cfg_.cycleSeconds;
-                    if (!bank.locked())
-                        ++router.telemetry().outOfLockCycles;
-                } else {
-                    trimScratch_[static_cast<std::size_t>(r)] =
-                        trimPowerW_[static_cast<std::size_t>(r)]
-                                   [static_cast<std::size_t>(
-                                       static_cast<int>(
-                                           router.laser().state()))] *
-                        cfg_.cycleSeconds;
-                }
-            }
-        });
-
-    // Fold 2a: transmit energy in ascending router order — the exact
-    // FP accumulation order of the serial path (the serial loop's
-    // interleaved per-completion work touches disjoint state, so
-    // separating the two folds preserves both orders).
-    for (std::size_t r = 0; r < routers_.size(); ++r) {
-        dynamicEnergyJ_ +=
-            static_cast<double>(bitsScratch_[r]) * dynEnergyPerBitJ_;
-    }
-
-    // Fold 2b: completions in shard order; within a shard the vector
-    // is already in ascending-router, per-router-completion order, so
-    // the concatenation is the serial order — sequence numbers, the
-    // reservation-drop RNG draws (per-router streams) and the
-    // timeout/in-flight heap insertions all replay identically.
-    for (auto &done : shardDone_) {
-        for (auto &completion : done) {
-            PEARL_ASSERT(completion.pkt.src >= 0 &&
-                         completion.pkt.src < cfg_.numNodes());
-            foldCompletion(completion.pkt.src, completion);
-        }
-    }
-
-    // Fold 3: deliveries, same concatenation argument.
-    for (auto &del : shardDelivered_) {
-        for (auto &pkt : del) {
-            delivered_.push_back(pkt);
-            stats_.noteDelivered(delivered_.back());
-        }
-    }
-
-    // Fold 4: trimming energy and thermal-lock bookkeeping in
-    // ascending router order (bank state is frozen after the parallel
-    // region, so the lock reads here see what the serial path saw).
-    for (std::size_t r = 0; r < routers_.size(); ++r) {
-        trimmingEnergyJ_ += trimScratch_[r];
-        if (cfg_.useThermalModel) {
-            const auto &bank = thermal_[r];
-            if (!bank.locked())
-                stats_.noteThermalUnlocked(static_cast<int>(r));
-            if (tracer_) {
-                if (tracedLock_.size() != routers_.size())
-                    tracedLock_.assign(routers_.size(), 1);
-                const char locked_now = bank.locked() ? 1 : 0;
-                if (tracedLock_[r] != locked_now) {
-                    tracedLock_[r] = locked_now;
-                    obs::TraceEvent e;
-                    e.cat = obs::Category::Fault;
-                    e.name = locked_now ? "thermal_relock"
-                                        : "thermal_unlock";
-                    e.ts = cycle_;
-                    e.tid = static_cast<int>(r) + 1;
-                    tracer_->record(std::move(e));
-                }
-            }
-        }
-    }
-    if (cfg_.grouped()) {
-        expressLaserEnergyJ_ += static_cast<double>(cfg_.numGroups()) *
-                                cfg_.expressResLaserW *
-                                cfg_.cycleSeconds;
-    }
-}
-
-void
-PearlNetwork::packShards(const std::vector<std::uint64_t> &router_weight)
-{
-    // Greedy contiguous packing of the indivisible units into at most
-    // shardLanes_ shards, balanced by weight: each shard takes units
-    // until it reaches ceil(remaining weight / remaining shards).
-    // With uniform weights this reproduces the original equal-count
-    // packing; skewed weights move the boundaries toward the busy
-    // routers.  A heavily skewed window may pack into fewer shards
-    // than lanes (even one) — still correct, just less parallel.
-    shards_.clear();
-    const int n = cfg_.numNodes();
-    std::uint64_t remaining_weight = 0;
-    for (int r = 0; r < n; ++r)
-        remaining_weight += router_weight[static_cast<std::size_t>(r)];
-    int begin = 0;
-    std::size_t u = 0;
-    for (int s = 0; s < shardLanes_ && begin < n; ++s) {
-        const std::uint64_t remaining =
-            static_cast<std::uint64_t>(shardLanes_ - s);
-        const std::uint64_t target =
-            (remaining_weight + remaining - 1) / remaining;
-        int end = begin;
-        std::uint64_t acc = 0;
-        while (u < shardUnitEnd_.size() && acc < target) {
-            const int unit_end = shardUnitEnd_[u++];
-            for (int r = end; r < unit_end; ++r)
-                acc += router_weight[static_cast<std::size_t>(r)];
-            end = unit_end;
-        }
-        shards_.push_back(StepShard{begin, end});
-        begin = end;
-        remaining_weight -= acc;
-    }
-    if (!shards_.empty() && begin < n)
-        shards_.back().end = n;
-
-    // Pre-size the per-shard scratch so the cycle loop stays
-    // allocation-free in steady state (same discipline as the shared
-    // scratch in the constructor).
-    shardDone_.resize(shards_.size());
-    shardDelivered_.resize(shards_.size());
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-        const auto routers_in_shard = static_cast<std::size_t>(
-            shards_[s].end - shards_[s].begin);
-        shardDone_[s].reserve(routers_in_shard * 8 + 64);
-        shardDelivered_[s].reserve(routers_in_shard * 8 + 64);
-    }
-}
-
-void
-PearlNetwork::rebalanceShards()
-{
-    // Weight = busy cycles + 1: the +1 keeps every router non-zero so
-    // packing always terminates, and an all-idle window degenerates to
-    // exactly the uniform packing setWorkerPool installed.
-    std::vector<std::uint64_t> weight(busyScratch_.size());
-    for (std::size_t r = 0; r < weight.size(); ++r)
-        weight[r] = busyScratch_[r] + 1;
-    packShards(weight);
-    std::fill(busyScratch_.begin(), busyScratch_.end(), 0);
-}
-
-void
-PearlNetwork::setWorkerPool(sim::WorkerPool *pool)
-{
-    pool_ = pool;
-    shards_.clear();
-    shardDone_.clear();
-    shardDelivered_.clear();
-    shardUnitEnd_.clear();
-    shardLanes_ = 0;
-    const unsigned lanes = pool_ ? pool_->lanes() : 1;
-    if (lanes <= 1)
-        return;
-
-    // Shard units: whole waveguide groups (a group's express-slot pool
-    // is arbitrated in router order within the group, so it must stay
-    // single-threaded) plus the hub as its own unit; ungrouped chips
-    // shard per router.  Units are packed contiguously and rebalanced
-    // as shards fill, so shard sizes differ by at most one unit.
-    if (cfg_.grouped()) {
-        const int gs = cfg_.reservationGroupSize;
-        for (int g = 1; g <= cfg_.numGroups(); ++g)
-            shardUnitEnd_.push_back(g * gs);
-        if (shardUnitEnd_.empty() ||
-            shardUnitEnd_.back() < cfg_.numNodes())
-            shardUnitEnd_.push_back(cfg_.numNodes());
-    } else {
-        for (int r = 1; r <= cfg_.numNodes(); ++r)
-            shardUnitEnd_.push_back(r);
-    }
-
-    shardLanes_ = static_cast<int>(lanes);
-    packShards(std::vector<std::uint64_t>(
-        static_cast<std::size_t>(cfg_.numNodes()), 1));
-    if (shards_.size() <= 1) {
-        shards_.clear();
-        shardDone_.clear();
-        shardDelivered_.clear();
-        shardUnitEnd_.clear();
-        shardLanes_ = 0;
-        return;
-    }
-    trimScratch_.assign(routers_.size(), 0.0);
-
-    // Dynamic rebalancing default; setShardRebalance() overrides.
-    rebalance_ = envBool("PEARL_REBALANCE", false);
-    busyScratch_.assign(routers_.size(), 0);
 }
 
 sim::Cycle

@@ -31,9 +31,13 @@
 #include "common/log.hpp"
 #include "sim/min_heap.hpp"
 #include "sim/network.hpp"
-#include "sim/worker_pool.hpp"
 
 namespace pearl {
+
+namespace sim {
+class WorkerPool;
+} // namespace sim
+
 namespace core {
 
 /** Data handed to the window collector when a router's window closes. */
@@ -132,31 +136,8 @@ class PearlNetwork : public sim::Network
      */
     void setAuditor(StepAuditor *auditor) { auditor_ = auditor; }
 
-    /**
-     * Install a worker pool for deterministic intra-run parallel
-     * stepping (not owned, may be null).  step()'s per-router middle
-     * stages (transmit, eject, power integration) then run sharded
-     * across the pool's lanes into per-shard scratch, and a fixed-order
-     * serial reduction folds the scratch back, so the simulation is
-     * bit-identical at any lane count.  Shard boundaries never split a
-     * waveguide group (express-slot arbitration stays single-threaded
-     * per group) and the hub is its own unit.  A null pool or a 1-lane
-     * pool keeps the exact serial code path.
-     */
-    void setWorkerPool(sim::WorkerPool *pool);
-
-    /**
-     * Enable/disable dynamic shard rebalancing (PEARL_REBALANCE sets
-     * the default when setWorkerPool runs).  When on, the parallel
-     * step counts busy (non-quiescent) cycles per router and re-packs
-     * the shard boundaries from those counters at every full
-     * reservation-window boundary.  Deterministic: the counters are a
-     * pure function of simulation state, and any contiguous ascending
-     * packing folds in the same serial order — results are unchanged,
-     * only the per-lane work split moves.
-     */
-    void setShardRebalance(bool on) { rebalance_ = on; }
-    bool shardRebalance() const { return rebalance_; }
+    /** Kept only so pearlbench builds; every run steps on one thread. */
+    void setWorkerPool(sim::WorkerPool *) {}
 
     // sim::Network --------------------------------------------------------
     bool inject(const sim::Packet &pkt) override;
@@ -312,21 +293,6 @@ class PearlNetwork : public sim::Network
     void stepFaultPlane();
     void drainRetxQueue();
 
-    /** Shared tail of stage 2 for one completed transmission from
-     *  router `r`: sequence assignment, ACK tracking, the reservation
-     *  drop draw and the in-flight push.  Called in ascending router
-     *  order (per-router completion order within) by both step paths,
-     *  so the fault-plane RNG and heap insertion orders match. */
-    void foldCompletion(int r, TxCompletion &completion);
-
-    /** Stages 2-4 of step(): transmit, ejection and power integration.
-     *  The serial variant is the pre-parallelism code verbatim; the
-     *  parallel variant runs the per-router work sharded into
-     *  per-shard scratch, then applies the deterministic serial folds
-     *  (see DESIGN.md "Parallel stepping"). */
-    void stepSerialMiddle();
-    void stepParallelMiddle();
-
     /** Emit an instant fault event (tracer_ checked by the caller). */
     void traceFaultEvent(const char *name, int router,
                          const sim::Packet &pkt);
@@ -379,35 +345,6 @@ class PearlNetwork : public sim::Network
     std::vector<TxCompletion> doneScratch_;
     std::vector<int> bitsScratch_;
     std::vector<PendingRetx> blockedScratch_;
-
-    // Deterministic parallel stepping (inert without a worker pool).
-    /** Contiguous, group-aligned router range one shard owns. */
-    struct StepShard
-    {
-        int begin = 0;
-        int end = 0; //!< exclusive
-    };
-    sim::WorkerPool *pool_ = nullptr; //!< not owned, may be null
-    std::vector<StepShard> shards_;   //!< empty == serial stepping
-    /** Per-shard scratch the parallel middle writes and the serial
-     *  folds consume, pre-sized so the cycle loop stays allocation-free
-     *  in steady state. */
-    std::vector<std::vector<TxCompletion>> shardDone_;
-    std::vector<std::vector<sim::Packet>> shardDelivered_;
-    std::vector<double> trimScratch_; //!< per-router trimming joules
-
-    /** Pack `shardUnitEnd_` units into ≤ shardLanes_ contiguous shards
-     *  balanced by per-router weight (uniform weights reproduce the
-     *  original equal-count packing exactly). */
-    void packShards(const std::vector<std::uint64_t> &router_weight);
-    /** Re-pack from busyScratch_ + 1 and reset the counters. */
-    void rebalanceShards();
-
-    // Dynamic shard rebalancing (PEARL_REBALANCE; parallel path only).
-    bool rebalance_ = false;
-    int shardLanes_ = 0;              //!< lane count captured at install
-    std::vector<int> shardUnitEnd_;   //!< indivisible unit boundaries
-    std::vector<std::uint64_t> busyScratch_; //!< busy cycles per router
 };
 
 } // namespace core

@@ -268,34 +268,6 @@ PearlRouter::ejectCycle(Cycle now, std::vector<Packet> &delivered)
     ejectRr_ = (ejectRr_ + 1) % sim::kNumCoreTypes;
 }
 
-void
-PearlRouter::quiescentCycle(Cycle now)
-{
-    PEARL_ASSERT(idle());
-    PEARL_ASSERT(!tx_[0].active && !tx_[1].active);
-    // transmitCycle: the stability gate comes before any telemetry; an
-    // FCFS link with both buffers empty returns before the share
-    // accounting, while a class-aware allocator charges the (0, 0)
-    // split every cycle and transmitClass clears each empty channel's
-    // credit and back-to-back hiding.
-    if (laser_.stable(now) &&
-        dba_.config().mode != DbaConfig::Mode::Fcfs) {
-        const Allocation alloc = dba_.allocate(0, 0);
-        telemetry_.dbaCpuShareSum += alloc.cpuShare;
-        telemetry_.dbaGpuShareSum += alloc.gpuShare;
-        ++telemetry_.dbaCycles;
-        for (TxChannel &ch : tx_) {
-            ch.creditBits = 0;
-            ch.backToBack = false;
-        }
-    }
-    // ejectCycle on empty rx buffers only advances the round-robin.
-    ejectRr_ = (ejectRr_ + 1) % sim::kNumCoreTypes;
-    // accumulateOccupancy: all four occupancy adds and the beta add are
-    // exactly zero; only the cycle counter moves.
-    ++windowCycles_;
-}
-
 double
 PearlRouter::betaTotalMean() const
 {

@@ -183,20 +183,6 @@ class PearlRouter
      *  packets are appended to `delivered` with delivery time `now`. */
     void ejectCycle(sim::Cycle now, std::vector<sim::Packet> &delivered);
 
-    /**
-     * Collapsed transmit+eject+occupancy cycle for a quiescent router
-     * (both buffer pairs empty, so both tx channels are inactive).
-     * Touches exactly the state the three full calls would: the DBA
-     * share telemetry and credit/back-to-back clearing when the laser
-     * is stable under a class-aware allocator, the ejection
-     * round-robin pointer, and the window-cycle counter (every
-     * occupancy add is exactly zero).  The parallel step path uses
-     * this as its active-set skip; the serial path never calls it, and
-     * the bit-identity of the shortcut is pinned by the parallel-step
-     * test suite.
-     */
-    void quiescentCycle(sim::Cycle now);
-
     /** Accumulate the per-cycle occupancy telemetry (call once/cycle). */
     void accumulateOccupancy();
 

@@ -98,16 +98,8 @@ HeteroSystem::send(Packet &&pkt)
             }
         }
         const Cycle now = network_.cycle();
-        if (staging_) {
-            // Parallel tick region: park the hop in the sender's own
-            // staging lane; foldLocalStage() replays the serial push
-            // order at the barrier.
-            localStage_[static_cast<std::size_t>(pkt.src)].push_back(
-                LocalHop{now + cfg_.localHopCycles, std::move(pkt)});
-        } else {
-            localHops_.push(LocalHop{now + cfg_.localHopCycles,
-                                     std::move(pkt)});
-        }
+        localHops_.push(LocalHop{now + cfg_.localHopCycles,
+                                 std::move(pkt)});
         return;
     }
     outbox_[static_cast<std::size_t>(pkt.src)].push_back(std::move(pkt));
@@ -142,32 +134,10 @@ HeteroSystem::stepOnce()
     gpuPhase_->tick();
 
     // 1. Node models generate demand and process due internal events.
-    // With a pool installed, cluster ticks and bank ticks run as two
-    // barrier-separated sharded regions (cluster c and bank c share
-    // node c's outbox/telemetry, and the serial order is clusters
-    // first); every node owns a private RNG fork, the global phases
-    // are only read (on()), and cross-node effects are confined to the
-    // sender's own outbox and staging lane — so the fold reproduces
-    // the serial state bit for bit.
-    if (pool_) {
-        staging_ = true;
-        tickNodesParallel(clusters_.size(), [&](std::size_t i) {
-            clusters_[i]->tick(now);
-        });
-        staging_ = false;
-        foldLocalStage();
-        staging_ = true;
-        tickNodesParallel(banks_.size(), [&](std::size_t i) {
-            banks_[i]->tick(now);
-        });
-        staging_ = false;
-        foldLocalStage();
-    } else {
-        for (auto &cluster : clusters_)
-            cluster->tick(now);
-        for (auto &bank : banks_)
-            bank->tick(now);
-    }
+    for (auto &cluster : clusters_)
+        cluster->tick(now);
+    for (auto &bank : banks_)
+        bank->tick(now);
     memory_->tick(now);
 
     // 2. Due local (same-router) hops.
@@ -191,48 +161,6 @@ HeteroSystem::stepOnce()
     for (const Packet &pkt : delivered)
         dispatch(pkt, now);
     delivered.clear();
-}
-
-void
-HeteroSystem::setWorkerPool(sim::WorkerPool *pool)
-{
-    pool_ = (pool && pool->lanes() > 1) ? pool : nullptr;
-    localStage_.clear();
-    if (pool_) {
-        localStage_.resize(clusters_.size());
-        for (auto &stage : localStage_)
-            stage.reserve(16);
-    }
-}
-
-void
-HeteroSystem::tickNodesParallel(
-    std::size_t count, const std::function<void(std::size_t)> &tick_one)
-{
-    if (count == 0)
-        return;
-    const std::size_t lanes = pool_->lanes();
-    const int shards = static_cast<int>(std::min(count, lanes));
-    pool_->parallelFor(shards, [&](int s) {
-        const std::size_t begin =
-            count * static_cast<std::size_t>(s) /
-            static_cast<std::size_t>(shards);
-        const std::size_t end =
-            count * (static_cast<std::size_t>(s) + 1) /
-            static_cast<std::size_t>(shards);
-        for (std::size_t i = begin; i < end; ++i)
-            tick_one(i);
-    });
-}
-
-void
-HeteroSystem::foldLocalStage()
-{
-    for (auto &stage : localStage_) {
-        for (auto &hop : stage)
-            localHops_.push(std::move(hop));
-        stage.clear();
-    }
 }
 
 bool

@@ -28,10 +28,14 @@
 #include "core/arch_config.hpp"
 #include "sim/network.hpp"
 #include "sim/sink.hpp"
-#include "sim/worker_pool.hpp"
 #include "traffic/suite.hpp"
 
 namespace pearl {
+
+namespace sim {
+class WorkerPool;
+} // namespace sim
+
 namespace core {
 
 /** System-level configuration. */
@@ -87,17 +91,8 @@ class HeteroSystem : public sim::PacketSink
     // sim::PacketSink ----------------------------------------------------
     void send(sim::Packet &&pkt) override;
 
-    /**
-     * Install a worker pool for deterministic parallel node ticking
-     * (not owned, may be null).  Cluster ticks and bank ticks then run
-     * as two separate sharded regions (a cluster and the bank with the
-     * same id share a router's outbox and telemetry, so the regions
-     * are barrier-separated exactly like the serial loop order), with
-     * same-router hops staged per sender and folded into the local-hop
-     * queue in node order — the serial push order.  Null or a 1-lane
-     * pool keeps the exact serial path.
-     */
-    void setWorkerPool(sim::WorkerPool *pool);
+    /** Kept only so pearlbench builds; every run steps on one thread. */
+    void setWorkerPool(sim::WorkerPool *) {}
 
     // Introspection ---------------------------------------------------
     sim::Network &network() { return network_; }
@@ -132,15 +127,6 @@ class HeteroSystem : public sim::PacketSink
     void dispatch(const sim::Packet &pkt, sim::Cycle now);
     void dumpStallDiagnostics(sim::Cycle elapsed) const;
 
-    /** Run tick_one(0..count-1) sharded across the pool, contiguous
-     *  ranges per lane (each node's state is touched by one lane). */
-    void tickNodesParallel(std::size_t count,
-                           const std::function<void(std::size_t)> &tick_one);
-
-    /** Drain the per-sender local-hop staging vectors into localHops_
-     *  in ascending node order — the serial push order. */
-    void foldLocalStage();
-
     /** True when every node model is drained (idle fast-forward gate). */
     bool fastForwardQuiescent() const;
 
@@ -169,15 +155,6 @@ class HeteroSystem : public sim::PacketSink
      */
     bool fastForward_ = false;
     sim::Cycle fastForwarded_ = 0;
-
-    // Deterministic parallel node ticking (inert without a pool).
-    sim::WorkerPool *pool_ = nullptr; //!< not owned, may be null
-    /** Per-sender staging for same-router hops issued inside a
-     *  parallel tick region; folded into localHops_ at the barrier. */
-    std::vector<std::vector<LocalHop>> localStage_;
-    /** True only inside a parallel tick region: send() then stages
-     *  same-router hops instead of pushing the shared queue. */
-    bool staging_ = false;
 };
 
 } // namespace core

@@ -1,9 +1,6 @@
 #include "electrical/cmesh.hpp"
 
-#include <algorithm>
-
 #include "common/log.hpp"
-#include "sim/worker_pool.hpp"
 
 namespace pearl {
 namespace electrical {
@@ -146,21 +143,8 @@ CmeshNetwork::inject(const Packet &pkt)
 }
 
 void
-CmeshNetwork::ejectFlit(int, int, const Flit &flit, StepScratch *scratch)
+CmeshNetwork::ejectFlit(const Flit &flit)
 {
-    if (scratch) {
-        // Parallel step: stage every shared-accumulator side effect;
-        // the ascending-router fold replays them in serial order.
-        scratch->energyTermsJ.push_back(
-            cfg_.energy.ejectEnergyJ(sim::kFlitBits));
-        --scratch->flitDelta;
-        if (flit.tail) {
-            Packet pkt = *flit.pkt;
-            pkt.cycleDelivered = cycle_;
-            scratch->delivered.push_back(pkt);
-        }
-        return;
-    }
     dynamicEnergyJ_ += cfg_.energy.ejectEnergyJ(sim::kFlitBits);
     --flitsInFlight_;
     if (flit.tail) {
@@ -202,37 +186,7 @@ CmeshNetwork::deliverLinkFlits()
 }
 
 void
-CmeshNetwork::pullLinkFlitsFor(int router_id)
-{
-    // Pull-based twin of deliverLinkFlits(), sharded by *destination*:
-    // router r drains the link register feeding each of its mesh input
-    // ports.  Every (upstream router, output port) pair has exactly one
-    // puller — r = neighbor(up, port) is unique — so concurrent shards
-    // touch disjoint registers and FIFOs, and the resulting state is
-    // identical to the serial source-ordered push.
-    Router &router = routers_[static_cast<std::size_t>(router_id)];
-    for (int p = 0; p < 4; ++p) {
-        const int up = neighbor(router_id, p);
-        if (up < 0)
-            continue;
-        OutputPort &out =
-            routers_[static_cast<std::size_t>(up)]
-                .outputs[static_cast<std::size_t>(oppositePort(p))];
-        if (!out.linkReg || cycle_ < out.linkReadyAt)
-            continue;
-        auto &fifo = router.inputs[static_cast<std::size_t>(p)]
-                                  [static_cast<std::size_t>(out.linkVc)]
-                         .fifo;
-        PEARL_ASSERT(static_cast<int>(fifo.size()) < cfg_.vcDepthFlits,
-                     "credit protocol violated");
-        fifo.push_back(*out.linkReg);
-        out.linkReg.reset();
-        out.linkVc = -1;
-    }
-}
-
-void
-CmeshNetwork::injectFromInterface(int e, StepScratch *scratch)
+CmeshNetwork::injectFromInterface(int e)
 {
     NetworkInterface &ni = interfaces_[static_cast<std::size_t>(e)];
     if (ni.queue.empty())
@@ -273,10 +227,7 @@ CmeshNetwork::injectFromInterface(int e, StepScratch *scratch)
         flit.head = ni.flitsSent == 0;
         flit.tail = ni.flitsSent == flits - 1;
         vc.fifo.push_back(flit);
-        if (scratch)
-            ++scratch->flitDelta;
-        else
-            ++flitsInFlight_;
+        ++flitsInFlight_;
         ++ni.flitsSent;
         if (ni.flitsSent == flits) {
             ni.queue.pop_front();
@@ -285,13 +236,6 @@ CmeshNetwork::injectFromInterface(int e, StepScratch *scratch)
             break; // next packet picks a VC next cycle
         }
     }
-}
-
-void
-CmeshNetwork::injectFromInterfaces()
-{
-    for (int e = 0; e < numEndpoints_; ++e)
-        injectFromInterface(e, nullptr);
 }
 
 void
@@ -344,7 +288,7 @@ CmeshNetwork::routeAndAllocate(int router_id)
 }
 
 void
-CmeshNetwork::switchAllocate(int router_id, StepScratch *scratch)
+CmeshNetwork::switchAllocate(int router_id)
 {
     Router &router = routers_[static_cast<std::size_t>(router_id)];
     const int num_ports = static_cast<int>(router.inputs.size());
@@ -385,19 +329,14 @@ CmeshNetwork::switchAllocate(int router_id, StepScratch *scratch)
             Flit flit = vc.fifo.front();
             vc.fifo.pop_front();
             if (local) {
-                ejectFlit(router_id, out_port, flit, scratch);
+                ejectFlit(flit);
                 --budget;
             } else {
                 out.linkReg = flit;
                 out.linkVc = vc.outVc;
                 out.linkReadyAt =
                     cycle_ + static_cast<sim::Cycle>(cfg_.linkCyclesPerFlit);
-                if (scratch) {
-                    scratch->energyTermsJ.push_back(
-                        cfg_.energy.hopEnergyJ(sim::kFlitBits));
-                } else {
-                    dynamicEnergyJ_ += cfg_.energy.hopEnergyJ(sim::kFlitBits);
-                }
+                dynamicEnergyJ_ += cfg_.energy.hopEnergyJ(sim::kFlitBits);
             }
             out.rrPointer = (idx + 1) % total_vcs;
 
@@ -431,125 +370,14 @@ CmeshNetwork::switchAllocate(int router_id, StepScratch *scratch)
 void
 CmeshNetwork::step()
 {
-    if (shards_.empty())
-        stepSerial();
-    else
-        stepParallel();
-}
-
-void
-CmeshNetwork::stepSerial()
-{
     deliverLinkFlits();
-    injectFromInterfaces();
+    for (int e = 0; e < numEndpoints_; ++e)
+        injectFromInterface(e);
     for (int r = 0; r < numRouters_; ++r)
         routeAndAllocate(r);
     for (int r = 0; r < numRouters_; ++r)
         switchAllocate(r);
     ++cycle_;
-}
-
-void
-CmeshNetwork::stepParallel()
-{
-    // Region A — link delivery + NI injection, sharded by destination
-    // router.  All writes are disjoint (see pullLinkFlitsFor; each
-    // endpoint owns its NI and its private local input port), so the
-    // post-barrier state equals the serial one.  Injection never reads
-    // mesh-port FIFOs, so fusing it with delivery is order-safe.
-    pool_->parallelFor(
-        static_cast<int>(shards_.size()), [this](int s) {
-            const StepShard shard =
-                shards_[static_cast<std::size_t>(s)];
-            for (int r = shard.begin; r < shard.end; ++r) {
-                StepScratch &scratch =
-                    scratch_[static_cast<std::size_t>(r)];
-                scratch.energyTermsJ.clear();
-                scratch.delivered.clear();
-                scratch.flitDelta = 0;
-                pullLinkFlitsFor(r);
-                for (sim::NodeId e :
-                     routers_[static_cast<std::size_t>(r)]
-                         .localEndpoints) {
-                    injectFromInterface(static_cast<int>(e), &scratch);
-                }
-            }
-        });
-
-    // Region B — route + VC + switch allocation as an anti-diagonal
-    // wavefront.  routeAndAllocate is router-local; switchAllocate's
-    // only cross-router write is the credit return to the upstream
-    // router, whose serial in-cycle visibility (writer d seen by
-    // reader u iff d < u) coincides exactly with diag(d) < diag(u)
-    // for mesh neighbours — so barriers between diagonals reproduce
-    // serial semantics, and same-diagonal routers never touch the
-    // same output port (one unique writer per port).
-    for (const std::vector<int> &diag : diagonals_) {
-        pool_->parallelFor(
-            static_cast<int>(diag.size()), [this, &diag](int i) {
-                const int r = diag[static_cast<std::size_t>(i)];
-                routeAndAllocate(r);
-                switchAllocate(
-                    r, &scratch_[static_cast<std::size_t>(r)]);
-            });
-    }
-
-    // Serial fold in ascending router order: replays the energy adds
-    // and delivery notes in the exact serial program order, so every
-    // floating-point accumulator matches the serial step bit-for-bit.
-    std::int64_t flit_delta = 0;
-    for (int r = 0; r < numRouters_; ++r) {
-        StepScratch &scratch = scratch_[static_cast<std::size_t>(r)];
-        for (const double term : scratch.energyTermsJ)
-            dynamicEnergyJ_ += term;
-        for (const Packet &pkt : scratch.delivered) {
-            stats_.noteDelivered(pkt);
-            delivered_.push_back(pkt);
-        }
-        flit_delta += scratch.flitDelta;
-    }
-    flitsInFlight_ = static_cast<std::uint64_t>(
-        static_cast<std::int64_t>(flitsInFlight_) + flit_delta);
-    ++cycle_;
-}
-
-void
-CmeshNetwork::setWorkerPool(sim::WorkerPool *pool)
-{
-    pool_ = nullptr;
-    shards_.clear();
-    diagonals_.clear();
-    scratch_.clear();
-    if (!pool || pool->lanes() <= 1)
-        return;
-    pool_ = pool;
-
-    // Contiguous equal shards for region A, one per lane.
-    const int lanes = static_cast<int>(
-        std::min<unsigned>(pool->lanes(),
-                           static_cast<unsigned>(numRouters_)));
-    int begin = 0;
-    for (int s = 0; s < lanes; ++s) {
-        const int remaining = lanes - s;
-        const int take = (numRouters_ - begin + remaining - 1) /
-                         remaining;
-        shards_.push_back({begin, begin + take});
-        begin += take;
-    }
-
-    // Wavefront order for region B: routers grouped by x + y.
-    diagonals_.assign(
-        static_cast<std::size_t>(cfg_.meshX + cfg_.meshY - 1), {});
-    for (int r = 0; r < numRouters_; ++r) {
-        diagonals_[static_cast<std::size_t>(routerX(r) + routerY(r))]
-            .push_back(r);
-    }
-
-    scratch_.resize(static_cast<std::size_t>(numRouters_));
-    for (StepScratch &s : scratch_) {
-        s.energyTermsJ.reserve(64);
-        s.delivered.reserve(16);
-    }
 }
 
 std::uint64_t

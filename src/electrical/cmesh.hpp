@@ -11,17 +11,6 @@
  * XY dimension order keeps routing deadlock-free.  The link width equals
  * one flit per cycle, matching the PEARL crossbar's bisection bandwidth
  * at the full 64-wavelength state (see DESIGN.md).
- *
- * Parallel stepping (setWorkerPool): the step is sharded across worker
- * lanes with the same recipe as core::PearlNetwork — per-router scratch,
- * stage barriers, and a serial submission-order fold — so results are
- * bit-identical to the serial step at any lane count.  Link delivery and
- * NI injection run pull-based per destination router (disjoint writes);
- * route/VC/switch allocation runs as an anti-diagonal wavefront, which
- * reproduces the serial pass's in-cycle credit visibility exactly (a
- * credit written by router d is seen by upstream router u in the same
- * cycle iff d < u, and for mesh neighbours d < u ⟺ diag(d) < diag(u)).
- * See DESIGN.md "Execution engine".
  */
 
 #ifndef PEARL_ELECTRICAL_CMESH_HPP
@@ -112,14 +101,8 @@ class CmeshNetwork : public sim::Network
     /** Flits per cycle an endpoint's local interface moves. */
     int localWidth(sim::NodeId endpoint) const;
 
-    /**
-     * Install (or remove, with nullptr) a worker pool for deterministic
-     * parallel stepping.  Non-owning; the pool must outlive its use.
-     * A ≤1-lane pool keeps the serial step path.  Results are
-     * bit-identical to serial at any lane count — see the file comment
-     * for the argument.
-     */
-    void setWorkerPool(sim::WorkerPool *pool);
+    /** Kept only so pearlbench builds; every run steps on one thread. */
+    void setWorkerPool(sim::WorkerPool *) {}
 
     /** Flits inside the router fabric (input FIFOs + link registers). */
     std::uint64_t flitsInFlight() const { return flitsInFlight_; }
@@ -170,27 +153,6 @@ class CmeshNetwork : public sim::Network
         std::shared_ptr<sim::Packet> pktShared; //!< head packet, shared
     };
 
-    /**
-     * Per-router staging for the parallel step: every side effect the
-     * serial step applies to shared accumulators is recorded here and
-     * replayed in ascending router order after the barrier, so the FP
-     * add sequence (energy, latency EWMAs inside NetworkStats) is the
-     * serial one bit-for-bit.
-     */
-    struct StepScratch
-    {
-        std::vector<double> energyTermsJ;   //!< hop/eject adds, in order
-        std::vector<sim::Packet> delivered; //!< tails ejected, in order
-        std::int64_t flitDelta = 0;         //!< injected − ejected
-    };
-
-    /** Contiguous router range owned by one lane in region A. */
-    struct StepShard
-    {
-        int begin = 0;
-        int end = 0;
-    };
-
     static constexpr int kPortN = 0;
     static constexpr int kPortE = 1;
     static constexpr int kPortS = 2;
@@ -205,19 +167,10 @@ class CmeshNetwork : public sim::Network
     int vcClassBase(const sim::Packet &pkt) const;
 
     void deliverLinkFlits();
-    void injectFromInterfaces();
-    void injectFromInterface(int endpoint, StepScratch *scratch);
+    void injectFromInterface(int endpoint);
     void routeAndAllocate(int router_id);
-    void switchAllocate(int router_id, StepScratch *scratch = nullptr);
-    void ejectFlit(int router_id, int port, const Flit &flit,
-                   StepScratch *scratch = nullptr);
-
-    void stepSerial();
-    void stepParallel();
-    /** Pull-based link delivery into router r's mesh input FIFOs
-     *  (resets the upstream link registers; each (router, port) pair
-     *  has exactly one puller, so shard writes are disjoint). */
-    void pullLinkFlitsFor(int router_id);
+    void switchAllocate(int router_id);
+    void ejectFlit(const Flit &flit);
 
     CmeshConfig cfg_;
     int numRouters_;
@@ -230,12 +183,6 @@ class CmeshNetwork : public sim::Network
     sim::Cycle cycle_ = 0;
     double dynamicEnergyJ_ = 0.0;
     std::uint64_t flitsInFlight_ = 0;
-
-    // Parallel stepping (empty shards_ = serial path).
-    sim::WorkerPool *pool_ = nullptr;      //!< non-owning
-    std::vector<StepShard> shards_;        //!< region-A router ranges
-    std::vector<std::vector<int>> diagonals_; //!< wavefront order (x+y)
-    std::vector<StepScratch> scratch_;     //!< per-router staging
 };
 
 } // namespace electrical

@@ -6,7 +6,6 @@
 #include "common/log.hpp"
 #include "core/network.hpp"
 #include "photonic/power_model.hpp"
-#include "sim/worker_pool.hpp"
 #include "verify/invariants.hpp"
 
 namespace pearl {
@@ -232,23 +231,6 @@ runPearl(const traffic::BenchmarkPair &pair,
     core::HeteroSystem system(
         net, pair, sys,
         [&net](int node) { return &net.telemetryOf(node); });
-
-    // Deterministic intra-run parallelism: shard the network step and
-    // the node ticks across a pool leased from the shared execution
-    // engine (or one pre-leased by SweepRunner).  Bit-identical at any
-    // lane count; 1 lane (the default) never installs a pool, keeping
-    // the serial code path untouched.
-    sim::PoolLease lease;
-    sim::WorkerPool *pool = opts.pool;
-    if (!pool) {
-        lease = sim::ExecutionEngine::instance().lease(
-            sim::resolveStepThreads(opts.stepThreads));
-        pool = lease.pool();
-    }
-    if (pool && pool->lanes() > 1) {
-        net.setWorkerPool(pool);
-        system.setWorkerPool(pool);
-    }
     timing.buildSeconds = secondsSince(t_build);
 
     const Clock::time_point t_warmup = Clock::now();
@@ -314,20 +296,6 @@ runCmesh(const traffic::BenchmarkPair &pair,
     core::HeteroSystem system(net, pair, sys);
     if (opts.tracer)
         traceRunStart(opts, config_name, pair.label());
-
-    // The electrical baseline shards its step the same way as the
-    // photonic fabric (see cmesh.cpp); same lease, same determinism.
-    sim::PoolLease lease;
-    sim::WorkerPool *pool = opts.pool;
-    if (!pool) {
-        lease = sim::ExecutionEngine::instance().lease(
-            sim::resolveStepThreads(opts.stepThreads));
-        pool = lease.pool();
-    }
-    if (pool && pool->lanes() > 1) {
-        net.setWorkerPool(pool);
-        system.setWorkerPool(pool);
-    }
     timing.buildSeconds = secondsSince(t_build);
 
     const double dt = sys.arch.networkCycleSeconds();

@@ -97,24 +97,9 @@ struct RunOptions
     std::uint64_t seed = 1;
     core::SystemConfig system;
 
-    /**
-     * Worker lanes for deterministic intra-run parallel stepping
-     * (PEARL and CMESH fabrics; results are bit-identical at any
-     * count).  0 — the default — resolves the shared PEARL_THREADS
-     * budget (then the deprecated PEARL_STEP_THREADS, then 1, the
-     * exact serial path); a nonzero value overrides the environment,
-     * which is how the parallel-step tests pin both sides of a
-     * comparison.  See sim::resolveThreadBudget().
-     */
+    /** Kept only so pearlbench builds; every run steps on one thread.
+     *  Both fields are ignored. */
     unsigned stepThreads = 0;
-
-    /**
-     * Pre-leased worker pool (non-owning).  When set, the run steps
-     * on exactly this pool and `stepThreads` is ignored — this is how
-     * SweepRunner hands each job its slice of the shared budget.
-     * Null — the default — makes the run lease its own pool from
-     * sim::ExecutionEngine using `stepThreads`.
-     */
     sim::WorkerPool *pool = nullptr;
 
     // Observability-plane sinks (all optional, non-owning; null — the

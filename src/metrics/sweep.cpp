@@ -16,7 +16,6 @@
 #include "core/validate.hpp"
 #include "electrical/validate.hpp"
 #include "metrics/csv.hpp"
-#include "sim/worker_pool.hpp"
 
 namespace pearl {
 namespace metrics {
@@ -258,9 +257,16 @@ SweepResult::metricsOrThrow() const
 unsigned
 SweepRunner::resolveThreads(unsigned requested)
 {
-    const unsigned hw = std::thread::hardware_concurrency();
-    return sim::resolveThreadBudget(requested, "PEARL_SWEEP_THREADS",
-                                    hw > 0 ? hw : 1);
+    // The ceiling is far above any real host; it only bounds the damage
+    // of a mistyped PEARL_THREADS.
+    constexpr std::uint64_t kMaxThreads = 256;
+    std::uint64_t n = requested;
+    if (n == 0)
+        n = envU64("PEARL_THREADS", 0);
+    if (n == 0)
+        n = std::thread::hardware_concurrency();
+    return static_cast<unsigned>(
+        std::clamp<std::uint64_t>(n, 1, kMaxThreads));
 }
 
 SweepResult
@@ -270,34 +276,12 @@ SweepRunner::run(const std::vector<RunSpec> &jobs) const
     result.jobs.resize(jobs.size());
 
     const std::size_t n = jobs.size();
-    const unsigned budget = resolveThreads(opts_.threads);
-    const unsigned threads =
-        std::min<std::size_t>(budget, n > 0 ? n : 1);
+    const unsigned threads = std::min<std::size_t>(
+        resolveThreads(opts_.threads), n > 0 ? n : 1);
     result.summary.jobs = n;
     result.summary.threads = threads;
     if (n == 0)
         return result;
-
-    // Hierarchical lane leasing (shared budget only): with
-    // PEARL_THREADS set, the C-thread budget is split across the W job
-    // workers as floor(C / W) step lanes each.  The W pools are leased
-    // here, on the calling thread, in index order — the plan is a pure
-    // function of (budget, job count), never of timing — and a job
-    // only adopts its worker's pool when it did not pin its own
-    // stepThreads.  Without the shared budget, lane_quota stays 0 and
-    // each job resolves its step lanes independently as before.
-    const unsigned lane_quota =
-        sim::ExecutionEngine::configuredBudget() > 0
-            ? std::max(1u, budget / std::max(threads, 1u))
-            : 0;
-    std::vector<sim::PoolLease> lane_pools;
-    if (lane_quota > 1) {
-        lane_pools.reserve(threads);
-        for (unsigned w = 0; w < threads; ++w) {
-            lane_pools.push_back(
-                sim::ExecutionEngine::instance().lease(lane_quota));
-        }
-    }
 
     // Crash-safe checkpointing: restore finished jobs from the journal
     // (resume), then stream every newly completed row into it.
@@ -316,9 +300,8 @@ SweepRunner::run(const std::vector<RunSpec> &jobs) const
 
     // Each worker claims job indices from the shared counter and writes
     // only its own result slot, so the slots need no lock; joining the
-    // workers publishes everything to the caller.  `w` is the worker's
-    // submission index, which names its pre-leased lane pool.
-    auto worker = [&](unsigned w) {
+    // workers publishes everything to the caller.
+    auto worker = [&] {
         for (;;) {
             const std::size_t i =
                 next.fetch_add(1, std::memory_order_relaxed);
@@ -369,16 +352,6 @@ SweepRunner::run(const std::vector<RunSpec> &jobs) const
             if (!job.custom) {
                 traced = job;
                 traced.options.phases = &slot.phases;
-                // Shared budget: the job steps on this worker's
-                // pre-leased lane slice instead of re-resolving
-                // PEARL_THREADS (which would oversubscribe W × C).
-                // An explicit per-job stepThreads or pool still wins.
-                if (lane_quota > 0 && traced.options.stepThreads == 0 &&
-                    traced.options.pool == nullptr) {
-                    traced.options.stepThreads = lane_quota;
-                    if (lane_quota > 1)
-                        traced.options.pool = lane_pools[w].pool();
-                }
                 to_run = &traced;
             }
             std::unique_ptr<obs::Tracer> tracer;
@@ -433,12 +406,12 @@ SweepRunner::run(const std::vector<RunSpec> &jobs) const
 
     const Clock::time_point sweep_start = Clock::now();
     if (threads <= 1) {
-        worker(0); // serial path: no job threads spawned at all
+        worker(); // serial path: no job threads spawned at all
     } else {
         std::vector<std::thread> pool;
         pool.reserve(threads);
         for (unsigned t = 0; t < threads; ++t)
-            pool.emplace_back(worker, t);
+            pool.emplace_back(worker);
         for (std::thread &t : pool)
             t.join();
     }

@@ -15,17 +15,11 @@
  *  - per-run state (network, system, policy) is constructed inside the
  *    worker, so jobs share nothing mutable.
  *
- * Thread budget: an explicit `SweepOptions::threads` wins, else the
- * shared `PEARL_THREADS` budget, else the deprecated
- * `PEARL_SWEEP_THREADS`, else `hardware_concurrency()` (see
- * `sim::resolveThreadBudget`); `1` forces the serial path (no worker
- * threads are spawned at all).  Under the shared budget the runner
- * leases hierarchically from `sim::ExecutionEngine`: C threads over N
- * jobs become W = min(C, N) job workers stepping floor(C / W) lanes
- * each, with every lane pool leased on the calling thread in
- * submission order — the lease plan is a function of the grid shape,
- * never of timing, so sweep results stay byte-identical to serial at
- * any core count.
+ * Job threads: an explicit `SweepOptions::threads` wins, else
+ * `PEARL_THREADS`, else `hardware_concurrency()`; `1` forces the serial
+ * path (no worker threads are spawned at all).  This job pool is the
+ * only parallelism in the simulator: each job steps its simulation on
+ * the worker thread that claimed it.
  *
  * Fault tolerance (DESIGN.md "Resilience"):
  *
@@ -112,8 +106,7 @@ struct RunSpec
 struct SweepOptions
 {
     /** Worker threads.  Nonzero pins the count; 0 — the default —
-     *  resolves the shared PEARL_THREADS budget, then the deprecated
-     *  PEARL_SWEEP_THREADS, then hardware_concurrency(). */
+     *  resolves PEARL_THREADS, then hardware_concurrency(). */
     unsigned threads = 0;
     /** Base of the per-job seed derivation. */
     std::uint64_t baseSeed = 100;
@@ -254,11 +247,8 @@ class SweepRunner
     SweepResult run(const std::vector<RunSpec> &jobs) const;
 
     /**
-     * Effective job-worker budget: `requested` if nonzero, else the
-     * shared PEARL_THREADS budget, else the deprecated
-     * PEARL_SWEEP_THREADS (warns once), else hardware_concurrency().
-     * One precedence rule for every tier — see
-     * sim::resolveThreadBudget().
+     * Effective job-worker count: `requested` if nonzero, else
+     * PEARL_THREADS, else hardware_concurrency(); clamped to [1, 256].
      */
     static unsigned resolveThreads(unsigned requested);
 

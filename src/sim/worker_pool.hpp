@@ -1,365 +1,36 @@
 /**
  * @file
- * Unified execution engine: one process-wide thread budget for
- * deterministic parallelism, plus the worker pool it hands out.
+ * Inert step-lane names, kept only so pearlbench builds; every run
+ * steps on one thread.
  *
- * PearlNetwork::step(), CmeshNetwork::step() and HeteroSystem::
- * stepOnce() shard their per-router / per-node loops across a fixed set
- * of worker threads and then fold the per-shard scratch back into
- * shared state in a fixed serial order, so the simulation result is
- * bit-identical at any thread count.  The pool exists to make the
- * parallel regions cheap: threads are spawned once per lease (not per
- * cycle) and parked on a condition variable between regions.
- *
- * parallelFor(n, fn) runs fn(0..n-1) across the workers plus the
- * calling thread, each index exactly once, and returns only after every
- * index has completed (a full barrier).  Index claiming is a mutex-
- * protected counter — shards are few (≤ a handful per lane) and each
- * does thousands of cycles' worth of router work, so claim overhead is
- * noise, and plain mutex/condvar synchronisation keeps the pool
- * trivially ThreadSanitizer-clean.  The first exception thrown by any
- * task is captured and rethrown on the calling thread after the
- * barrier.
- *
- * One budget, two tiers.  ExecutionEngine owns a cache of parked
- * WorkerPools; everything that wants lanes *leases* a pool instead of
- * constructing one, so repeated runs (and every job of a sweep) reuse
- * already-spawned threads.  The budget itself comes from
- * resolveThreadBudget(): an explicit request (RunOptions::stepThreads,
- * SweepOptions::threads, DiffCase::stepThreads) always wins, else the
- * shared PEARL_THREADS knob, else the legacy per-tier knob
- * (PEARL_STEP_THREADS / PEARL_SWEEP_THREADS, deprecated — each warns
- * once per process), else the caller's fallback.  SweepRunner splits
- * the budget hierarchically: N jobs on a budget of C get
- * W = min(C, N) job workers leasing floor(C / W) step lanes each —
- * the lease plan is derived from the submission shape alone, never
- * from timing, so results stay byte-identical to a serial sweep.
- *
- * Lane pinning (PEARL_PIN): leased pools pin their spawned workers to
- * consecutive cores via pthread_setaffinity_np where available; on
- * other platforms the knob is a documented no-op.  Pinning never
- * affects results — only cache locality.
+ * PearlNetwork, CmeshNetwork and HeteroSystem each have one step path,
+ * and the only parallelism is SweepRunner's job pool (DESIGN.md "Why
+ * runs step on one thread").  Nothing here starts a thread or reads the
+ * environment.
  */
 
 #ifndef PEARL_SIM_WORKER_POOL_HPP
 #define PEARL_SIM_WORKER_POOL_HPP
 
-#include <algorithm>
-#include <condition_variable>
-#include <cstdint>
-#include <cstdlib>
-#include <exception>
-#include <functional>
-#include <memory>
-#include <mutex>
-#include <string>
-#include <thread>
-#include <vector>
-
-#include "common/env.hpp"
-#include "common/log.hpp"
-
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#define PEARL_HAS_THREAD_AFFINITY 1
-#endif
-
 namespace pearl {
 namespace sim {
 
-/** Hard ceiling on worker lanes; far above any real host, it only
- *  bounds damage from a mistyped PEARL_THREADS. */
-constexpr unsigned kMaxStepThreads = 256;
-
-/** Warn exactly once per process that a legacy knob was honoured. */
-inline void
-warnDeprecatedKnob(const char *name)
-{
-    static std::mutex mutex;
-    static std::vector<std::string> warned;
-    std::lock_guard<std::mutex> lock(mutex);
-    for (const std::string &w : warned) {
-        if (w == name)
-            return;
-    }
-    warned.emplace_back(name);
-    warn(name, " is deprecated; set the shared PEARL_THREADS budget "
-         "instead (the legacy knob still applies while PEARL_THREADS "
-         "is unset)");
-}
-
-/** The shared PEARL_THREADS budget, or 0 when unset/invalid.  Read on
- *  every call (never cached) so tests can scope it per case. */
-inline unsigned
-threadBudgetFromEnv()
-{
-    return static_cast<unsigned>(std::min<std::uint64_t>(
-        envU64("PEARL_THREADS", 0), kMaxStepThreads));
-}
-
-/**
- * Single thread-count resolution precedence, shared by every tier:
- *
- *   explicit `requested` (nonzero)          — tests/benches pin counts
- *   > PEARL_THREADS                         — the shared budget
- *   > `legacy_knob` (deprecated, warns once) — PEARL_STEP_THREADS /
- *                                             PEARL_SWEEP_THREADS
- *   > `fallback`                            — tier default
- *
- * A legacy knob set to 0 counts as unset (the historical "force the
- * default" spelling); unparseable values warn and are ignored.  The
- * result is clamped to [1, kMaxStepThreads].
- */
-inline unsigned
-resolveThreadBudget(unsigned requested, const char *legacy_knob,
-                    unsigned fallback)
-{
-    if (requested > 0)
-        return std::min(requested, kMaxStepThreads);
-    if (const unsigned shared = threadBudgetFromEnv())
-        return shared;
-    if (legacy_knob) {
-        if (const char *v = std::getenv(legacy_knob)) {
-            std::uint64_t n = 0;
-            if (!parseU64(v, n)) {
-                warn("ignoring unparseable ", legacy_knob, "=\"", v,
-                     "\"");
-            } else if (n > 0) {
-                warnDeprecatedKnob(legacy_knob);
-                return static_cast<unsigned>(
-                    std::min<std::uint64_t>(n, kMaxStepThreads));
-            }
-        }
-    }
-    return std::min(std::max(fallback, 1u), kMaxStepThreads);
-}
-
-/** Resolve the effective worker-lane count for one run: an explicit
- *  nonzero request wins (tests pin both sides of a comparison this
- *  way), else PEARL_THREADS, else the deprecated PEARL_STEP_THREADS,
- *  else 1 — and 1 means the callers never install a pool at all,
- *  leaving the serial code path byte-identical to the
- *  pre-parallelism tree. */
-inline unsigned
-resolveStepThreads(unsigned requested)
-{
-    return resolveThreadBudget(requested, "PEARL_STEP_THREADS", 1);
-}
-
-/** Whether leased lanes should be pinned to cores (PEARL_PIN). */
-inline bool
-lanePinningRequested()
-{
-    return envBool("PEARL_PIN", false);
-}
-
-/** Fixed-size pool of parked threads running barrier-style index
- *  ranges.  One lane is the calling thread, so lanes() == requested
- *  concurrency and a 1-lane pool spawns no threads at all. */
+/** Kept only so pearlbench builds; every run steps on one thread. */
 class WorkerPool
 {
   public:
-    /** Spawns lanes-1 workers.  With `pin` set, worker i is pinned to
-     *  core (pin_base + i) mod hardware_concurrency where the platform
-     *  supports thread affinity; the calling lane is never pinned. */
-    explicit WorkerPool(unsigned lanes, bool pin = false,
-                        unsigned pin_base = 0)
-        : pinned_(pin)
-    {
-        const unsigned n = std::max(1u, std::min(lanes, kMaxStepThreads));
-        workers_.reserve(n - 1);
-        for (unsigned i = 0; i + 1 < n; ++i) {
-            workers_.emplace_back([this] { workerLoop(); });
-            if (pin)
-                pinWorker(workers_.back(), pin_base + i);
-        }
-    }
-
-    ~WorkerPool()
-    {
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            stop_ = true;
-        }
-        wake_.notify_all();
-        for (std::thread &t : workers_)
-            t.join();
-    }
-
-    WorkerPool(const WorkerPool &) = delete;
-    WorkerPool &operator=(const WorkerPool &) = delete;
-
-    /** Total concurrency, including the calling thread's lane. */
-    unsigned
-    lanes() const
-    {
-        return static_cast<unsigned>(workers_.size()) + 1;
-    }
-
-    /** Whether this pool's workers were pinned at spawn time. */
-    bool pinned() const { return pinned_; }
-
-    /** Run fn(0..tasks-1), each index exactly once, across all lanes;
-     *  returns after every index completed.  Rethrows the first task
-     *  exception on the caller.  Not reentrant: tasks must not call
-     *  parallelFor on the same pool. */
-    void
-    parallelFor(int tasks, const std::function<void(int)> &fn)
-    {
-        if (tasks <= 0)
-            return;
-        if (workers_.empty() || tasks == 1) {
-            for (int i = 0; i < tasks; ++i)
-                fn(i);
-            return;
-        }
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            PEARL_ASSERT(fn_ == nullptr); // reentrancy guard
-            fn_ = &fn;
-            tasks_ = tasks;
-            next_ = 0;
-            done_ = 0;
-            ++generation_;
-        }
-        wake_.notify_all();
-        runTasks();
-        std::unique_lock<std::mutex> lock(mutex_);
-        finished_.wait(lock, [this] { return done_ == tasks_; });
-        fn_ = nullptr;
-        if (error_) {
-            std::exception_ptr e = error_;
-            error_ = nullptr;
-            std::rethrow_exception(e);
-        }
-    }
-
-  private:
-    static void
-    pinWorker(std::thread &t, unsigned core)
-    {
-#if defined(PEARL_HAS_THREAD_AFFINITY)
-        const unsigned hw =
-            std::max(1u, std::thread::hardware_concurrency());
-        cpu_set_t set;
-        CPU_ZERO(&set);
-        CPU_SET((core % hw) % CPU_SETSIZE, &set);
-        // Best effort: a restricted cpuset (containers) makes this
-        // fail benignly, and results never depend on placement.
-        (void)pthread_setaffinity_np(t.native_handle(), sizeof(set),
-                                     &set);
-#else
-        (void)t;
-        (void)core;
-#endif
-    }
-
-    void
-    runTasks()
-    {
-        for (;;) {
-            int index;
-            {
-                std::lock_guard<std::mutex> lock(mutex_);
-                if (next_ >= tasks_)
-                    return;
-                index = next_++;
-            }
-            try {
-                (*fn_)(index);
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(mutex_);
-                if (!error_)
-                    error_ = std::current_exception();
-            }
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (++done_ == tasks_)
-                finished_.notify_all();
-        }
-    }
-
-    void
-    workerLoop()
-    {
-        std::uint64_t seen = 0;
-        for (;;) {
-            {
-                std::unique_lock<std::mutex> lock(mutex_);
-                wake_.wait(lock, [this, &seen] {
-                    return stop_ || generation_ != seen;
-                });
-                if (stop_)
-                    return;
-                seen = generation_;
-            }
-            runTasks();
-        }
-    }
-
-    std::vector<std::thread> workers_;
-    std::mutex mutex_;
-    std::condition_variable wake_;
-    std::condition_variable finished_;
-    const std::function<void(int)> *fn_ = nullptr;
-    int tasks_ = 0;
-    int next_ = 0;
-    int done_ = 0;
-    std::uint64_t generation_ = 0;
-    std::exception_ptr error_;
-    bool stop_ = false;
-    const bool pinned_ = false;
+    unsigned lanes() const { return 1; }
 };
 
-class ExecutionEngine;
-
-/** RAII handle on a leased WorkerPool.  pool() is null for a serial
- *  (≤ 1 lane) lease; destruction parks the pool back in the engine's
- *  cache with its threads still spawned. */
+/** Kept only so pearlbench builds; every run steps on one thread.
+ *  pool() is always null. */
 class PoolLease
 {
   public:
-    PoolLease() = default;
-    PoolLease(PoolLease &&other) noexcept : pool_(other.pool_)
-    {
-        other.pool_ = nullptr;
-    }
-    PoolLease &
-    operator=(PoolLease &&other) noexcept
-    {
-        if (this != &other) {
-            reset();
-            pool_ = other.pool_;
-            other.pool_ = nullptr;
-        }
-        return *this;
-    }
-    ~PoolLease() { reset(); }
-
-    PoolLease(const PoolLease &) = delete;
-    PoolLease &operator=(const PoolLease &) = delete;
-
-    /** The leased pool; null when the lease is serial or empty. */
-    WorkerPool *pool() const { return pool_; }
-
-    void reset();
-
-  private:
-    friend class ExecutionEngine;
-    explicit PoolLease(WorkerPool *pool) : pool_(pool) {}
-    WorkerPool *pool_ = nullptr;
+    WorkerPool *pool() const { return nullptr; }
 };
 
-/**
- * Process-wide pool cache behind every lease.  Thread-safe: sweep
- * workers lease their step-lane pools concurrently.  Pools are keyed
- * by (lane count, pinned) and parked between leases, so a sweep of a
- * thousand jobs spawns each worker thread once, not once per job.
- * Lease sizing is the caller's job (resolveThreadBudget /
- * SweepRunner's lease plan); the engine never blocks a lease — an
- * oversubscribed request simply oversubscribes the OS scheduler,
- * which preserves liveness under any PEARL_THREADS value.
- */
+/** Kept only so pearlbench builds; every run steps on one thread. */
 class ExecutionEngine
 {
   public:
@@ -370,82 +41,15 @@ class ExecutionEngine
         return engine;
     }
 
-    /** The shared PEARL_THREADS budget (0 = unset → legacy knobs and
-     *  tier defaults apply). */
-    static unsigned
-    configuredBudget()
-    {
-        return threadBudgetFromEnv();
-    }
-
-    /** Lease a pool with exactly `lanes` lanes; `lanes <= 1` yields a
-     *  null-pool (serial) lease and spawns nothing. */
-    PoolLease
-    lease(unsigned lanes)
-    {
-        if (lanes <= 1)
-            return PoolLease{};
-        const bool pin = lanePinningRequested();
-        std::lock_guard<std::mutex> lock(mutex_);
-        for (std::size_t i = 0; i < idle_.size(); ++i) {
-            if (idle_[i]->lanes() == lanes &&
-                idle_[i]->pinned() == pin) {
-                leased_.push_back(std::move(idle_[i]));
-                idle_.erase(idle_.begin() +
-                            static_cast<std::ptrdiff_t>(i));
-                return PoolLease{leased_.back().get()};
-            }
-        }
-        // Fresh pool; pinned lanes take consecutive cores from a
-        // rolling cursor so two concurrently leased pools land on
-        // disjoint cores (modulo the host's core count).
-        unsigned base = 0;
-        if (pin) {
-            base = pinCursor_;
-            pinCursor_ = (pinCursor_ + lanes) %
-                         std::max(1u, std::thread::hardware_concurrency());
-        }
-        leased_.push_back(
-            std::make_unique<WorkerPool>(lanes, pin, base));
-        return PoolLease{leased_.back().get()};
-    }
-
-  private:
-    friend class PoolLease;
-
-    /** Bounded park list: beyond this many idle pools the released one
-     *  is destroyed (joining its threads) instead of cached. */
-    static constexpr std::size_t kMaxIdlePools = 16;
-
-    void
-    release(WorkerPool *pool)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        for (std::size_t i = 0; i < leased_.size(); ++i) {
-            if (leased_[i].get() != pool)
-                continue;
-            if (idle_.size() < kMaxIdlePools)
-                idle_.push_back(std::move(leased_[i]));
-            leased_.erase(leased_.begin() +
-                          static_cast<std::ptrdiff_t>(i));
-            return;
-        }
-        PEARL_ASSERT(false, "released a pool the engine never leased");
-    }
-
-    std::mutex mutex_;
-    std::vector<std::unique_ptr<WorkerPool>> idle_;
-    std::vector<std::unique_ptr<WorkerPool>> leased_;
-    unsigned pinCursor_ = 0;
+    PoolLease lease(unsigned) { return PoolLease{}; }
 };
 
-inline void
-PoolLease::reset()
+/** Kept only so pearlbench builds; every run steps on one thread.
+ *  Always returns 1. */
+inline unsigned
+resolveStepThreads(unsigned)
 {
-    if (pool_) {
-        ExecutionEngine::instance().release(pool_);
-        pool_ = nullptr;
-    }
+    return 1;
 }
 
 } // namespace sim

@@ -250,16 +250,6 @@ runDiff(const DiffCase &c)
     core::PearlNetwork pearl(c.cfg, power, c.dba, pearl_policy.get());
     RefNetwork ref(c.cfg, power, c.dba, ref_policy.get());
 
-    // Parallel stepping on the optimized side only: the serial
-    // reference then certifies the sharded step bit for bit.
-    sim::PoolLease lease = sim::ExecutionEngine::instance().lease(
-        sim::resolveStepThreads(c.stepThreads));
-    if (lease.pool()) {
-        pearl.setWorkerPool(lease.pool());
-        if (c.rebalance)
-            pearl.setShardRebalance(true);
-    }
-
     Invariants invariants;
     if (c.checkInvariants)
         pearl.setAuditor(&invariants);
@@ -307,109 +297,6 @@ runDiff(const DiffCase &c)
 
     out.injectedPackets = pearl.stats().injectedPackets();
     out.deliveredPackets = pearl.stats().deliveredPackets();
-    return out;
-}
-
-namespace {
-
-/** One cycle's comparison of the two CMESH instances (the optimized
- *  one possibly stepping in parallel, the reference serial). */
-Divergence
-compareCmeshCycle(electrical::CmeshNetwork &opt,
-                  electrical::CmeshNetwork &ref, bool check_invariants)
-{
-    Divergence d;
-
-    expectEq(d, "cycle", opt.cycle(), ref.cycle());
-
-    auto &od = opt.delivered();
-    auto &rd = ref.delivered();
-    expectEq(d, "deliveries this cycle", od.size(), rd.size());
-    if (!d.hit) {
-        for (std::size_t i = 0; i < od.size(); ++i)
-            comparePacket(d, i, od[i], rd[i]);
-    }
-    od.clear();
-    rd.clear();
-
-    const sim::NetworkStats &os = opt.stats();
-    const sim::NetworkStats &rs = ref.stats();
-    expectEq(d, "injectedPackets", os.injectedPackets(),
-             rs.injectedPackets());
-    expectEq(d, "deliveredPackets", os.deliveredPackets(),
-             rs.deliveredPackets());
-    expectEq(d, "deliveredFlits", os.deliveredFlits(),
-             rs.deliveredFlits());
-    expectEq(d, "deliveredBits", os.deliveredBits(), rs.deliveredBits());
-    expectEq(d, "cpuDeliveredPackets", os.cpuDeliveredPackets(),
-             rs.cpuDeliveredPackets());
-    expectEq(d, "gpuDeliveredPackets", os.gpuDeliveredPackets(),
-             rs.gpuDeliveredPackets());
-    expectBits(d, "avgLatency", os.avgLatency(), rs.avgLatency());
-    expectBits(d, "dynamicEnergyJ", opt.dynamicEnergyJ(),
-               ref.dynamicEnergyJ());
-    expectEq(d, "flitsInFlight", opt.flitsInFlight(),
-             ref.flitsInFlight());
-    expectEq(d, "idle", opt.idle(), ref.idle());
-
-    // Flit conservation on the optimized side: every flit the fabric
-    // holds is in an input FIFO or a link register, nowhere else.
-    if (check_invariants && !d.hit) {
-        expectEq(d, "flit conservation (inFlight vs buffered)",
-                 opt.flitsInFlight(), opt.countBufferedFlits());
-    }
-    return d;
-}
-
-} // namespace
-
-DiffResult
-runCmeshDiff(const CmeshDiffCase &c)
-{
-    electrical::CmeshNetwork opt(c.cfg);
-    electrical::CmeshNetwork ref(c.cfg);
-
-    sim::PoolLease lease = sim::ExecutionEngine::instance().lease(
-        sim::resolveStepThreads(c.stepThreads));
-    if (lease.pool())
-        opt.setWorkerPool(lease.pool());
-
-    TrafficGen traffic(c.trafficSeed, c.cpuRate, c.gpuRate,
-                       opt.numNodes());
-
-    DiffResult out;
-    for (std::uint64_t i = 0; i < c.cycles; ++i) {
-        const Cycle now = opt.cycle();
-        for (const Packet &pkt : traffic.cycleTraffic(now)) {
-            const bool opt_took = opt.inject(pkt);
-            const bool ref_took = ref.inject(pkt);
-            if (opt_took != ref_took) {
-                std::ostringstream os;
-                os << "injection acceptance for packet " << pkt.id
-                   << " (src " << pkt.src << " dst " << pkt.dst
-                   << "): optimized=" << opt_took
-                   << " reference=" << ref_took;
-                out.diverged = true;
-                out.cycle = now;
-                out.description = os.str();
-                return out;
-            }
-        }
-
-        opt.step();
-        ref.step();
-
-        Divergence d = compareCmeshCycle(opt, ref, c.checkInvariants);
-        if (d.hit) {
-            out.diverged = true;
-            out.cycle = now;
-            out.description = d.what;
-            return out;
-        }
-    }
-
-    out.injectedPackets = opt.stats().injectedPackets();
-    out.deliveredPackets = opt.stats().deliveredPackets();
     return out;
 }
 

@@ -26,7 +26,6 @@
 #include "core/arch_config.hpp"
 #include "core/dba.hpp"
 #include "core/power_policy.hpp"
-#include "electrical/cmesh.hpp"
 #include "sim/packet.hpp"
 
 namespace pearl {
@@ -72,16 +71,6 @@ struct DiffCase
     std::function<std::unique_ptr<core::PowerPolicy>()> makePolicy;
     /** Install the runtime invariant checker on the optimized side. */
     bool checkInvariants = true;
-    /** Worker lanes for the optimized side's parallel stepping: 0
-     *  resolves the shared PEARL_THREADS budget (then the deprecated
-     *  PEARL_STEP_THREADS; default 1 = serial); a nonzero value
-     *  overrides.  The reference side always steps serially, so the
-     *  lockstep comparison proves the parallel path bit-exact. */
-    unsigned stepThreads = 0;
-    /** Force dynamic shard rebalancing on the optimized side (only
-     *  meaningful with > 1 lanes), so the diff also certifies that
-     *  re-packed shard boundaries leave every byte unchanged. */
-    bool rebalance = false;
 };
 
 /** Outcome of a differential run. */
@@ -97,31 +86,6 @@ struct DiffResult
 
 /** Run the two simulators in lockstep (see file comment). */
 DiffResult runDiff(const DiffCase &c);
-
-/**
- * Differential case for the electrical CMESH baseline: the optimized
- * side steps in parallel (stepThreads lanes leased from the execution
- * engine), the reference side is a second CmeshNetwork stepping
- * serially.  Lockstep comparison covers delivered packets field by
- * field, cumulative stats (latency mean bit for bit), the dynamic
- * energy integral bit for bit, idleness, and the flit-conservation
- * invariant (flitsInFlight == recounted buffered flits).
- */
-struct CmeshDiffCase
-{
-    electrical::CmeshConfig cfg;
-    std::uint64_t cycles = 500;
-    std::uint64_t trafficSeed = 1;
-    double cpuRate = 0.05;
-    double gpuRate = 0.05;
-    /** Lanes for the optimized side; same resolution as DiffCase. */
-    unsigned stepThreads = 0;
-    /** Check flit conservation on the optimized side every cycle. */
-    bool checkInvariants = true;
-};
-
-/** Run the parallel-vs-serial CMESH lockstep (see CmeshDiffCase). */
-DiffResult runCmeshDiff(const CmeshDiffCase &c);
 
 } // namespace verify
 } // namespace pearl

@@ -3,12 +3,12 @@
  * Golden-metrics regression suite.
  *
  * Runs a small fixed grid — 3 benchmark pairs x {FCFS, reactive, ML} at
- * short cycle counts — through the sweep engine and compares every
- * RunMetrics field against checked-in CSVs under tests/golden/.  Any
- * drift in simulation output fails with a field-level diff naming the
- * config, pair and field.  The CSV schema (column set, order and value
- * formatting) is the canonical one from metrics/csv.hpp — the same one
- * PEARL_METRICS_DUMP writes.
+ * short cycle counts — through the sweep engine and requires every
+ * canonical CSV row to equal its checked-in line under tests/golden/
+ * byte for byte.  Any drift in simulation output also fails with a
+ * field-level diff naming the config, pair and field.  The CSV schema
+ * (column set, order and value formatting) is the canonical one from
+ * metrics/csv.hpp — the same one PEARL_METRICS_DUMP writes.
  *
  * Regenerate the golden files after an intentional behaviour change:
  *   PEARL_UPDATE_GOLDEN=1 ./test_golden_metrics
@@ -17,7 +17,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <string>
@@ -38,19 +37,6 @@
 namespace pearl {
 namespace metrics {
 namespace {
-
-/** Doubles must round-trip exactly through the CSV; the tiny relative
- *  tolerance only absorbs printf/strtod last-ulp asymmetries, never a
- *  real behaviour change. */
-bool
-doubleMatches(double golden, double actual)
-{
-    if (golden == actual)
-        return true;
-    const double scale =
-        std::max(std::abs(golden), std::abs(actual));
-    return std::abs(golden - actual) <= 1e-12 * scale;
-}
 
 /** The fixed grid: one sweep per config over three test pairs. */
 struct GoldenConfig
@@ -171,6 +157,11 @@ compareGolden(const GoldenConfig &cfg,
     for (const RunMetrics &m : runs) {
         ASSERT_TRUE(std::getline(in, line))
             << path << ": fewer rows than the grid has runs";
+        // The contract: the canonical row equals the golden line byte
+        // for byte.  The field-level diff below only names what moved.
+        EXPECT_EQ(line, csvRow({m.pairLabel}, m))
+            << path << ": row for " << m.pairLabel
+            << " is not byte-identical to the golden line";
         const std::vector<std::string> cells = splitCsvLine(line);
         const std::vector<MetricField> fields = metricFields(m);
         ASSERT_EQ(cells.size(), fields.size() + 1)
@@ -183,17 +174,7 @@ compareGolden(const GoldenConfig &cfg,
                 << path << ": header mismatch at column " << i + 1;
             const std::string where = cfg.name + "/" + m.pairLabel +
                                       " field " + f.name;
-            if (f.isInteger) {
-                EXPECT_EQ(cells[i + 1], std::to_string(f.u))
-                    << where << ": golden " << cells[i + 1]
-                    << " vs actual " << f.u;
-            } else {
-                const double golden = std::strtod(cells[i + 1].c_str(),
-                                                  nullptr);
-                EXPECT_TRUE(doubleMatches(golden, f.d))
-                    << where << ": golden " << cells[i + 1]
-                    << " vs actual " << formatMetricValue(f);
-            }
+            EXPECT_EQ(cells[i + 1], formatMetricValue(f)) << where;
         }
     }
     EXPECT_FALSE(std::getline(in, line))
@@ -345,10 +326,8 @@ TEST(GoldenMetrics, Scale32GroupedRowsMatchCheckedInResults)
 }
 
 /** The electrical-baseline row: the default 4x4 CMESH driven through
- *  the same sweep machinery.  This is the reference fabric of every
- *  paper figure, and since PR 10 it shares the parallel stepper, so
- *  its goldens also anchor the parallel-vs-serial identity tests in
- *  test_parstep. */
+ *  the same sweep machinery — the reference fabric of every paper
+ *  figure. */
 GoldenConfig
 cmeshConfig(const traffic::BenchmarkSuite &suite)
 {

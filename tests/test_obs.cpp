@@ -475,7 +475,6 @@ TEST(Obs, PerJobTracesAreIdenticalAcrossSweepThreadCounts)
 {
     // The test owns the thread count; neutralise any ambient override.
     unsetenv("PEARL_THREADS");
-    unsetenv("PEARL_SWEEP_THREADS");
 
     traffic::BenchmarkSuite suite;
     const std::vector<traffic::BenchmarkPair> pairs = {
@@ -565,7 +564,6 @@ TEST(Obs, ChromeTraceFromRunnerIsValidAndCarriesAllCategories)
 TEST(Obs, TracingIsZeroCostAndDisabledMatchesGolden)
 {
     unsetenv("PEARL_THREADS");
-    unsetenv("PEARL_SWEEP_THREADS");
 
     // The fcfs golden grid, exactly as test_golden_metrics runs it.
     traffic::BenchmarkSuite suite;

@@ -25,6 +25,7 @@
 #include "core/system.hpp"
 #include "core/topology.hpp"
 #include "core/validate.hpp"
+#include "electrical/cmesh.hpp"
 #include "metrics/sweep.hpp"
 #include "ml/guarded_policy.hpp"
 #include "photonic/laser.hpp"
@@ -181,6 +182,28 @@ TEST(RefDiff, GroupedExpressWithFaultCappedPools)
     DiffCase d = smallCase(cfg);
     d.cycles = 1500;
     const DiffResult r = runDiff(d);
+    EXPECT_TRUE(r.ok()) << "cycle " << r.cycle << ": " << r.description;
+    EXPECT_GT(r.deliveredPackets, 0u);
+}
+
+TEST(RefDiff, SixteenClustersInGroupsOfFourWithFullFaultPlane)
+{
+    // A larger grouped chip than the 4-cluster cases above: four
+    // waveguide groups of four with BER corruption, reservation drops,
+    // laser-bank outages and retransmissions all live at once.
+    FuzzCase c;
+    c.numClusters = 16;
+    c.reservationGroupSize = 4;
+    c.resExpressSlots = 2;
+    c.faultsEnabled = true;
+    c.bankMtbfCycles = 20000.0;
+    c.bankMttrCycles = 400.0;
+    c.baseBer = 1e-4;
+    c.reservationDropRate = 0.01;
+    c.cycles = 800;
+    c.cpuRate = 0.08;
+    c.gpuRate = 0.08;
+    const DiffResult r = runDiff(toDiffCase(c));
     EXPECT_TRUE(r.ok()) << "cycle " << r.cycle << ": " << r.description;
     EXPECT_GT(r.deliveredPackets, 0u);
 }
@@ -432,17 +455,6 @@ TEST(Invariants, MaxScaleChipRunsInvariantClean)
     core::HeteroSystem system(
         net, pair, core::makeSystemConfig(topo),
         [&net](int n) { return &net.telemetryOf(n); });
-
-    // The CI verify job exports PEARL_THREADS=4 so this max-scale
-    // audit also covers the sharded step path under ASan; the default
-    // (1) keeps it serial.
-    std::unique_ptr<sim::WorkerPool> pool;
-    const unsigned lanes = sim::resolveStepThreads(0);
-    if (lanes > 1) {
-        pool = std::make_unique<sim::WorkerPool>(lanes);
-        net.setWorkerPool(pool.get());
-        system.setWorkerPool(pool.get());
-    }
     ASSERT_NO_THROW(system.run(3000));
 
     EXPECT_EQ(inv.stepsAudited(), 3000u);
@@ -479,6 +491,34 @@ TEST(Invariants, ScaleOut64ClusterSmoke)
     const metrics::RunMetrics m = metrics::executeSpec(spec, /*seed=*/7);
     EXPECT_GT(m.deliveredPackets, 100u);
     EXPECT_GT(m.throughputFlitsPerCycle, 0.0);
+}
+
+TEST(Invariants, CmeshConservesFlitsEveryCycle)
+{
+    // Every flit a CMESH has taken from an endpoint interface and not
+    // yet ejected sits in exactly one input FIFO or link register.  The
+    // default 4x4 mesh, then a non-square 8x2 mesh whose 2-cycle links
+    // hold flits in their registers across cycle boundaries.
+    electrical::CmeshConfig narrow;
+    narrow.meshX = 8;
+    narrow.meshY = 2;
+    narrow.linkCyclesPerFlit = 2;
+    for (const electrical::CmeshConfig &cfg :
+         {electrical::CmeshConfig{}, narrow}) {
+        SCOPED_TRACE("mesh " + std::to_string(cfg.meshX) + "x" +
+                     std::to_string(cfg.meshY));
+        electrical::CmeshNetwork net(cfg);
+        TrafficGen traffic(1, 0.08, 0.08, net.numNodes());
+        for (Cycle i = 0; i < 800; ++i) {
+            for (const sim::Packet &pkt : traffic.cycleTraffic(net.cycle()))
+                net.inject(pkt);
+            net.step();
+            ASSERT_EQ(net.flitsInFlight(), net.countBufferedFlits())
+                << "cycle " << i;
+            net.delivered().clear();
+        }
+        EXPECT_GT(net.stats().deliveredPackets(), 0u);
+    }
 }
 
 TEST(Invariants, ConservationHoldsOnBalancedCounts)
