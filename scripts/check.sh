@@ -1,14 +1,23 @@
 #!/usr/bin/env sh
 # CI entry point: build and run the tier-1 test suite under the
 # default toolchain, AddressSanitizer+UBSan and ThreadSanitizer, plus
-# the verification plane (differential suite + time-boxed fuzz smoke).
+# the verification plane (differential suite + time-boxed fuzz smoke)
+# and the benchmark's self-test.
 #
-#   scripts/check.sh            # all four flavours
-#   scripts/check.sh default    # just one (default | asan | tsan | verify)
+#   scripts/check.sh            # all five flavours
+#   scripts/check.sh default    # just one
+#                               # (default | asan | tsan | verify | bench)
 #
-# Each flavour uses its own build directory (build-check-<flavour>) so
-# repeated runs are incremental and the user's ./build is untouched.
+# Each test flavour uses its own build directory (build-check-<flavour>)
+# so repeated runs are incremental and the user's ./build is untouched.
 # Exits non-zero on the first failing flavour.
+#
+# The bench flavour runs pearlbench/selftest.py: it builds pearlbench
+# in Release under .bench_build/ and runs every workload of
+# BENCHMARK.json at smoke-test length, untraced and traced, checking
+# exit status, the declared metric names and units, and the result's
+# correctness flag.  A library change that breaks the benchmark's
+# build or its metrics fails here.
 #
 # The verify flavour reuses the asan build tree (sanitized binaries),
 # runs only tests labelled `verify` with the runtime invariant checker
@@ -25,7 +34,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 JOBS="${PEARL_CHECK_JOBS:-4}"
-FLAVOURS="${1:-default asan tsan verify}"
+FLAVOURS="${1:-default asan tsan verify bench}"
 
 run_flavour() {
     flavour="$1"
@@ -35,9 +44,15 @@ run_flavour() {
     asan) sanitize=ON ;;
     tsan) sanitize=TSAN ;;
     verify) dir="build-check-asan" sanitize=ON ;;
+    bench)
+        echo "==> [bench] pearlbench self-test (Release, every workload" \
+             "at --tiny, untraced and traced)"
+        python3 pearlbench/selftest.py
+        return
+        ;;
     *)
         echo "check.sh: unknown flavour '$flavour'" \
-             "(want default | asan | tsan | verify)" >&2
+             "(want default | asan | tsan | verify | bench)" >&2
         exit 2
         ;;
     esac

@@ -1,6 +1,7 @@
 #include "core/network.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <ostream>
 
 #include "common/log.hpp"
@@ -24,6 +25,8 @@ PearlNetwork::PearlNetwork(const PearlConfig &cfg,
       policy_(policy)
 {
     PEARL_ASSERT(policy_, "PearlNetwork requires a power policy");
+    PEARL_ASSERT(cfg_.numNodes() <= UINT16_MAX,
+                 "router ids must fit an in-flight key");
     l3Power_ = routerPower_.scaled(
         static_cast<double>(cfg_.l3WaveguideGroup));
     if (cfg_.faults.enabled) {
@@ -36,13 +39,17 @@ PearlNetwork::PearlNetwork(const PearlConfig &cfg,
         outstanding_.resize(static_cast<std::size_t>(cfg_.numNodes()));
     }
     routers_.reserve(static_cast<std::size_t>(cfg_.numNodes()));
-    // Steady-state allocation freedom: reserve the event heaps and the
-    // per-step scratch once, here.  The bounds are generous (every
-    // router's buffers fully serialised at once) so the cycle loop
-    // never grows them.
+    // Reserve the event heaps, the in-flight slab and the per-step
+    // scratch once, here: 64 packets per router covers an unsaturated
+    // chip.  A saturated receiver holds more — a 128-cluster chip's MC
+    // hub keeps about 9k bounced arrivals in flight against 8,256
+    // reserved — so those vectors grow a few times early in such a run,
+    // then stay put.
     const std::size_t inflight_bound =
         static_cast<std::size_t>(cfg_.numNodes()) * 64;
     inFlight_.reserve(inflight_bound);
+    inFlightSlab_.reserve(inflight_bound);
+    freeSlots_.reserve(inflight_bound);
     retryScratch_.reserve(inflight_bound);
     doneScratch_.reserve(64);
     bitsScratch_.assign(static_cast<std::size_t>(cfg_.numNodes()), 0);
@@ -133,34 +140,37 @@ PearlNetwork::step()
     // 1. Land due arrivals into receive buffers; full buffers retry.
     retryScratch_.clear();
     while (!inFlight_.empty() && inFlight_.top().due <= cycle_) {
-        InFlight f = inFlight_.top();
+        InFlightKey k = inFlight_.top();
         inFlight_.pop();
-        auto &dst = *routers_[static_cast<std::size_t>(f.pkt.dst)];
-        if (faults_.enabled() && !f.faultChecked) {
+        auto &dst = *routers_[k.dst];
+        if (faults_.enabled() && !k.faultChecked) {
             // One BER draw per arrival (not per rx-buffer retry).
-            f.faultChecked = true;
+            k.faultChecked = true;
+            const Packet &pkt = inFlightSlab_[k.slot];
             double trim_gap = 0.0;
             bool locked = true;
-            receiverThermal(f.pkt.dst, trim_gap, locked);
+            receiverThermal(pkt.dst, trim_gap, locked);
             auto &src_outstanding =
-                outstanding_[static_cast<std::size_t>(f.pkt.src)];
-            auto it = src_outstanding.find(f.pkt.seq);
-            if (faults_.corruptsPacket(f.pkt.dst, f.pkt.sizeBits,
-                                       trim_gap, locked)) {
+                outstanding_[static_cast<std::size_t>(pkt.src)];
+            auto it = src_outstanding.find(pkt.seq);
+            if (faults_.corruptsPacket(pkt.dst, pkt.sizeBits, trim_gap,
+                                       locked)) {
                 // Bad CRC at the receiver: NACK the source.  The NACK
                 // rides the (ideal) control plane back in one link
                 // latency, then the bounded backoff applies.
-                stats_.noteCorrupted(f.pkt);
+                stats_.noteCorrupted(pkt);
                 ++dst.telemetry().corruptedArrivals;
                 if (tracer_)
-                    traceFaultEvent("corrupt", f.pkt.dst, f.pkt);
+                    traceFaultEvent("corrupt", pkt.dst, pkt);
                 if (it != src_outstanding.end()) {
                     Outstanding entry = std::move(it->second);
                     src_outstanding.erase(it);
                     armRetry(std::move(entry),
                              static_cast<Cycle>(cfg_.linkLatencyCycles));
                 }
-                continue; // corrupted flits never enter the rx buffer
+                // Corrupted flits never enter the rx buffer.
+                freeSlots_.push_back(k.slot);
+                continue;
             }
             // Clean arrival: the ACK retires the source's copy.  The
             // rx-buffer retry loop below is lossless, so acknowledging
@@ -168,13 +178,20 @@ PearlNetwork::step()
             if (it != src_outstanding.end())
                 src_outstanding.erase(it);
         }
-        if (!dst.rxEnqueue(f.pkt)) {
-            f.due = cycle_ + 1;
-            retryScratch_.push_back(std::move(f));
+        // The key alone decides a bounce, so a full rx buffer costs a
+        // heap pop and push and never touches the packet.
+        if (!dst.rxBuffers().of(k.type).canAccept(k.flits)) {
+            stats_.noteRxRetry();
+            k.due = cycle_ + 1;
+            retryScratch_.push_back(k);
+            continue;
         }
+        const bool landed = dst.rxEnqueue(inFlightSlab_[k.slot]);
+        PEARL_ASSERT(landed, "rx buffer refused a packet it had room for");
+        freeSlots_.push_back(k.slot);
     }
-    for (auto &f : retryScratch_)
-        inFlight_.push(std::move(f));
+    for (const InFlightKey &k : retryScratch_)
+        inFlight_.push(k);
 
     // 1b. Group-local fault caps: a group's express pool shrinks with
     //     its own failed laser banks (never below one slot), so a sick
@@ -220,9 +237,8 @@ PearlNetwork::step()
                     continue;
                 }
             }
-            inFlight_.push(InFlight{
-                cycle_ + static_cast<Cycle>(cfg_.linkLatencyCycles),
-                std::move(pkt)});
+            launch(std::move(pkt),
+                   cycle_ + static_cast<Cycle>(cfg_.linkLatencyCycles));
         }
     }
 
@@ -495,6 +511,26 @@ PearlNetwork::trackTransmission(const Packet &pkt)
 }
 
 void
+PearlNetwork::launch(Packet &&pkt, Cycle due)
+{
+    const int flits = pkt.numFlits();
+    PEARL_ASSERT(flits < 128, "packet too large for an in-flight key");
+    InFlightKey key{due, 0, static_cast<std::uint16_t>(pkt.dst),
+                    pkt.coreType(), static_cast<std::uint8_t>(flits),
+                    false};
+    if (freeSlots_.empty()) {
+        PEARL_ASSERT(inFlightSlab_.size() < UINT32_MAX);
+        key.slot = static_cast<std::uint32_t>(inFlightSlab_.size());
+        inFlightSlab_.push_back(std::move(pkt));
+    } else {
+        key.slot = freeSlots_.back();
+        freeSlots_.pop_back();
+        inFlightSlab_[key.slot] = std::move(pkt);
+    }
+    inFlight_.push(key);
+}
+
+void
 PearlNetwork::armRetry(Outstanding &&entry, Cycle delay)
 {
     if (static_cast<int>(entry.attempt) >= cfg_.retryLimit) {
@@ -739,8 +775,10 @@ PearlNetwork::auditCounts() const
                       rx.of(sim::CoreType::GPU).packetCount();
     }
     c.inFlight = inFlight_.size();
-    for (const auto &f : inFlight_.items()) {
-        if (!f.faultChecked)
+    PEARL_ASSERT(inFlightSlab_.size() - freeSlots_.size() == c.inFlight,
+                 "in-flight slab leaked or double-freed a slot");
+    for (const InFlightKey &k : inFlight_.items()) {
+        if (!k.faultChecked)
             ++c.inFlightUnchecked;
     }
     c.retxQueued = retx_.size();

@@ -229,18 +229,31 @@ class PearlNetwork : public sim::Network
     }
 
   private:
-    struct InFlight
+    /**
+     * Heap key of one packet on a waveguide.  The packet waits in
+     * inFlightSlab_[slot]; the key holds what stage 1 needs to bounce an
+     * arrival off a full rx buffer without touching it.  Keys compare on
+     * `due` only, and std::push_heap/std::pop_heap move elements by
+     * comparison outcomes alone, so the heap pops keys in the order a
+     * heap of whole packets would — equal-due ties included.
+     */
+    struct InFlightKey
     {
         sim::Cycle due;
-        sim::Packet pkt;
-        bool faultChecked = false; //!< BER draw already taken (rx retry)
+        std::uint32_t slot;     //!< index into inFlightSlab_
+        std::uint16_t dst;      //!< destination router
+        sim::CoreType type;     //!< rx buffer class at dst
+        std::uint8_t flits : 7; //!< rx slots the packet occupies
+        bool faultChecked : 1;  //!< BER draw already taken (rx retry)
 
         bool
-        operator>(const InFlight &o) const
+        operator>(const InFlightKey &o) const
         {
             return due > o.due;
         }
     };
+    static_assert(sizeof(InFlightKey) <= 16,
+                  "InFlightKey grew; every rx bounce sifts it");
 
     /** A transmitted packet the source keeps until it is ACKed. */
     struct Outstanding
@@ -290,6 +303,10 @@ class PearlNetwork : public sim::Network
     /** Track a fresh transmission: outstanding entry + timeout event. */
     void trackTransmission(const sim::Packet &pkt);
 
+    /** Put a transmitted packet on the waveguide: park it in the slab
+     *  and queue its key for arrival at `due`. */
+    void launch(sim::Packet &&pkt, sim::Cycle due);
+
     void stepFaultPlane();
     void drainRetxQueue();
 
@@ -308,7 +325,11 @@ class PearlNetwork : public sim::Network
      *  emit lock-transition events instead of one event per cycle. */
     std::vector<char> tracedLock_;
     std::vector<std::unique_ptr<PearlRouter>> routers_;
-    sim::MinHeap<InFlight> inFlight_;
+    sim::MinHeap<InFlightKey> inFlight_;
+    /** Packets on a waveguide, indexed by InFlightKey::slot.  A slot is
+     *  freed when its packet lands or is corrupted, and reused LIFO. */
+    std::vector<sim::Packet> inFlightSlab_;
+    std::vector<std::uint32_t> freeSlots_;
     std::vector<sim::Packet> delivered_;
     std::vector<photonic::ThermalRingBank> thermal_; //!< optional
     photonic::FaultInjector faults_;
@@ -341,7 +362,7 @@ class PearlNetwork : public sim::Network
 
     // Per-step scratch, hoisted out of step()/drainRetxQueue() so the
     // steady-state cycle loop performs no heap allocation.
-    std::vector<InFlight> retryScratch_;
+    std::vector<InFlightKey> retryScratch_;
     std::vector<TxCompletion> doneScratch_;
     std::vector<int> bitsScratch_;
     std::vector<PendingRetx> blockedScratch_;

@@ -14,6 +14,14 @@
  * `MinHeap<T>` yields the identical element order — including the order
  * of equal-priority elements, which the simulator's event loops observe.
  * That makes the swap metrics-neutral by construction.
+ *
+ * A pop sifts about log2(size) elements, so its cost scales with
+ * sizeof(T).  The heap algorithms move elements by comparison outcomes
+ * alone, so moving a payload out of the element — into a side table the
+ * element indexes — keeps the pop order as long as the comparator reads
+ * the same fields.  ClusterNode::LocalEvent stays small for this reason,
+ * and PearlNetwork's in-flight heap holds 16-byte keys over a packet
+ * slab.
  */
 
 #ifndef PEARL_SIM_MIN_HEAP_HPP

@@ -72,6 +72,9 @@ class NetworkStats
     /** A packet re-entered its source's outbound queue. */
     void noteRetransmit() { ++retransmittedPackets_; }
 
+    /** An arrival found its rx buffer full and retries next cycle. */
+    void noteRxRetry() { ++rxRetries_; }
+
     /** A packet exhausted its retry budget and was dropped (counted,
      *  never silent). */
     void noteDropped(const Packet &pkt)
@@ -110,6 +113,11 @@ class NetworkStats
         return retransmittedPackets_;
     }
     std::uint64_t droppedPackets() const { return droppedPackets_; }
+
+    /** Arrivals bounced off a full rx buffer, counted once per bounce
+     *  (an arrival that waits three cycles counts three). */
+    std::uint64_t rxRetries() const { return rxRetries_; }
+
     std::uint64_t policyFallbackEntries() const
     {
         return policyFallbackEntries_;
@@ -227,6 +235,7 @@ class NetworkStats
         reg.counter(prefix + ".retransmitted_packets") +=
             retransmittedPackets_;
         reg.counter(prefix + ".dropped_packets") += droppedPackets_;
+        reg.counter(prefix + ".rx_retries") += rxRetries_;
         reg.counter(prefix + ".thermal_unlocked_cycles") +=
             thermalUnlockedCycles_;
         reg.counter(prefix + ".policy_fallback_entries") +=
@@ -261,6 +270,7 @@ class NetworkStats
         classDelivered_.fill(0);
         corruptedPackets_ = reservationDrops_ = 0;
         ackTimeouts_ = retransmittedPackets_ = droppedPackets_ = 0;
+        rxRetries_ = 0;
         thermalUnlockedCycles_ = 0;
         routerUnlockedCycles_.clear();
         policyFallbackEntries_ = policyFallbackExits_ = 0;
@@ -287,6 +297,7 @@ class NetworkStats
     std::uint64_t ackTimeouts_ = 0;
     std::uint64_t retransmittedPackets_ = 0;
     std::uint64_t droppedPackets_ = 0;
+    std::uint64_t rxRetries_ = 0;
     std::uint64_t thermalUnlockedCycles_ = 0;
     std::vector<std::uint64_t> routerUnlockedCycles_;
     std::uint64_t policyFallbackEntries_ = 0;

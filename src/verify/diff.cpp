@@ -158,6 +158,7 @@ compareCycle(core::PearlNetwork &pearl, RefNetwork &ref)
              rs.retransmittedPackets());
     expectEq(d, "droppedPackets", ps.droppedPackets(),
              rs.droppedPackets());
+    expectEq(d, "rxRetries", ps.rxRetries(), rs.rxRetries());
     expectEq(d, "policyFallbackEntries", ps.policyFallbackEntries(),
              rs.policyFallbackEntries());
     expectEq(d, "policyFallbackExits", ps.policyFallbackExits(),
@@ -297,6 +298,7 @@ runDiff(const DiffCase &c)
 
     out.injectedPackets = pearl.stats().injectedPackets();
     out.deliveredPackets = pearl.stats().deliveredPackets();
+    out.rxRetries = pearl.stats().rxRetries();
     return out;
 }
 

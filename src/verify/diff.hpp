@@ -81,6 +81,7 @@ struct DiffResult
     std::string description;   //!< what differed, both values
     std::uint64_t injectedPackets = 0;
     std::uint64_t deliveredPackets = 0;
+    std::uint64_t rxRetries = 0; //!< arrivals bounced off full rx buffers
     bool ok() const { return !diverged; }
 };
 

@@ -462,6 +462,7 @@ RefNetwork::step()
             else
                 ++dst.telemetry.responsesReceived;
         } else {
+            stats_.noteRxRetry();
             f.due = cycle_ + 1;
             retries.push_back(std::move(f));
         }

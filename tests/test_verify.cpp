@@ -18,6 +18,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/env.hpp"
 #include "core/network.hpp"
@@ -220,6 +221,51 @@ TEST(RefDiff, SingleGroupChipRunsUngrouped)
     EXPECT_FALSE(cfg.grouped());
     const DiffResult r = runDiff(smallCase(cfg));
     EXPECT_TRUE(r.ok()) << "cycle " << r.cycle << ": " << r.description;
+}
+
+TEST(RefDiff, SaturatedReceiversBounceInReferenceOrder)
+{
+    // One flit of ejection per cycle against five-slot rx buffers and
+    // heavy offered load: every cycle some arrivals find their buffer
+    // full and go back on the in-flight heap.  Equal-due arrivals must
+    // pop in the reference's order whatever the link latency.  With the
+    // fault plane on, an arrival takes its BER draw on its first pop,
+    // so fresh keys are drawn (and some corrupted or never sent) while
+    // already-checked keys bounce around them.
+    core::PearlConfig saturated = smallConfig();
+    saturated.ejectFlitsPerCycle = 1;
+    saturated.rxSlotsPerClass = 5;
+
+    core::PearlConfig faulty = saturated;
+    faulty.faults.enabled = true;
+    faulty.faults.seed = 0xB0B;
+    faulty.faults.baseBer = 1e-4;
+    faulty.faults.reservationDropRate = 0.01;
+    faulty.ackTimeoutCycles = 12;
+    faulty.retryLimit = 3;
+    faulty.retxBackoffBase = 4;
+    faulty.retxBackoffMax = 32;
+
+    std::vector<core::PearlConfig> cases;
+    for (int latency : {1, 2, 3}) {
+        saturated.linkLatencyCycles = latency;
+        cases.push_back(saturated);
+    }
+    cases.push_back(faulty);
+
+    for (const core::PearlConfig &cfg : cases) {
+        ASSERT_TRUE(core::validate(cfg));
+        DiffCase d = smallCase(cfg);
+        d.cpuRate = 0.45;
+        d.gpuRate = 0.45;
+        const DiffResult r = runDiff(d);
+        SCOPED_TRACE("linkLatencyCycles " +
+                     std::to_string(cfg.linkLatencyCycles) + " faults " +
+                     std::to_string(cfg.faults.enabled));
+        EXPECT_TRUE(r.ok()) << "cycle " << r.cycle << ": "
+                            << r.description;
+        EXPECT_GT(r.rxRetries, d.cycles);
+    }
 }
 
 TEST(RefDiff, DetectsSeededDivergence)
