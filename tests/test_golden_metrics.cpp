@@ -325,31 +325,36 @@ TEST(GoldenMetrics, Scale32GroupedRowsMatchCheckedInResults)
     }
 }
 
-/** The electrical-baseline row: the default 4x4 CMESH driven through
+/** The electrical-baseline rows: the default 4x4 CMESH driven through
  *  the same sweep machinery — the reference fabric of every paper
- *  figure. */
+ *  figure.  `cmesh` is the full-width mesh; `cmesh_link2` and
+ *  `cmesh_link4` are Figure 5's "CMESH 32WL" and "CMESH 16WL" rows,
+ *  whose links take 2 and 4 cycles per flit. */
 GoldenConfig
-cmeshConfig(const traffic::BenchmarkSuite &suite)
+cmeshConfig(const traffic::BenchmarkSuite &suite, const std::string &name,
+            int link_cycles_per_flit)
 {
     GoldenConfig cfg;
-    cfg.name = "cmesh";
+    cfg.name = name;
     for (const auto &pair : goldenPairs(suite)) {
         RunSpec job;
         job.configName = cfg.name;
         job.pair = pair;
         job.options = goldenOptions();
         job.fabric = RunSpec::Fabric::Cmesh;
+        job.cmesh.linkCyclesPerFlit = link_cycles_per_flit;
         cfg.jobs.push_back(std::move(job));
     }
     return cfg;
 }
 
-TEST(GoldenMetrics, CmeshRowsMatchCheckedInResults)
+void
+checkCmeshGolden(const std::string &name, int link_cycles_per_flit)
 {
     const bool update = pearl::envU64("PEARL_UPDATE_GOLDEN", 0) != 0;
 
     traffic::BenchmarkSuite suite;
-    const GoldenConfig cfg = cmeshConfig(suite);
+    const GoldenConfig cfg = cmeshConfig(suite, name, link_cycles_per_flit);
     SCOPED_TRACE("config " + cfg.name);
     SweepOptions so;
     so.baseSeed = 100;
@@ -366,6 +371,21 @@ TEST(GoldenMetrics, CmeshRowsMatchCheckedInResults)
     } else {
         compareGolden(cfg, runs);
     }
+}
+
+TEST(GoldenMetrics, CmeshRowsMatchCheckedInResults)
+{
+    checkCmeshGolden("cmesh", 1);
+}
+
+TEST(GoldenMetrics, Cmesh32WlRowsMatchCheckedInResults)
+{
+    checkCmeshGolden("cmesh_link2", 2);
+}
+
+TEST(GoldenMetrics, Cmesh16WlRowsMatchCheckedInResults)
+{
+    checkCmeshGolden("cmesh_link4", 4);
 }
 
 } // namespace
