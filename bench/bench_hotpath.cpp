@@ -1,8 +1,9 @@
 /**
  * @file
  * Hot-path throughput bench: simulator cycles/second and host-ns per
- * delivered packet for the three reference configurations (FCFS,
- * reactive, ML) on the Rad/QRS pair at RW 500, seed 100.
+ * delivered packet for the three PEARL reference configurations (FCFS,
+ * reactive, ML) at RW 500 and the electrical CMESH baseline, all on the
+ * Rad/QRS pair, seed 100.
  *
  * Clocked on process CPU time (getrusage), which is immune to VM steal
  * and host contention — wall clock on shared boxes swings by tens of
@@ -10,9 +11,8 @@
  * PEARL_BENCH_REPS times and reports the best rep (least-disturbed).
  *
  * Results are written to BENCH_hotpath.json next to the recorded
- * pre-overhaul baseline (same workload, same clocking, the tree's
- * default build type at the time: RelWithDebInfo) so the speedup is
- * tracked in-repo instead of in a PR comment that rots.
+ * baseline of each config (same workload, same clocking) so the speedup
+ * is tracked in-repo instead of in a PR comment that rots.
  *
  * Knobs: PEARL_BENCH_CYCLES (60000), PEARL_BENCH_WARMUP (2000),
  * PEARL_BENCH_REPS (3), PEARL_BENCH_JSON (BENCH_hotpath.json).
@@ -20,13 +20,14 @@
 
 #include <cstdio>
 #include <fstream>
-#include <memory>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <sys/resource.h>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "electrical/cmesh.hpp"
 #include "metrics/experiment.hpp"
 
 namespace pearl {
@@ -34,11 +35,15 @@ namespace bench {
 namespace {
 
 /**
- * The pre-overhaul baseline, measured at the commit before the hot-path
- * PR with this bench's exact workload and clocking (warmup 2000 +
- * measure 60000 cycles, best of 3 reps, CPU-time clock, the then-default
- * RelWithDebInfo build).  Kept as data, not prose, so the speedup the
- * JSON reports is reproducible arithmetic.
+ * The baselines, measured with this bench's exact workload and clocking
+ * (warmup 2000 + measure 60000 cycles, best of 3 reps, CPU-time clock).
+ * The PEARL rows are the pre-overhaul simulator (the commit before the
+ * PEARL hot-path overhaul, the then-default RelWithDebInfo build); the
+ * cmesh row is the CMESH before its mask-driven rewrite (deque VCs,
+ * shared-pointer flits, full allocator scans), the median of eight
+ * invocations on a 4-core x86-64 VM in the Release build.  Kept as
+ * data, not prose, so the speedup the JSON reports is reproducible
+ * arithmetic.
  */
 struct Baseline
 {
@@ -51,6 +56,7 @@ constexpr Baseline kBaseline[] = {
     {"fcfs", 197102.0, 2388.1},
     {"reactive", 149188.0, 3252.9},
     {"ml", 98252.0, 5885.4},
+    {"cmesh", 58551.0, 15512.9},
 };
 
 struct HotpathResult
@@ -187,33 +193,40 @@ run()
     struct Config
     {
         const char *name;
-        core::DbaConfig dba;
-        std::unique_ptr<core::PowerPolicy> policy;
+        std::function<metrics::RunMetrics()> run;
     };
-    std::vector<Config> configs;
-    {
-        core::DbaConfig fcfs;
-        fcfs.mode = core::DbaConfig::Mode::Fcfs;
-        configs.push_back({"fcfs", fcfs,
-                           std::make_unique<core::StaticPolicy>(
-                               photonic::WlState::WL64)});
-        configs.push_back({"reactive", core::DbaConfig{},
-                           std::make_unique<core::ReactivePolicy>()});
-        configs.push_back(
-            {"ml", core::DbaConfig{},
-             std::make_unique<ml::MlPowerPolicy>(&trained.model)});
-    }
+    core::DbaConfig fcfs;
+    fcfs.mode = core::DbaConfig::Mode::Fcfs;
+    core::StaticPolicy wl64(photonic::WlState::WL64);
+    core::ReactivePolicy reactive;
+    ml::MlPowerPolicy ml_policy(&trained.model);
+    auto pearl = [&](const char *name, const core::DbaConfig &dba,
+                     core::PowerPolicy &policy) {
+        return Config{name, [&, name] {
+                          return metrics::runPearl(pair, net, dba, policy,
+                                                   opts, name);
+                      }};
+    };
+    const std::vector<Config> configs = {
+        pearl("fcfs", fcfs, wl64),
+        pearl("reactive", core::DbaConfig{}, reactive),
+        pearl("ml", core::DbaConfig{}, ml_policy),
+        {"cmesh",
+         [&] {
+             return metrics::runCmesh(pair, electrical::CmeshConfig{}, opts,
+                                      "cmesh");
+         }},
+    };
 
     TextTable table({"config", "cycles/sec", "ns/packet", "baseline c/s",
                      "speedup"});
     std::vector<HotpathResult> results;
-    for (auto &cfg : configs) {
+    for (const Config &cfg : configs) {
         HotpathResult best;
         best.config = cfg.name;
         for (std::uint64_t rep = 0; rep < reps; ++rep) {
             const double t0 = cpuSeconds();
-            const metrics::RunMetrics m = metrics::runPearl(
-                pair, net, cfg.dba, *cfg.policy, opts, cfg.name);
+            const metrics::RunMetrics m = cfg.run();
             const double secs = cpuSeconds() - t0;
             if (secs <= 0.0 || m.deliveredPackets == 0)
                 fatal("degenerate rep for config ", cfg.name);

@@ -11,6 +11,12 @@
  * XY dimension order keeps routing deadlock-free.  The link width equals
  * one flit per cycle, matching the PEARL crossbar's bisection bandwidth
  * at the full 64-wavelength state (see DESIGN.md).
+ *
+ * The step touches only live state: flits carry a slot into a packet
+ * slab, input VCs are fixed ring buffers, and each router keeps 64-bit
+ * masks of its occupied, routed and VC-waiting input VCs (so a router
+ * has at most 64 input VCs: numVcs <= kMaxVcs).  verify::RefCmesh keeps
+ * the plain version of every stage as the lockstep oracle.
  */
 
 #ifndef PEARL_ELECTRICAL_CMESH_HPP
@@ -18,14 +24,13 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
-#include <memory>
-#include <optional>
+#include <utility>
 #include <vector>
 
 #include "electrical/energy.hpp"
 #include "sim/network.hpp"
 #include "sim/packet.hpp"
+#include "sim/ring_queue.hpp"
 #include "sim/stats.hpp"
 
 namespace pearl {
@@ -54,19 +59,16 @@ struct CmeshConfig
     ElectricalConstants energy;
 };
 
-/** A flit in flight; head flits carry the packet. */
-struct Flit
-{
-    std::shared_ptr<sim::Packet> pkt;
-    int seq = 0;
-    bool head = false;
-    bool tail = false;
-};
-
 /** The CMESH network model. */
 class CmeshNetwork : public sim::Network
 {
   public:
+    /** Ports per router at most: mesh N/E/S/W, the cluster, the MC. */
+    static constexpr int kMaxPorts = 6;
+    /** VCs per port at most: a router's kMaxPorts * kMaxVcs input VCs
+     *  must fit one 64-bit mask, and numVcs is even. */
+    static constexpr int kMaxVcs = 10;
+
     explicit CmeshNetwork(const CmeshConfig &cfg = CmeshConfig{});
 
     // sim::Network interface ------------------------------------------------
@@ -112,24 +114,39 @@ class CmeshNetwork : public sim::Network
     std::uint64_t countBufferedFlits() const;
 
   private:
+    /** A flit in flight: its packet's slot in packets_, and whether it
+     *  opens or closes the packet. */
+    struct Flit
+    {
+        std::uint32_t slot = 0;
+        bool head = false;
+        bool tail = false;
+    };
+
     struct InputVc
     {
-        std::deque<Flit> fifo;
-        int outPort = -1;
-        int outVc = -1;
-        bool routed = false;
+        explicit InputVc(int depth)
+            : fifo(static_cast<std::size_t>(depth))
+        {}
+
+        sim::RingQueue<Flit> fifo;
+        int outPort = -1;   //!< valid while routed
+        int outVc = -1;     //!< downstream VC, valid while ready
+        int classBase = 0;  //!< first VC of the head packet's class
     };
 
-    struct OutputVc
-    {
-        bool allocated = false;
-        int credits = 0;
-    };
-
+    /** An output port with its wiring precomputed. */
     struct OutputPort
     {
-        std::vector<OutputVc> vcs;
-        std::optional<Flit> linkReg; //!< flit traversing the link
+        int neighbor = -1;      //!< downstream router; -1 local/edge
+        int neighborPort = -1;  //!< that router's input port
+        bool local = false;     //!< ejection port to an endpoint
+        int width = 1;          //!< flits it moves per cycle
+        /** Input VCs routed here that hold a downstream VC. */
+        std::uint64_t ready = 0;
+        std::uint32_t allocated = 0;          //!< downstream VCs held
+        std::array<int, kMaxVcs> credits{};   //!< per downstream VC
+        Flit linkReg;                         //!< flit on the link
         int linkVc = -1;             //!< downstream VC of linkReg
         sim::Cycle linkReadyAt = 0;  //!< when linkReg reaches downstream
         int rrPointer = 0;           //!< switch-allocation round robin
@@ -138,19 +155,28 @@ class CmeshNetwork : public sim::Network
     struct Router
     {
         // Ports 0..3: mesh N/E/S/W; 4..: local endpoint ports.
-        std::vector<std::vector<InputVc>> inputs; //!< [port][vc]
-        std::vector<OutputPort> outputs;
-        std::vector<sim::NodeId> localEndpoints;  //!< per local port
-        int vaPointer = 0;                        //!< VC-allocation RR
+        int numPorts = 0;
+        int totalVcs = 0;           //!< numPorts * numVcs
+        std::uint64_t occupied = 0; //!< input VCs holding flits
+        std::uint64_t routed = 0;   //!< input VCs whose head is routed
+        std::uint64_t needVc = 0;   //!< routed, waiting for a VC
+        unsigned linksBusy = 0;     //!< mesh outputs holding linkReg
+        int vaPointer = 0;          //!< VC-allocation RR
+        std::array<OutputPort, kMaxPorts> outputs;
+        std::vector<InputVc> inputs; //!< [port * numVcs + vc]
     };
 
     /** Per-endpoint network interface: packets waiting to become flits. */
     struct NetworkInterface
     {
-        std::deque<sim::Packet> queue;
-        int flitsSent = 0;  //!< of the head packet
-        int curVc = -1;     //!< VC carrying the head packet
-        std::shared_ptr<sim::Packet> pktShared; //!< head packet, shared
+        explicit NetworkInterface(int depth)
+            : queue(static_cast<std::size_t>(depth))
+        {}
+
+        sim::RingQueue<sim::Packet> queue;
+        int flitsSent = 0;   //!< of the head packet
+        int curVc = -1;      //!< flat input VC carrying the head packet
+        std::uint32_t slot = 0; //!< head packet's slot in packets_
     };
 
     static constexpr int kPortN = 0;
@@ -163,12 +189,12 @@ class CmeshNetwork : public sim::Network
     int neighbor(int router, int dir) const;
     int oppositePort(int dir) const;
     int computeRoute(int router, const sim::Packet &pkt) const;
-    bool isLocalPort(int router, int port) const;
     int vcClassBase(const sim::Packet &pkt) const;
 
     void deliverLinkFlits();
     void injectFromInterface(int endpoint);
     void routeAndAllocate(int router_id);
+    void allocateVc(Router &router, int idx);
     void switchAllocate(int router_id);
     void ejectFlit(const Flit &flit);
 
@@ -178,6 +204,10 @@ class CmeshNetwork : public sim::Network
     std::vector<Router> routers_;
     std::vector<NetworkInterface> interfaces_;
     std::vector<std::pair<int, int>> endpointPort_; //!< endpoint->(router,port)
+    /** Packets whose flits are in the fabric; a slot frees when the
+     *  tail ejects and is reused LIFO from freeSlots_. */
+    std::vector<sim::Packet> packets_;
+    std::vector<std::uint32_t> freeSlots_;
     std::vector<sim::Packet> delivered_;
     sim::NetworkStats stats_;
     sim::Cycle cycle_ = 0;

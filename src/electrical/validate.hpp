@@ -27,6 +27,12 @@ validate(const CmeshConfig &cfg)
         return configError("cmesh.numVcs must be even and >= 2 (the "
                            "halves carry request/response classes), "
                            "got ", cfg.numVcs);
+    if (cfg.numVcs > CmeshNetwork::kMaxVcs)
+        return configError("cmesh.numVcs must be <= ",
+                           CmeshNetwork::kMaxVcs, " (the MC router's ",
+                           CmeshNetwork::kMaxPorts,
+                           " ports x numVcs input VCs must fit one 64-bit "
+                           "mask), got ", cfg.numVcs);
     if (cfg.vcDepthFlits <= 0)
         return configError("cmesh.vcDepthFlits must be > 0, got ",
                            cfg.vcDepthFlits);

@@ -8,6 +8,7 @@
 #include "core/router.hpp"
 #include "photonic/laser.hpp"
 #include "verify/invariants.hpp"
+#include "verify/ref_cmesh.hpp"
 #include "verify/ref_network.hpp"
 
 namespace pearl {
@@ -299,6 +300,97 @@ runDiff(const DiffCase &c)
     out.injectedPackets = pearl.stats().injectedPackets();
     out.deliveredPackets = pearl.stats().deliveredPackets();
     out.rxRetries = pearl.stats().rxRetries();
+    return out;
+}
+
+namespace {
+
+Divergence
+compareCmeshCycle(electrical::CmeshNetwork &opt, RefCmesh &ref)
+{
+    Divergence d;
+
+    expectEq(d, "cycle", opt.cycle(), ref.cycle());
+
+    auto &od = opt.delivered();
+    auto &rd = ref.delivered();
+    expectEq(d, "deliveries this cycle", od.size(), rd.size());
+    if (!d.hit) {
+        for (std::size_t i = 0; i < od.size(); ++i)
+            comparePacket(d, i, od[i], rd[i]);
+    }
+    od.clear();
+    rd.clear();
+
+    const sim::NetworkStats &os = opt.stats();
+    const sim::NetworkStats &rs = ref.stats();
+    expectEq(d, "injectedPackets", os.injectedPackets(),
+             rs.injectedPackets());
+    expectEq(d, "injectedFlits", os.injectedFlits(), rs.injectedFlits());
+    expectEq(d, "deliveredPackets", os.deliveredPackets(),
+             rs.deliveredPackets());
+    expectEq(d, "deliveredFlits", os.deliveredFlits(),
+             rs.deliveredFlits());
+    expectEq(d, "deliveredBits", os.deliveredBits(), rs.deliveredBits());
+    expectBits(d, "avgLatency", os.avgLatency(), rs.avgLatency());
+    expectBits(d, "dynamicEnergyJ", opt.dynamicEnergyJ(),
+               ref.dynamicEnergyJ());
+    expectEq(d, "flitsInFlight", opt.flitsInFlight(),
+             ref.flitsInFlight());
+    expectEq(d, "optimized flit ledger (inFlight vs buffered)",
+             opt.flitsInFlight(), opt.countBufferedFlits());
+    expectEq(d, "reference flit ledger (inFlight vs buffered)",
+             ref.flitsInFlight(), ref.countBufferedFlits());
+    expectEq(d, "idle", opt.idle(), ref.idle());
+    return d;
+}
+
+} // namespace
+
+DiffResult
+runCmeshDiff(const CmeshDiffCase &c)
+{
+    electrical::CmeshNetwork opt(c.cfg);
+    RefCmesh ref(c.cfg);
+    PEARL_ASSERT(c.hotspot < opt.numNodes());
+    TrafficGen traffic(c.trafficSeed, c.cpuRate, c.gpuRate,
+                       opt.numNodes());
+
+    DiffResult out;
+    for (std::uint64_t i = 0; i < c.cycles; ++i) {
+        const Cycle now = opt.cycle();
+        for (Packet pkt : traffic.cycleTraffic(now)) {
+            if (c.hotspot >= 0 && pkt.src != c.hotspot)
+                pkt.dst = c.hotspot;
+            const bool opt_took = opt.inject(pkt);
+            const bool ref_took = ref.inject(pkt);
+            if (opt_took != ref_took) {
+                std::ostringstream os;
+                os << "injection acceptance for packet " << pkt.id
+                   << " (src " << pkt.src << " dst " << pkt.dst
+                   << "): optimized=" << opt_took
+                   << " reference=" << ref_took;
+                out.diverged = true;
+                out.cycle = now;
+                out.description = os.str();
+                return out;
+            }
+        }
+
+        opt.step();
+        ref.step();
+
+        Divergence d = compareCmeshCycle(opt, ref);
+        if (d.hit) {
+            out.diverged = true;
+            out.cycle = now;
+            out.description = d.what;
+            return out;
+        }
+    }
+
+    out.injectedPackets = opt.stats().injectedPackets();
+    out.deliveredPackets = opt.stats().deliveredPackets();
     return out;
 }
 

@@ -11,6 +11,9 @@
  * integrals compared bit for bit.  The optimized side also carries the
  * runtime invariant checker, so a conservation or legality violation
  * surfaces through the same DiffResult as a divergence.
+ *
+ * runCmeshDiff does the same for the electrical baseline: the optimized
+ * electrical::CmeshNetwork against the naive verify::RefCmesh.
  */
 
 #ifndef PEARL_VERIFY_DIFF_HPP
@@ -26,6 +29,7 @@
 #include "core/arch_config.hpp"
 #include "core/dba.hpp"
 #include "core/power_policy.hpp"
+#include "electrical/cmesh.hpp"
 #include "sim/packet.hpp"
 
 namespace pearl {
@@ -87,6 +91,28 @@ struct DiffResult
 
 /** Run the two simulators in lockstep (see file comment). */
 DiffResult runDiff(const DiffCase &c);
+
+/** One CMESH differential run: a mesh config and a traffic pattern. */
+struct CmeshDiffCase
+{
+    electrical::CmeshConfig cfg;
+    std::uint64_t cycles = 500;
+    std::uint64_t trafficSeed = 1;
+    double cpuRate = 0.05;
+    double gpuRate = 0.05;
+    /** When >= 0, every other endpoint sends all its packets to this
+     *  one; -1 keeps TrafficGen's uniform destinations. */
+    int hotspot = -1;
+};
+
+/**
+ * Step an electrical::CmeshNetwork and a verify::RefCmesh in lockstep on
+ * the same traffic.  Every cycle compares injection acceptance, the
+ * delivered packets in order field by field, the cumulative stats, the
+ * dynamic energy integral bit for bit, flitsInFlight(), idleness, and on
+ * both sides the ledger identity flitsInFlight() == countBufferedFlits().
+ */
+DiffResult runCmeshDiff(const CmeshDiffCase &c);
 
 } // namespace verify
 } // namespace pearl

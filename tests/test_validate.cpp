@@ -155,6 +155,12 @@ TEST(Validate, CmeshConfig)
     EXPECT_TRUE(failsMentioning(electrical::validate(cfg), "numVcs"));
     cfg = {};
 
+    cfg.numVcs = 10; // 6 MC-router ports x 10 VCs fill 60 mask bits
+    EXPECT_TRUE(electrical::validate(cfg));
+    cfg.numVcs = 12; // 72 input VCs overflow the 64-bit masks
+    EXPECT_TRUE(failsMentioning(electrical::validate(cfg), "cmesh.numVcs"));
+    cfg = {};
+
     cfg.l3Router = 16; // out of the 4x4 mesh
     EXPECT_TRUE(failsMentioning(electrical::validate(cfg), "l3Router"));
     cfg = {};

@@ -27,6 +27,7 @@
 #include "core/topology.hpp"
 #include "core/validate.hpp"
 #include "electrical/cmesh.hpp"
+#include "electrical/validate.hpp"
 #include "metrics/sweep.hpp"
 #include "ml/guarded_policy.hpp"
 #include "photonic/laser.hpp"
@@ -299,6 +300,93 @@ TEST(RefDiff, DetectsSeededDivergence)
         ref.delivered().clear();
     }
     EXPECT_TRUE(diverged);
+}
+
+// CMESH: optimized CmeshNetwork vs the naive RefCmesh ----------------------
+
+std::string
+describeCmesh(const CmeshDiffCase &c)
+{
+    std::ostringstream os;
+    os << c.cfg.meshX << "x" << c.cfg.meshY << " numVcs " << c.cfg.numVcs
+       << " vcDepthFlits " << c.cfg.vcDepthFlits << " linkCyclesPerFlit "
+       << c.cfg.linkCyclesPerFlit << " load " << c.cpuRate << " hotspot "
+       << c.hotspot;
+    return os.str();
+}
+
+void
+expectCmeshMatchesReference(const CmeshDiffCase &c)
+{
+    SCOPED_TRACE(describeCmesh(c));
+    ASSERT_TRUE(electrical::validate(c.cfg));
+    const DiffResult r = runCmeshDiff(c);
+    EXPECT_TRUE(r.ok()) << "cycle " << r.cycle << ": " << r.description;
+    EXPECT_GT(r.deliveredPackets, 0u);
+}
+
+/** Every numVcs x depth x link-width x load combination on one mesh
+ *  shape: the narrowest and the widest VC sets the masks allow, single-
+ *  and multi-slot VCs, the three Figure 5 link widths, and a light and
+ *  a saturating load. */
+void
+expectCmeshMatrixMatchesReference(int mesh_x, int mesh_y)
+{
+    for (int vcs : {2, 10}) {
+        for (int depth : {1, 3}) {
+            for (int link : {1, 2, 4}) {
+                for (double load : {0.02, 0.3}) {
+                    CmeshDiffCase c;
+                    c.cfg.meshX = mesh_x;
+                    c.cfg.meshY = mesh_y;
+                    c.cfg.numVcs = vcs;
+                    c.cfg.vcDepthFlits = depth;
+                    c.cfg.linkCyclesPerFlit = link;
+                    c.cycles = 2000;
+                    c.trafficSeed = 0xC3E5 + static_cast<std::uint64_t>(
+                                                 vcs * 100 + depth * 10 +
+                                                 link);
+                    c.cpuRate = load;
+                    c.gpuRate = load;
+                    expectCmeshMatchesReference(c);
+                }
+            }
+        }
+    }
+}
+
+TEST(RefDiff, CmeshFourByFourMatrixMatchesReference)
+{
+    expectCmeshMatrixMatchesReference(4, 4);
+}
+
+TEST(RefDiff, CmeshEightByTwoMatrixMatchesReference)
+{
+    expectCmeshMatrixMatchesReference(8, 2);
+}
+
+TEST(RefDiff, CmeshHotspotClusterMatchesReference)
+{
+    // Every endpoint sends all its traffic to one cluster, so that
+    // cluster's two-flit ejection port has several ready VCs at once and
+    // the switch allocator's in-scan pointer update is exercised on
+    // every grant.  Cluster 5 shares its router with the MC, so both
+    // ejection ports there draw on the same input VCs.
+    for (int hotspot : {0, 5, 10}) {
+        for (int vcs : {4, 10}) {
+            for (int link : {1, 2}) {
+                CmeshDiffCase c;
+                c.cfg.numVcs = vcs;
+                c.cfg.linkCyclesPerFlit = link;
+                c.cycles = 3000;
+                c.trafficSeed = 0x407 + static_cast<std::uint64_t>(hotspot);
+                c.cpuRate = 0.3;
+                c.gpuRate = 0.3;
+                c.hotspot = hotspot;
+                expectCmeshMatchesReference(c);
+            }
+        }
+    }
 }
 
 // Idle fast-forward vs the reference simulator (no fast path) --------------
