@@ -36,8 +36,10 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <sys/resource.h>
+#include <utility>
 #include <vector>
 
 #include "common/env.hpp"
@@ -79,6 +81,120 @@ cpuSeconds()
     getrusage(RUSAGE_SELF, &ru);
     return double(ru.ru_utime.tv_sec) + double(ru.ru_utime.tv_usec) * 1e-6 +
            double(ru.ru_stime.tv_sec) + double(ru.ru_stime.tv_usec) * 1e-6;
+}
+
+// JSON of the host-speed benches (BENCH_hotpath.json, BENCH_scaling.json).
+
+/** One `"key": value` member; the value is JSON text (jsonNum, jsonStr,
+ *  jsonInline, jsonLines). */
+using JsonMember = std::pair<std::string, std::string>;
+
+template <typename T>
+std::string
+jsonNum(T v)
+{
+    std::ostringstream os;
+    os << v;
+    return os.str();
+}
+
+inline std::string
+jsonStr(const std::string &s)
+{
+    return "\"" + s + "\"";
+}
+
+inline std::string
+jsonMember(const JsonMember &m)
+{
+    return jsonStr(m.first) + ": " + m.second;
+}
+
+/** An object on one line: `{"a": 1, "b": 2}`. */
+inline std::string
+jsonInline(const std::vector<JsonMember> &members)
+{
+    std::string out = "{";
+    for (std::size_t i = 0; i < members.size(); ++i)
+        out += (i ? ", " : "") + jsonMember(members[i]);
+    return out + "}";
+}
+
+/** An object or array with one item per line, nested `depth` levels
+ *  deep (two spaces per level). */
+inline std::string
+jsonLines(char open, const std::vector<std::string> &items, char close,
+          int depth)
+{
+    const std::string pad(static_cast<std::size_t>(2 * depth), ' ');
+    std::string out(1, open);
+    out += '\n';
+    for (std::size_t i = 0; i < items.size(); ++i)
+        out += pad + "  " + items[i] + (i + 1 < items.size() ? ",\n" : "\n");
+    return out + pad + close;
+}
+
+/** Write `header` one member per line, then "results" with one row
+ *  object per line. */
+inline void
+writeBenchJson(const std::string &path, std::vector<JsonMember> header,
+               const std::vector<std::vector<JsonMember>> &results)
+{
+    std::vector<std::string> rows;
+    for (const auto &row : results)
+        rows.push_back(jsonInline(row));
+    header.emplace_back("results", jsonLines('[', rows, ']', 1));
+    std::vector<std::string> members;
+    for (const JsonMember &m : header)
+        members.push_back(jsonMember(m));
+    std::ofstream out(path);
+    if (!out)
+        fatal("cannot write ", path);
+    out << jsonLines('{', members, '}', 0) << "\n";
+}
+
+/**
+ * Reread a bench JSON file and check that its brackets balance, it
+ * names `bench` and has results, and every `live_key` value in it is
+ * positive.  The bench smoke tests assert exactly this.
+ */
+inline void
+validateBenchJson(const std::string &path, const std::string &bench,
+                  const std::string &live_key)
+{
+    std::ifstream in(path);
+    if (!in)
+        fatal("cannot reopen ", path);
+    std::stringstream buf;
+    buf << in.rdbuf();
+    const std::string text = buf.str();
+    for (const std::string &key :
+         {jsonMember({"bench", jsonStr(bench)}), jsonStr("results")}) {
+        if (text.find(key) == std::string::npos)
+            fatal(path, ": missing ", key);
+    }
+    long depth = 0;
+    for (char c : text) {
+        if (c == '{' || c == '[')
+            ++depth;
+        else if (c == '}' || c == ']')
+            --depth;
+        if (depth < 0)
+            fatal(path, ": unbalanced brackets");
+    }
+    if (depth != 0)
+        fatal(path, ": unbalanced brackets");
+    const std::string needle = jsonStr(live_key) + ": ";
+    std::size_t found = 0;
+    for (std::size_t pos = text.find(needle); pos != std::string::npos;
+         pos = text.find(needle, pos + 1)) {
+        ++found;
+        if (!(std::strtod(text.c_str() + pos + needle.size(), nullptr) >
+              0.0))
+            fatal(path, ": a row reports ", live_key, " <= 0");
+    }
+    if (found == 0)
+        fatal(path, ": missing ", needle);
 }
 
 /** The benchmark pairs a figure aggregates over. */

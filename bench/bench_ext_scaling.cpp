@@ -28,10 +28,7 @@
  * Each topology is a single run, so it steps on one thread.
  */
 
-#include <cstdlib>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -56,76 +53,6 @@ struct ScalingRow
     double hostCyclesPerSec = 0.0;  //!< simulated cycles per host second
 };
 
-void
-writeJson(const std::string &path, const std::vector<ScalingRow> &rows,
-          std::uint64_t warmup, std::uint64_t cycles)
-{
-    std::ofstream out(path);
-    if (!out)
-        fatal("cannot write ", path);
-    const double base = rows.front().perCluster;
-    out << "{\n"
-        << "  \"bench\": \"ext_scaling\",\n"
-        << "  \"pair\": \"FA/DCT\",\n"
-        << "  \"seed\": " << kSeed << ",\n"
-        << "  \"warmup_cycles\": " << warmup << ",\n"
-        << "  \"measure_cycles\": " << cycles << ",\n"
-        << "  \"results\": [\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const ScalingRow &r = rows[i];
-        out << "    {\"clusters\": " << r.topo.clusters
-            << ", \"waveguide_groups\": " << r.topo.numGroups()
-            << ", \"group_size\": " << r.topo.resolvedGroupSize()
-            << ", \"throughput_flits_per_cycle\": "
-            << r.m.throughputFlitsPerCycle
-            << ", \"per_cluster_throughput\": " << r.perCluster
-            << ", \"per_cluster_vs_16\": "
-            << (base > 0.0 ? r.perCluster / base : 0.0)
-            << ", \"avg_latency_cycles\": " << r.m.avgLatencyCycles
-            << ", \"cpu_latency_cycles\": " << r.m.cpuLatencyCycles
-            << ", \"laser_energy_per_bit_pj\": " << r.laserPjPerBit
-            << ", \"delivered_packets\": " << r.m.deliveredPackets
-            << ", \"host_cycles_per_sec\": " << r.hostCyclesPerSec
-            << ", \"host_sec_total\": " << r.hostSecTotal
-            << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
-    }
-    out << "  ]\n"
-        << "}\n";
-}
-
-/** Minimal self-check that the emitted file is sane JSON with live
- *  numbers — this is what the ctest/check.sh smoke run asserts. */
-void
-validateJson(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        fatal("cannot reopen ", path);
-    std::stringstream buf;
-    buf << in.rdbuf();
-    const std::string text = buf.str();
-    for (const char *key :
-         {"\"bench\": \"ext_scaling\"", "\"results\"",
-          "\"per_cluster_throughput\"", "\"waveguide_groups\"",
-          "\"host_cycles_per_sec\"", "\"host_sec_total\""}) {
-        if (text.find(key) == std::string::npos)
-            fatal(path, ": missing key ", key);
-    }
-    long depth = 0;
-    for (char c : text) {
-        if (c == '{' || c == '[')
-            ++depth;
-        else if (c == '}' || c == ']')
-            --depth;
-        if (depth < 0)
-            fatal(path, ": unbalanced brackets");
-    }
-    if (depth != 0)
-        fatal(path, ": unbalanced brackets");
-    if (text.find("\"delivered_packets\": 0}") != std::string::npos)
-        fatal(path, ": a topology delivered zero packets");
-}
-
 int
 run()
 {
@@ -135,10 +62,8 @@ run()
     traffic::BenchmarkSuite suite;
     traffic::BenchmarkPair pair{suite.find("FA"), suite.find("DCT")};
     const auto opts = bench::runOptions();
-    const std::string json_path = []() {
-        const char *p = std::getenv("PEARL_BENCH_JSON");
-        return std::string(p ? p : "BENCH_scaling.json");
-    }();
+    const std::string json_path =
+        envStr("PEARL_BENCH_JSON", "BENCH_scaling.json");
 
     // One spec per cluster count, all derived from a TopologySpec —
     // the grid runs through the parallel sweep engine.
@@ -192,22 +117,43 @@ run()
         rows.push_back(row);
     }
     const double base = rows.front().perCluster;
+    std::vector<std::vector<JsonMember>> results;
     for (const ScalingRow &r : rows) {
+        const double vs16 = base > 0.0 ? r.perCluster / base : 0.0;
         t.addRow({std::to_string(r.topo.clusters),
                   std::to_string(r.topo.numGroups()),
                   TextTable::num(r.m.throughputFlitsPerCycle, 3),
                   TextTable::num(r.perCluster, 3),
-                  TextTable::num(base > 0.0 ? r.perCluster / base : 0.0,
-                                 2),
+                  TextTable::num(vs16, 2),
                   TextTable::num(r.m.avgLatencyCycles, 1),
                   TextTable::num(r.m.cpuLatencyCycles, 1),
                   TextTable::num(r.laserPjPerBit, 2),
                   TextTable::num(r.hostCyclesPerSec, 0)});
+        results.push_back(
+            {{"clusters", jsonNum(r.topo.clusters)},
+             {"waveguide_groups", jsonNum(r.topo.numGroups())},
+             {"group_size", jsonNum(r.topo.resolvedGroupSize())},
+             {"throughput_flits_per_cycle",
+              jsonNum(r.m.throughputFlitsPerCycle)},
+             {"per_cluster_throughput", jsonNum(r.perCluster)},
+             {"per_cluster_vs_16", jsonNum(vs16)},
+             {"avg_latency_cycles", jsonNum(r.m.avgLatencyCycles)},
+             {"cpu_latency_cycles", jsonNum(r.m.cpuLatencyCycles)},
+             {"laser_energy_per_bit_pj", jsonNum(r.laserPjPerBit)},
+             {"delivered_packets", jsonNum(r.m.deliveredPackets)},
+             {"host_cycles_per_sec", jsonNum(r.hostCyclesPerSec)},
+             {"host_sec_total", jsonNum(r.hostSecTotal)}});
     }
     emit(t);
 
-    writeJson(json_path, rows, opts.warmupCycles, opts.measureCycles);
-    validateJson(json_path);
+    writeBenchJson(json_path,
+                   {{"bench", jsonStr("ext_scaling")},
+                    {"pair", jsonStr("FA/DCT")},
+                    {"seed", jsonNum(kSeed)},
+                    {"warmup_cycles", jsonNum(opts.warmupCycles)},
+                    {"measure_cycles", jsonNum(opts.measureCycles)}},
+                   results);
+    validateBenchJson(json_path, "ext_scaling", "delivered_packets");
     std::cout << "\n[scaling] wrote " << json_path << "\n"
               << "Expected shape: aggregate throughput grows with the "
                  "cluster count while per-cluster throughput stays "

@@ -19,9 +19,7 @@
  */
 
 #include <cstdio>
-#include <fstream>
 #include <functional>
-#include <sstream>
 #include <string>
 #include <sys/resource.h>
 #include <vector>
@@ -77,79 +75,6 @@ baselineCps(const std::string &config)
     return 0.0;
 }
 
-void
-writeJson(const std::string &path, const std::vector<HotpathResult> &runs,
-          std::uint64_t warmup, std::uint64_t cycles, std::uint64_t reps)
-{
-    std::ofstream out(path);
-    if (!out)
-        fatal("cannot write ", path);
-    out << "{\n"
-        << "  \"bench\": \"hotpath\",\n"
-        << "  \"clock\": \"process_cpu_time\",\n"
-        << "  \"pair\": \"Rad/QRS\",\n"
-        << "  \"reservation_window\": 500,\n"
-        << "  \"seed\": 100,\n"
-        << "  \"warmup_cycles\": " << warmup << ",\n"
-        << "  \"measure_cycles\": " << cycles << ",\n"
-        << "  \"reps\": " << reps << ",\n"
-        << "  \"baseline\": {\n";
-    for (std::size_t i = 0; i < std::size(kBaseline); ++i) {
-        const Baseline &b = kBaseline[i];
-        out << "    \"" << b.config << "\": {\"cycles_per_sec\": "
-            << b.cyclesPerSec << ", \"ns_per_packet\": " << b.nsPerPacket
-            << "}" << (i + 1 < std::size(kBaseline) ? "," : "") << "\n";
-    }
-    out << "  },\n"
-        << "  \"results\": [\n";
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-        const HotpathResult &r = runs[i];
-        const double base = baselineCps(r.config);
-        out << "    {\"config\": \"" << r.config
-            << "\", \"cycles_per_sec\": " << r.cyclesPerSec
-            << ", \"ns_per_packet\": " << r.nsPerPacket
-            << ", \"delivered_packets\": " << r.deliveredPackets
-            << ", \"speedup_vs_baseline\": "
-            << (base > 0.0 ? r.cyclesPerSec / base : 0.0) << "}"
-            << (i + 1 < runs.size() ? "," : "") << "\n";
-    }
-    out << "  ]\n"
-        << "}\n";
-}
-
-/** Minimal self-check that the emitted file is sane JSON with live
- *  numbers — this is what the ctest smoke run asserts. */
-void
-validateJson(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        fatal("cannot reopen ", path);
-    std::stringstream buf;
-    buf << in.rdbuf();
-    const std::string text = buf.str();
-    for (const char *key :
-         {"\"bench\": \"hotpath\"", "\"baseline\"", "\"results\"",
-          "\"cycles_per_sec\"", "\"ns_per_packet\""}) {
-        if (text.find(key) == std::string::npos)
-            fatal(path, ": missing key ", key);
-    }
-    long depth = 0;
-    for (char c : text) {
-        if (c == '{' || c == '[')
-            ++depth;
-        else if (c == '}' || c == ']')
-            --depth;
-        if (depth < 0)
-            fatal(path, ": unbalanced brackets");
-    }
-    if (depth != 0)
-        fatal(path, ": unbalanced brackets");
-    if (text.find("\"cycles_per_sec\": 0,") != std::string::npos ||
-        text.find("\"cycles_per_sec\": 0}") != std::string::npos)
-        fatal(path, ": a config reported zero cycles/sec");
-}
-
 int
 run()
 {
@@ -159,10 +84,8 @@ run()
     const std::uint64_t cycles = envU64("PEARL_BENCH_CYCLES", 60000);
     const std::uint64_t warmup = envU64("PEARL_BENCH_WARMUP", 2000);
     const std::uint64_t reps = envU64("PEARL_BENCH_REPS", 3);
-    const std::string json_path = []() {
-        const char *p = std::getenv("PEARL_BENCH_JSON");
-        return std::string(p ? p : "BENCH_hotpath.json");
-    }();
+    const std::string json_path =
+        envStr("PEARL_BENCH_JSON", "BENCH_hotpath.json");
 
     traffic::BenchmarkSuite suite;
     const traffic::BenchmarkPair pair{suite.find("Rad"),
@@ -202,7 +125,8 @@ run()
     ml::MlPowerPolicy ml_policy(&trained.model);
     auto pearl = [&](const char *name, const core::DbaConfig &dba,
                      core::PowerPolicy &policy) {
-        return Config{name, [&, name] {
+        // `dba` is copied: callers pass temporaries.
+        return Config{name, [&, name, dba] {
                           return metrics::runPearl(pair, net, dba, policy,
                                                    opts, name);
                       }};
@@ -220,7 +144,7 @@ run()
 
     TextTable table({"config", "cycles/sec", "ns/packet", "baseline c/s",
                      "speedup"});
-    std::vector<HotpathResult> results;
+    std::vector<std::vector<JsonMember>> results;
     for (const Config &cfg : configs) {
         HotpathResult best;
         best.config = cfg.name;
@@ -243,12 +167,35 @@ run()
                       TextTable::num(best.nsPerPacket, 1),
                       TextTable::num(base, 0),
                       TextTable::num(best.cyclesPerSec / base, 2) + "x"});
-        results.push_back(best);
+        results.push_back(
+            {{"config", jsonStr(best.config)},
+             {"cycles_per_sec", jsonNum(best.cyclesPerSec)},
+             {"ns_per_packet", jsonNum(best.nsPerPacket)},
+             {"delivered_packets", jsonNum(best.deliveredPackets)},
+             {"speedup_vs_baseline",
+              jsonNum(base > 0.0 ? best.cyclesPerSec / base : 0.0)}});
     }
     emit(table);
 
-    writeJson(json_path, results, warmup, cycles, reps);
-    validateJson(json_path);
+    std::vector<std::string> baseline;
+    for (const Baseline &b : kBaseline) {
+        baseline.push_back(jsonMember(
+            {b.config,
+             jsonInline({{"cycles_per_sec", jsonNum(b.cyclesPerSec)},
+                         {"ns_per_packet", jsonNum(b.nsPerPacket)}})}));
+    }
+    writeBenchJson(json_path,
+                   {{"bench", jsonStr("hotpath")},
+                    {"clock", jsonStr("process_cpu_time")},
+                    {"pair", jsonStr("Rad/QRS")},
+                    {"reservation_window", "500"},
+                    {"seed", "100"},
+                    {"warmup_cycles", jsonNum(warmup)},
+                    {"measure_cycles", jsonNum(cycles)},
+                    {"reps", jsonNum(reps)},
+                    {"baseline", jsonLines('{', baseline, '}', 1)}},
+                   results);
+    validateBenchJson(json_path, "hotpath", "cycles_per_sec");
     std::cout << "\n[hotpath] wrote " << json_path << "\n";
     return 0;
 }

@@ -106,7 +106,6 @@ main(int argc, char **argv)
     // fault realisations at each severity.
     const std::vector<const char *> policies = {"fcfs", "reactive",
                                                 "ml", "guarded"};
-    const ml::GuardrailConfig guard = ml::GuardrailConfig::fromEnv();
     std::vector<metrics::RunSpec> jobs;
     for (const Severity &sev : sweep) {
         for (const char *policy_name : policies) {
@@ -135,9 +134,10 @@ main(int argc, char **argv)
                         &trained.model);
                 };
             } else {
-                job.makePolicy = [&trained, guard] {
+                job.makePolicy = [&trained] {
                     return std::make_unique<ml::GuardedPolicy>(
-                        &trained.model, ml::MlPolicyConfig{}, guard);
+                        &trained.model, ml::MlPolicyConfig{},
+                        ml::GuardrailConfig{});
                 };
             }
             jobs.push_back(std::move(job));

@@ -10,6 +10,9 @@
 #
 # Each test flavour uses its own build directory (build-check-<flavour>)
 # so repeated runs are incremental and the user's ./build is untouched.
+# Every test flavour builds the library, the tests, bench/ and
+# examples/, so tier-1 includes the bench smokes (bench_trace_smoke,
+# bench_hotpath_smoke) and the tsan flavour race-checks their sweeps.
 # Exits non-zero on the first failing flavour.
 #
 # The bench flavour runs pearlbench/selftest.py: it builds pearlbench
@@ -59,7 +62,6 @@ run_flavour() {
 
     echo "==> [$flavour] configure (PEARL_SANITIZE=$sanitize)"
     cmake -B "$dir" -DPEARL_SANITIZE="$sanitize" \
-        -DPEARL_BUILD_BENCH=OFF -DPEARL_BUILD_EXAMPLES=OFF \
         >"$dir.configure.log" 2>&1 || {
         cat "$dir.configure.log"
         exit 1

@@ -102,25 +102,6 @@ class MemoryNode
             credit_ = 8.0; // bound the burst the MCs can absorb
     }
 
-    /**
-     * Replay `k` ticks with nothing pending (idle fast-forward).  The
-     * per-cycle arithmetic is replicated exactly — `credit_ += rate_`
-     * then the burst clamp, `k` times — so the credit is bit-identical
-     * to stepping cycle by cycle (an analytic `k * rate_` would round
-     * differently and the credit feeds `>= 1.0` comparisons later).
-     * The loop is bounded: fast-forward jumps at most one reservation
-     * window at a time.
-     */
-    void
-    idleTicks(std::uint64_t k)
-    {
-        for (std::uint64_t i = 0; i < k; ++i) {
-            credit_ += rate_;
-            if (credit_ > 8.0)
-                credit_ = 8.0;
-        }
-    }
-
     const MemoryStats &stats() const { return stats_; }
     bool quiescent() const { return pending_.empty(); }
 

@@ -191,16 +191,14 @@ struct EnvKnob
  * The README's knob tables are generated from this list (the drift
  * test in test_common pins them to each other), and envHelp() renders
  * it for `quickstart --env-help`.  Add new knobs HERE when you add the
- * env*() call site, keeping each group alphabetical.
+ * env*() call site, keeping each group alphabetical; test_common fails
+ * on a knob that nothing reads and on a read that is not registered.
  */
 inline const std::vector<EnvKnob> &
 envRegistry()
 {
     static const std::vector<EnvKnob> knobs = {
         // Simulation core.
-        {"PEARL_FAST_FORWARD", "bool", "1",
-         "analytic idle fast-forward in system runs; set 0 to force "
-         "cycle-by-cycle stepping"},
         {"PEARL_VERIFY", "bool", "0",
          "install the invariant auditor on every network built through "
          "the Runner facade (packet conservation, buffer and express "
@@ -220,25 +218,8 @@ envRegistry()
         {"PEARL_SWEEP_RESUME", "bool", "0",
          "restore finished jobs from the journal instead of re-running "
          "them"},
-        {"PEARL_SWEEP_RETRY", "u64", "0",
-         "extra attempts for a failed sweep job with the identical "
-         "seed; config errors still fail fast"},
         {"PEARL_THREADS", "u64", "hardware threads",
          "job worker threads for sweeps; single runs use one thread"},
-        // Guarded-ML thresholds (ml::GuardrailConfig::fromEnv).
-        {"PEARL_GUARD_ENTER_ERROR", "double", "0.7",
-         "windowed mean error above this counts against the model"},
-        {"PEARL_GUARD_ENTER_STREAK", "u64", "4",
-         "consecutive bad windows before falling back to the reactive "
-         "policy"},
-        {"PEARL_GUARD_ERROR_WINDOW", "u64", "8",
-         "samples per guard error window"},
-        {"PEARL_GUARD_EXIT_ERROR", "double", "0.4",
-         "windowed mean error below this counts toward recovery"},
-        {"PEARL_GUARD_EXIT_STREAK", "u64", "8",
-         "consecutive good windows before returning to ML"},
-        {"PEARL_GUARD_MAX_PREDICTION", "double", "1e6",
-         "predictions above this many packets are clamped as insane"},
         // Benchmarks (bench/*).
         {"PEARL_BENCH_CSV", "u64", "0",
          "non-zero appends a CSV copy after each bench table"},

@@ -429,63 +429,6 @@ PearlNetwork::step()
     ++cycle_;
 }
 
-sim::Cycle
-PearlNetwork::advanceIdle(Cycle max_cycles)
-{
-    // A cycle may be skipped only when step() would provably do nothing
-    // but advance the clock and integrate constant power: no packet
-    // anywhere, no stochastic per-cycle process (fault plane, thermal
-    // model) and no reservation-window boundary inside the jump.  The
-    // jump stops one cycle short of the earliest boundary so the caller
-    // runs it through step(), where the policy may switch laser states.
-    if (max_cycles == 0 || faults_.enabled() || cfg_.useThermalModel ||
-        !idle() || !delivered_.empty())
-        return 0;
-
-    Cycle jump = max_cycles;
-    const std::uint64_t rw = cfg_.reservationWindow;
-    if (rw > 0) {
-        const std::uint64_t now_mod = cycle_ % rw;
-        for (int r = 0; r < cfg_.numNodes(); ++r) {
-            std::uint64_t dist =
-                (windowOffsets_[static_cast<std::size_t>(r)] + rw -
-                 now_mod) % rw;
-            if (dist == 0) {
-                // Boundary at the current cycle: real only past cycle 0
-                // (step() skips boundaries at cycle 0), in which case
-                // this cycle cannot be skipped.
-                if (cycle_ == 0)
-                    dist = rw;
-                else
-                    return 0;
-            }
-            jump = std::min<Cycle>(jump, dist);
-        }
-    }
-
-    // Time-integrated accounting for the skipped cycles.  The laser
-    // state of every router is constant across the jump (state changes
-    // happen only at window boundaries), so the energy integrals are
-    // analytic; window-cycle counters advance exactly.
-    for (std::size_t r = 0; r < routers_.size(); ++r) {
-        auto &router = routers_[r];
-        router->accountIdleCycles(jump);
-        router->laser().tickIdle(jump, cfg_.cycleSeconds);
-        trimmingEnergyJ_ +=
-            trimPowerW_[r][static_cast<std::size_t>(
-                static_cast<int>(router->laser().state()))] *
-            cfg_.cycleSeconds * static_cast<double>(jump);
-    }
-    if (cfg_.grouped()) {
-        expressLaserEnergyJ_ += static_cast<double>(cfg_.numGroups()) *
-                                cfg_.expressResLaserW *
-                                cfg_.cycleSeconds *
-                                static_cast<double>(jump);
-    }
-    cycle_ += jump;
-    return jump;
-}
-
 void
 PearlNetwork::receiverThermal(int node, double &trim_gap_c,
                               bool &locked) const

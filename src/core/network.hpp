@@ -63,9 +63,7 @@ class PearlNetwork;
  * The network calls afterStep() at the end of every step(), before the
  * cycle counter increments, so the auditor sees the post-step state
  * tagged with the cycle that just executed.  With no auditor installed —
- * the default — the hook is a single null-pointer test; idle
- * fast-forward (advanceIdle) does not call it, auditors must tolerate
- * cycle jumps between calls.
+ * the default — the hook is a single null-pointer test.
  */
 class StepAuditor
 {
@@ -143,7 +141,6 @@ class PearlNetwork : public sim::Network
     bool inject(const sim::Packet &pkt) override;
     bool canInject(const sim::Packet &pkt) const override;
     void step() override;
-    sim::Cycle advanceIdle(sim::Cycle max_cycles) override;
     std::vector<sim::Packet> &delivered() override { return delivered_; }
     sim::Cycle cycle() const override { return cycle_; }
     int numNodes() const override { return cfg_.numNodes(); }

@@ -187,15 +187,6 @@ class PearlRouter
     void accumulateOccupancy();
 
     /**
-     * Account `k` idle cycles of window accounting at once (idle
-     * fast-forward).  With every buffer empty the per-cycle occupancy
-     * adds are all zero, so only the window-cycle counter moves; the
-     * beta sum is untouched (x + 0.0 == x for the non-negative sums
-     * involved), keeping betaTotalMean() bit-identical to stepping.
-     */
-    void accountIdleCycles(std::uint64_t k) { windowCycles_ += k; }
-
-    /**
      * Fault-capped wavelength ceiling.  Transmit capacity is computed
      * from min(laser state, cap), so a bank that dies mid-window
      * degrades bandwidth immediately even before the next policy

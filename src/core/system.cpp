@@ -1,7 +1,5 @@
 #include "core/system.hpp"
 
-#include <cstdlib>
-
 #include "common/log.hpp"
 
 namespace pearl {
@@ -10,26 +8,6 @@ namespace core {
 using sim::Cycle;
 using sim::NodeUnit;
 using sim::Packet;
-
-namespace {
-
-/** PEARL_FAST_FORWARD gate: on unless the variable is exactly "0". */
-bool
-envFastForwardEnabled()
-{
-    const char *v = std::getenv("PEARL_FAST_FORWARD");
-    return !(v && v[0] == '0' && v[1] == '\0');
-}
-
-/** True when a profile's generators can never issue (both rates zero). */
-bool
-profileNeverIssues(const traffic::BenchmarkProfile &p)
-{
-    return Rng::chanceThreshold(p.accessRateOn) == 0 &&
-           Rng::chanceThreshold(p.accessRateOff) == 0;
-}
-
-} // namespace
 
 HeteroSystem::HeteroSystem(sim::Network &network,
                            const traffic::BenchmarkPair &pair,
@@ -73,10 +51,6 @@ HeteroSystem::HeteroSystem(sim::Network &network,
         cfg.home.memoryNode, cfg.hierarchy, cfg.memResponsesPerCycle);
     memory_->attach(this, telemetry_ ? telemetry_(cfg.home.memoryNode)
                                      : nullptr);
-
-    fastForward_ = envFastForwardEnabled() &&
-                   profileNeverIssues(pair.cpu) &&
-                   profileNeverIssues(pair.gpu);
 }
 
 void
@@ -164,7 +138,7 @@ HeteroSystem::stepOnce()
 }
 
 bool
-HeteroSystem::fastForwardQuiescent() const
+HeteroSystem::nodesQuiescent() const
 {
     if (!localHops_.empty() || !memory_->quiescent())
         return false;
@@ -186,26 +160,8 @@ HeteroSystem::fastForwardQuiescent() const
 void
 HeteroSystem::run(Cycle cycles)
 {
-    for (Cycle i = 0; i < cycles;) {
-        // Idle fast-forward (PEARL_FAST_FORWARD, default on): when the
-        // chip is drained and no generator can ever issue, jump the
-        // clock to the next cycle with a side effect (a reservation
-        // window boundary, or the end of the run) instead of stepping
-        // through provable no-ops.  The network model declines the jump
-        // (returns 0) whenever any per-cycle process is live, in which
-        // case the cycle runs normally.
-        if (fastForward_ && fastForwardQuiescent()) {
-            const Cycle jumped = network_.advanceIdle(cycles - i);
-            if (jumped > 0) {
-                memory_->idleTicks(jumped);
-                fastForwarded_ += jumped;
-                i += jumped;
-                continue;
-            }
-        }
+    for (Cycle i = 0; i < cycles; ++i)
         stepOnce();
-        ++i;
-    }
 }
 
 bool
@@ -222,24 +178,7 @@ HeteroSystem::runUntilIdle(Cycle max_cycles)
 
     for (Cycle i = 0; i < max_cycles; ++i) {
         stepOnce();
-        bool pending = !localHops_.empty() || !network_.idle() ||
-                       !memory_->quiescent();
-        for (const auto &box : outbox_) {
-            if (pending)
-                break;
-            pending = !box.empty();
-        }
-        for (const auto &cluster : clusters_) {
-            if (pending)
-                break;
-            pending = !cluster->quiescent();
-        }
-        for (const auto &bank : banks_) {
-            if (pending)
-                break;
-            pending = !bank->quiescent();
-        }
-        if (!pending)
+        if (network_.idle() && nodesQuiescent())
             return true;
 
         if (cfg_.watchdogWindowCycles != 0 &&

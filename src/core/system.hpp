@@ -107,9 +107,6 @@ class HeteroSystem : public sim::PacketSink
     /** Aggregate L3 statistics over all banks. */
     cache::L3Stats aggregateL3Stats() const;
 
-    /** Cycles skipped by idle fast-forward (0 when FF is off/inert). */
-    sim::Cycle fastForwardedCycles() const { return fastForwarded_; }
-
   private:
     struct LocalHop
     {
@@ -127,8 +124,8 @@ class HeteroSystem : public sim::PacketSink
     void dispatch(const sim::Packet &pkt, sim::Cycle now);
     void dumpStallDiagnostics(sim::Cycle elapsed) const;
 
-    /** True when every node model is drained (idle fast-forward gate). */
-    bool fastForwardQuiescent() const;
+    /** True when no local hop, outbox or node model holds work. */
+    bool nodesQuiescent() const;
 
     sim::Network &network_;
     SystemConfig cfg_;
@@ -142,19 +139,6 @@ class HeteroSystem : public sim::PacketSink
     std::priority_queue<LocalHop, std::vector<LocalHop>,
                         std::greater<LocalHop>>
         localHops_;
-
-    /**
-     * Idle fast-forward is armed only when (a) PEARL_FAST_FORWARD is
-     * not "0" and (b) no generator can ever issue an access (every
-     * access-rate threshold is zero).  Under (b) the generator and
-     * phase RNG streams are dead code — their values can never reach
-     * an observable output — so skipping whole cycles (draws included)
-     * is bit-identical to stepping.  Generators with a nonzero rate
-     * can fire on any cycle (Bernoulli per cycle), so their honest
-     * next-injection bound is 1 and fast-forward stays off.
-     */
-    bool fastForward_ = false;
-    sim::Cycle fastForwarded_ = 0;
 };
 
 } // namespace core

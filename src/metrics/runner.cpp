@@ -55,12 +55,6 @@ Runner::sweep(const std::vector<RunSpec> &specs) const
     return result;
 }
 
-std::vector<RunMetrics>
-Runner::runAll(const std::vector<RunSpec> &specs) const
-{
-    return sweep(specs).metricsOrThrow();
-}
-
 void
 Runner::dumpMetrics(const std::vector<RunMetrics> &runs) const
 {

@@ -66,9 +66,6 @@ class Runner
      *  results (including failures) come back in submission order. */
     SweepResult sweep(const std::vector<RunSpec> &specs) const;
 
-    /** sweep() + metricsOrThrow(): the common happy-path shape. */
-    std::vector<RunMetrics> runAll(const std::vector<RunSpec> &specs) const;
-
     const RunnerOptions &options() const { return opts_; }
 
   private:

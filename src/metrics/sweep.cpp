@@ -159,9 +159,6 @@ SweepOptions
 SweepOptions::fromEnv()
 {
     SweepOptions opts;
-    opts.retryLimit = static_cast<int>(envU64(
-        "PEARL_SWEEP_RETRY",
-        static_cast<std::uint64_t>(opts.retryLimit)));
     opts.journalPath = envStr("PEARL_SWEEP_JOURNAL", opts.journalPath);
     opts.resume = envBool("PEARL_SWEEP_RESUME", opts.resume);
     if (opts.resume && opts.journalPath.empty())
@@ -293,10 +290,8 @@ SweepRunner::run(const std::vector<RunSpec> &jobs) const
         journal.open(opts_.journalPath, /*fresh=*/!opts_.resume);
     }
 
-    const int max_attempts = 1 + std::max(0, opts_.retryLimit);
     std::atomic<std::size_t> next{0};
     std::atomic<bool> cancelled{false};
-    std::atomic<std::size_t> retries{0};
 
     // Each worker claims job indices from the shared counter and writes
     // only its own result slot, so the slots need no lock; joining the
@@ -362,37 +357,19 @@ SweepRunner::run(const std::vector<RunSpec> &jobs) const
                 traced.options.tracer = tracer.get();
             }
 
-            // Bounded retry with the identical derived seed: a
-            // transient failure replays deterministically; a validation
-            // failure is deterministic by construction and fails fast.
             const Clock::time_point start = Clock::now();
-            for (int attempt = 0; attempt < max_attempts; ++attempt) {
-                slot.attempts = attempt + 1;
-                if (attempt > 0) {
-                    retries.fetch_add(1, std::memory_order_relaxed);
-                    warn("sweep job ", i, " (",
-                         slot.metrics.configName, "/",
-                         slot.metrics.pairLabel, "): retry ", attempt,
-                         "/", max_attempts - 1, " after: ",
-                         slot.error);
-                }
-                try {
-                    slot.metrics = executeSpec(*to_run, slot.seed);
-                    slot.ok = true;
-                    slot.errorCode = ErrorCode::None;
-                    slot.error.clear();
-                    break;
-                } catch (const ConfigError &e) {
-                    slot.errorCode = e.code();
-                    slot.error = e.what();
-                    break; // deterministic: retrying cannot help
-                } catch (const std::exception &e) {
-                    slot.errorCode = ErrorCode::JobFailed;
-                    slot.error = e.what();
-                } catch (...) {
-                    slot.errorCode = ErrorCode::JobFailed;
-                    slot.error = "unknown exception";
-                }
+            try {
+                slot.metrics = executeSpec(*to_run, slot.seed);
+                slot.ok = true;
+            } catch (const ConfigError &e) {
+                slot.errorCode = e.code();
+                slot.error = e.what();
+            } catch (const std::exception &e) {
+                slot.errorCode = ErrorCode::JobFailed;
+                slot.error = e.what();
+            } catch (...) {
+                slot.errorCode = ErrorCode::JobFailed;
+                slot.error = "unknown exception";
             }
             slot.wallSeconds = secondsSince(start);
             if (slot.ok) {
@@ -416,7 +393,6 @@ SweepRunner::run(const std::vector<RunSpec> &jobs) const
             t.join();
     }
     result.summary.wallSeconds = secondsSince(sweep_start);
-    result.summary.retries = retries.load(std::memory_order_relaxed);
 
     for (const SweepJobResult &j : result.jobs) {
         result.summary.aggregateJobSeconds += j.wallSeconds;

@@ -27,12 +27,9 @@
  *    becomes a structured per-job failure (ErrorCode::InvalidConfig)
  *    with an actionable message, never UB or an abort;
  *  - a throwing job is captured as a structured failure in its result
- *    slot; `cancelOnError = false` lets the rest of the grid finish;
- *  - `retryLimit` re-runs a failed job up to N more times with the
- *    *identical* derived seed (deterministic replay), so a transient
- *    host-level failure — an OOM kill of one worker, a flaky filesystem
- *    under the trace sink — does not cost the sweep.  Validation
- *    failures are deterministic and are never retried;
+ *    slot; `cancelOnError = false` lets the rest of the grid finish.
+ *    A job is a function of (spec, seed), so a failed job is not
+ *    replayed: the same seed would fail the same way;
  *  - `journalPath` streams every completed job's RunMetrics row to an
  *    append-only journal (flushed per job, so a crash loses at most the
  *    in-flight jobs), and `resume = true` restores finished jobs from
@@ -113,13 +110,6 @@ struct SweepOptions
     /** Skip jobs that have not started once any job fails. */
     bool cancelOnError = true;
     /**
-     * Extra attempts for a failed job, each with the identical
-     * effective seed (deterministic replay).  Validation failures are
-     * never retried.  The PEARL_SWEEP_RETRY environment variable sets
-     * this through fromEnv().
-     */
-    int retryLimit = 0;
-    /**
      * Crash-safe checkpointing: when non-empty, every completed job's
      * canonical RunMetrics CSV row is appended (and flushed) to this
      * file.  PEARL_SWEEP_JOURNAL sets it through fromEnv().
@@ -142,10 +132,10 @@ struct SweepOptions
     obs::TraceOptions trace;
 
     /**
-     * Defaults + the PEARL_SWEEP_RETRY / PEARL_SWEEP_JOURNAL /
-     * PEARL_SWEEP_RESUME / PEARL_TRACE* environment knobs (strict
-     * warn-and-fallback parsing).  Thread count is resolved separately
-     * (resolveThreads), preserving existing precedence.
+     * Defaults + the PEARL_SWEEP_JOURNAL / PEARL_SWEEP_RESUME /
+     * PEARL_TRACE* environment knobs (strict warn-and-fallback
+     * parsing).  Thread count is resolved separately (resolveThreads),
+     * preserving existing precedence.
      */
     static SweepOptions fromEnv();
 };
@@ -160,7 +150,6 @@ struct SweepJobResult
     bool ok = false;
     bool skipped = false;       //!< cancelled before it started
     bool resumed = false;       //!< restored from the journal, not run
-    int attempts = 0;           //!< executions performed (retries incl.)
     ErrorCode errorCode = ErrorCode::None; //!< failure class when !ok
     std::string error;          //!< failure reason when !ok
 };
@@ -172,7 +161,6 @@ struct SweepSummary
     std::size_t failed = 0;
     std::size_t skipped = 0;
     std::size_t resumed = 0;   //!< jobs restored from the journal
-    std::size_t retries = 0;   //!< extra attempts across all jobs
     unsigned threads = 1;
     double wallSeconds = 0.0;          //!< whole-sweep wall time
     double aggregateJobSeconds = 0.0;  //!< sum of per-job wall times

@@ -38,14 +38,14 @@
 #include <cmath>
 #include <vector>
 
-#include "common/env.hpp"
+#include "common/expected.hpp"
 #include "core/power_policy.hpp"
 #include "ml/policy.hpp"
 
 namespace pearl {
 namespace ml {
 
-/** Guardrail thresholds (the PEARL_GUARD_* environment knobs). */
+/** Guardrail thresholds. */
 struct GuardrailConfig
 {
     /** Sliding-window length of per-window error samples. */
@@ -65,34 +65,6 @@ struct GuardrailConfig
     /** Predictions above this many packets per window are insane for
      *  any supported configuration and are clamped. */
     double maxPredictedPackets = 1.0e6;
-
-    /**
-     * Defaults + PEARL_GUARD_ERROR_WINDOW / PEARL_GUARD_ENTER_ERROR /
-     * PEARL_GUARD_EXIT_ERROR / PEARL_GUARD_ENTER_STREAK /
-     * PEARL_GUARD_EXIT_STREAK / PEARL_GUARD_MAX_PREDICTION, with the
-     * strict warn-and-fallback parsing of common/env.hpp.
-     */
-    static GuardrailConfig
-    fromEnv()
-    {
-        GuardrailConfig cfg;
-        cfg.errorWindow = static_cast<int>(envU64(
-            "PEARL_GUARD_ERROR_WINDOW",
-            static_cast<std::uint64_t>(cfg.errorWindow)));
-        cfg.enterError =
-            envDouble("PEARL_GUARD_ENTER_ERROR", cfg.enterError);
-        cfg.exitError =
-            envDouble("PEARL_GUARD_EXIT_ERROR", cfg.exitError);
-        cfg.enterStreak = static_cast<int>(envU64(
-            "PEARL_GUARD_ENTER_STREAK",
-            static_cast<std::uint64_t>(cfg.enterStreak)));
-        cfg.exitStreak = static_cast<int>(envU64(
-            "PEARL_GUARD_EXIT_STREAK",
-            static_cast<std::uint64_t>(cfg.exitStreak)));
-        cfg.maxPredictedPackets = envDouble("PEARL_GUARD_MAX_PREDICTION",
-                                            cfg.maxPredictedPackets);
-        return cfg;
-    }
 };
 
 /** Validate guardrail thresholds. */

@@ -82,22 +82,6 @@ class LaserBank
         ++cycles_;
     }
 
-    /**
-     * Account `k` consecutive idle cycles at once (idle fast-forward).
-     * The state is constant across the interval, so the energy integral
-     * is the analytic `k * P * dt` — one multiply-add instead of `k`
-     * sequential adds (the sums can differ from the stepped run in the
-     * last ULPs; counters are exact).
-     */
-    void
-    tickIdle(std::uint64_t k, double cycle_seconds)
-    {
-        energyJ_ += model_->laserPowerW(state_) * cycle_seconds *
-                    static_cast<double>(k);
-        residency_.add(indexOf(state_), k);
-        cycles_ += k;
-    }
-
     /** Integrated laser energy in joules. */
     double energyJ() const { return energyJ_; }
 

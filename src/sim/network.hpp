@@ -66,18 +66,7 @@ class Network
         (void)os;
     }
 
-    /**
-     * Idle fast-forward: advance up to `max_cycles` cycles in one call,
-     * provided every skipped cycle is a provable no-op apart from the
-     * clock and time-integrated accounting (energy, residency, window
-     * counters).  Implementations must stop short of any cycle with a
-     * side effect (a reservation-window boundary, a fault or thermal
-     * event) so the caller can execute it through step().
-     *
-     * @return the number of cycles advanced; 0 means this cycle cannot
-     *         be skipped (or the model does not support fast-forward —
-     *         the default).
-     */
+    /** Kept only so pearlbench builds; nothing calls it. */
     virtual Cycle
     advanceIdle(Cycle max_cycles)
     {

@@ -225,8 +225,8 @@ Invariants::afterStep(const core::PearlNetwork &net)
     const double trim = net.trimmingEnergyJ();
     const double dyn = net.dynamicEnergyJ();
     if (seen_) {
-        if (now <= prevCycle_)
-            fail(now, "cycle counter did not advance");
+        if (now != prevCycle_ + 1)
+            fail(now, "cycle counter did not advance by one");
         if (laser < prevLaserJ_ || trim < prevTrimJ_ || dyn < prevDynJ_)
             fail(now, "an energy integral decreased");
     }

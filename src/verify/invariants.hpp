@@ -19,7 +19,7 @@
  *  - wavelength-state legality: at a window boundary the laser state
  *    honours the fault-capped ceiling;
  *  - monotone accounting: energy integrals never decrease and the cycle
- *    counter strictly increases.
+ *    counter advances by exactly one between audited steps.
  *
  * A violation throws InvariantViolation.  Checks are meant for Debug
  * builds and PEARL_VERIFY=1 runs: runtimeChecksEnabled() defaults on

@@ -7,8 +7,7 @@
  * wavelength-state selection, fault recovery and energy integration —
  * with the simplest possible code: std::deque buffers with O(n)
  * occupancy recomputation, std::priority_queue event channels, per-call
- * modulo window checks, fresh power-model calls per cycle, and no idle
- * fast-forward (advanceIdle keeps the interface default of 0).  It
+ * modulo window checks and fresh power-model calls per cycle.  It
  * shares only leaf components with the optimized simulator: the
  * photonic::FaultInjector (so both sides see the same fault schedule
  * from the same seed), sim::NetworkStats and sim::RouterTelemetry

@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cmath>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -283,7 +285,86 @@ TEST(EnvRegistry, KnobsAreWellFormed)
         EXPECT_FALSE(std::string(k.fallback).empty()) << name;
         EXPECT_FALSE(std::string(k.summary).empty()) << name;
     }
-    EXPECT_GE(names.size(), 25u);
+}
+
+/** PEARL_* names `text` reads: a string literal passed to getenv() or
+ *  an env*() helper (whitespace allowed before the literal), or a
+ *  shell `${NAME` expansion. */
+std::set<std::string>
+envReads(const std::string &text)
+{
+    auto is_ident = [](char c) {
+        return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
+    };
+    auto name_at = [&](std::size_t pos) {
+        std::size_t end = pos;
+        while (end < text.size() && is_ident(text[end]))
+            ++end;
+        return text.substr(pos, end - pos);
+    };
+    std::set<std::string> names;
+    for (std::size_t q = text.find("\"PEARL_"); q != std::string::npos;
+         q = text.find("\"PEARL_", q + 1)) {
+        std::size_t p = q;
+        while (p > 0 && std::isspace(static_cast<unsigned char>(text[p - 1])))
+            --p;
+        if (p == 0 || text[p - 1] != '(')
+            continue;
+        const std::size_t call_end = --p;
+        while (p > 0 && is_ident(text[p - 1]))
+            --p;
+        const std::string call = text.substr(p, call_end - p);
+        if (call == "getenv" || call.rfind("env", 0) == 0)
+            names.insert(name_at(q + 1));
+    }
+    for (std::size_t d = text.find("${PEARL_"); d != std::string::npos;
+         d = text.find("${PEARL_", d + 1))
+        names.insert(name_at(d + 2));
+    return names;
+}
+
+/** envReads() over every file under `dirs` of the source tree, except
+ *  the registry itself. */
+std::set<std::string>
+envReadsUnder(std::initializer_list<const char *> dirs)
+{
+    namespace fs = std::filesystem;
+    std::set<std::string> names;
+    for (const char *dir : dirs) {
+        for (const auto &entry : fs::recursive_directory_iterator(
+                 fs::path(PEARL_SOURCE_DIR) / dir)) {
+            if (!entry.is_regular_file() ||
+                entry.path().filename() == "env.hpp")
+                continue;
+            std::ifstream in(entry.path());
+            std::ostringstream buf;
+            buf << in.rdbuf();
+            names.merge(envReads(buf.str()));
+        }
+    }
+    return names;
+}
+
+TEST(EnvRegistry, EveryKnobIsReadAndEveryReadIsRegistered)
+{
+    std::set<std::string> registered;
+    for (const EnvKnob &k : envRegistry())
+        registered.insert(k.name);
+
+    const std::set<std::string> read_anywhere =
+        envReadsUnder({"src", "bench", "examples", "tests", "scripts"});
+    for (const std::string &name : registered) {
+        EXPECT_TRUE(read_anywhere.count(name))
+            << name << " is registered but nothing reads it";
+    }
+
+    for (const std::string &name :
+         envReadsUnder({"src", "bench", "examples"})) {
+        if (name.rfind("PEARL_TEST_ENV_", 0) == 0)
+            continue;
+        EXPECT_TRUE(registered.count(name))
+            << name << " is read but not registered in envRegistry()";
+    }
 }
 
 TEST(EnvRegistry, HelpRendersEveryKnob)
@@ -299,8 +380,9 @@ TEST(EnvRegistry, HelpRendersEveryKnob)
 // pearl::envMarkdownTable()) rather than editing the table by hand.
 TEST(EnvRegistry, ReadmeTableMatchesRegistry)
 {
-    std::ifstream readme(PEARL_README_PATH);
-    ASSERT_TRUE(readme) << "cannot open " << PEARL_README_PATH;
+    const std::string readme_path = PEARL_SOURCE_DIR "/README.md";
+    std::ifstream readme(readme_path);
+    ASSERT_TRUE(readme) << "cannot open " << readme_path;
     std::ostringstream buf;
     buf << readme.rdbuf();
     const std::string text = buf.str();

@@ -209,38 +209,6 @@ class ScopedEnv
     std::string old_;
 };
 
-/** Canonical CSV rows for one golden config under a given
- *  PEARL_FAST_FORWARD setting. */
-std::vector<std::string>
-rowsWithFastForward(const GoldenConfig &cfg, const char *ff)
-{
-    ScopedEnv env("PEARL_FAST_FORWARD", ff);
-    SweepOptions so;
-    so.baseSeed = 100;
-    const SweepResult result = SweepRunner(so).run(cfg.jobs);
-    std::vector<std::string> rows;
-    for (const RunMetrics &m : result.metricsOrThrow())
-        rows.push_back(csvRow({m.pairLabel}, m));
-    return rows;
-}
-
-TEST(GoldenMetrics, FastForwardOnOffRowsAreByteIdentical)
-{
-    // Idle fast-forward must be unobservable: on every golden config the
-    // generators are live, so the fast path never engages, and a run
-    // with PEARL_FAST_FORWARD on must produce byte-identical canonical
-    // CSV rows to a run with it forced off.
-    traffic::BenchmarkSuite suite;
-    for (const GoldenConfig &cfg : goldenGrid(suite)) {
-        SCOPED_TRACE("config " + cfg.name);
-        const std::vector<std::string> on = rowsWithFastForward(cfg, "1");
-        const std::vector<std::string> off = rowsWithFastForward(cfg, "0");
-        ASSERT_EQ(on.size(), off.size());
-        for (std::size_t i = 0; i < on.size(); ++i)
-            EXPECT_EQ(on[i], off[i]) << "row " << i;
-    }
-}
-
 TEST(GoldenMetrics, FixedGridMatchesCheckedInResults)
 {
     const bool update = pearl::envU64("PEARL_UPDATE_GOLDEN", 0) != 0;

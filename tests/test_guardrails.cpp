@@ -211,30 +211,6 @@ TEST(Guardrails, ThresholdValidationRejectsBrokenHysteresis)
               std::string::npos);
 }
 
-TEST(Guardrails, FromEnvReadsKnobs)
-{
-    setenv("PEARL_GUARD_ERROR_WINDOW", "5", 1);
-    setenv("PEARL_GUARD_ENTER_ERROR", "0.9", 1);
-    setenv("PEARL_GUARD_EXIT_ERROR", "0.2", 1);
-    setenv("PEARL_GUARD_ENTER_STREAK", "7", 1);
-    setenv("PEARL_GUARD_EXIT_STREAK", "11", 1);
-    setenv("PEARL_GUARD_MAX_PREDICTION", "12345", 1);
-    const GuardrailConfig cfg = GuardrailConfig::fromEnv();
-    unsetenv("PEARL_GUARD_ERROR_WINDOW");
-    unsetenv("PEARL_GUARD_ENTER_ERROR");
-    unsetenv("PEARL_GUARD_EXIT_ERROR");
-    unsetenv("PEARL_GUARD_ENTER_STREAK");
-    unsetenv("PEARL_GUARD_EXIT_STREAK");
-    unsetenv("PEARL_GUARD_MAX_PREDICTION");
-    EXPECT_EQ(cfg.errorWindow, 5);
-    EXPECT_DOUBLE_EQ(cfg.enterError, 0.9);
-    EXPECT_DOUBLE_EQ(cfg.exitError, 0.2);
-    EXPECT_EQ(cfg.enterStreak, 7);
-    EXPECT_EQ(cfg.exitStreak, 11);
-    EXPECT_DOUBLE_EQ(cfg.maxPredictedPackets, 12345.0);
-    EXPECT_TRUE(validate(cfg));
-}
-
 // Hysteresis boundaries ----------------------------------------------------
 
 TEST(Guardrails, UnitWindowAndStreaksTripAndRecoverImmediately)

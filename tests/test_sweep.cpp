@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <bit>
 #include <cstdio>
 #include <cstdlib>
@@ -412,66 +411,20 @@ TEST_F(SweepTest, ValidationFailureIsStructuredAndNeverRetried)
 
     SweepOptions so;
     so.threads = 1;
-    so.retryLimit = 3;   // must NOT be spent on a config error
     so.cancelOnError = false;
     const SweepResult result = SweepRunner(so).run(jobs);
 
     EXPECT_FALSE(result.jobs[0].ok);
     EXPECT_EQ(result.jobs[0].errorCode, ErrorCode::InvalidConfig);
-    EXPECT_EQ(result.jobs[0].attempts, 1);
     EXPECT_NE(result.jobs[0].error.find("reservationWindow"),
               std::string::npos);
     EXPECT_NE(result.jobs[0].error.find("bad-window"),
               std::string::npos);
     EXPECT_TRUE(result.jobs[1].ok);
-    EXPECT_EQ(result.summary.retries, 0u);
     EXPECT_EQ(result.summary.failed, 1u);
 }
 
-TEST_F(SweepTest, RetryReplaysTransientFailureWithIdenticalSeed)
-{
-    // Job 1 throws on its first two attempts, then succeeds; the other
-    // jobs are clean.  The sweep must retry with the *same* derived
-    // seed each time and report the attempt accounting.
-    auto failures = std::make_shared<std::atomic<int>>(0);
-    auto seeds = std::make_shared<std::vector<std::uint64_t>>();
-
-    std::vector<RunSpec> jobs;
-    for (int i = 0; i < 3; ++i) {
-        RunSpec job;
-        job.configName = "r" + std::to_string(i);
-        job.custom = [i, failures, seeds](const RunSpec &,
-                                          std::uint64_t seed) {
-            if (i == 1) {
-                seeds->push_back(seed);
-                if (failures->fetch_add(1) < 2)
-                    throw std::runtime_error("transient I/O glitch");
-            }
-            RunMetrics m;
-            m.deliveredPackets = seed; // proves the seed reached us
-            return m;
-        };
-        jobs.push_back(std::move(job));
-    }
-
-    SweepOptions so;
-    so.threads = 1;
-    so.baseSeed = 42;
-    so.retryLimit = 2;
-    const SweepResult result = SweepRunner(so).run(jobs);
-
-    ASSERT_TRUE(result.allOk());
-    EXPECT_EQ(result.jobs[1].attempts, 3);
-    EXPECT_EQ(result.summary.retries, 2u);
-    ASSERT_EQ(seeds->size(), 3u);
-    EXPECT_EQ((*seeds)[0], deriveSeed(42, 1));
-    EXPECT_EQ((*seeds)[1], (*seeds)[0]);
-    EXPECT_EQ((*seeds)[2], (*seeds)[0]);
-    EXPECT_EQ(result.jobs[0].attempts, 1);
-    EXPECT_EQ(result.jobs[2].attempts, 1);
-}
-
-TEST_F(SweepTest, RetryBudgetExhaustedReportsStructuredFailure)
+TEST_F(SweepTest, ThrowingJobReportsStructuredFailure)
 {
     std::vector<RunSpec> jobs(1);
     jobs[0].configName = "always-fails";
@@ -480,14 +433,12 @@ TEST_F(SweepTest, RetryBudgetExhaustedReportsStructuredFailure)
     };
     SweepOptions so;
     so.threads = 1;
-    so.retryLimit = 2;
     const SweepResult result = SweepRunner(so).run(jobs);
     EXPECT_FALSE(result.jobs[0].ok);
-    EXPECT_EQ(result.jobs[0].attempts, 3);
     EXPECT_EQ(result.jobs[0].errorCode, ErrorCode::JobFailed);
     EXPECT_NE(result.jobs[0].error.find("persistent"),
               std::string::npos);
-    EXPECT_EQ(result.summary.retries, 2u);
+    EXPECT_EQ(result.summary.failed, 1u);
 }
 
 /** RAII temp journal path, removed on destruction. */
@@ -553,7 +504,6 @@ TEST_F(SweepTest, ResumeRestoresJournaledJobsBitIdentical)
     EXPECT_EQ(all_restored.summary.resumed, 4u);
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         EXPECT_TRUE(all_restored.jobs[i].resumed);
-        EXPECT_EQ(all_restored.jobs[i].attempts, 0);
         expectBitIdentical(all_restored.jobs[i].metrics,
                            full.jobs[i].metrics);
     }
@@ -604,24 +554,19 @@ TEST_F(SweepTest, ResumeRefusesAForeignJournalFile)
 
 TEST_F(SweepTest, SweepOptionsFromEnvReadsResilienceKnobs)
 {
-    setenv("PEARL_SWEEP_RETRY", "4", 1);
     setenv("PEARL_SWEEP_JOURNAL", "/tmp/j.csv", 1);
     setenv("PEARL_SWEEP_RESUME", "true", 1);
     SweepOptions opts = SweepOptions::fromEnv();
-    EXPECT_EQ(opts.retryLimit, 4);
     EXPECT_EQ(opts.journalPath, "/tmp/j.csv");
     EXPECT_TRUE(opts.resume);
 
     // Garbage falls back to the defaults (warn-and-continue).
-    setenv("PEARL_SWEEP_RETRY", "-3", 1);
     setenv("PEARL_SWEEP_RESUME", "maybe", 1);
     unsetenv("PEARL_SWEEP_JOURNAL");
     opts = SweepOptions::fromEnv();
-    EXPECT_EQ(opts.retryLimit, 0);
     EXPECT_TRUE(opts.journalPath.empty());
     EXPECT_FALSE(opts.resume);
 
-    unsetenv("PEARL_SWEEP_RETRY");
     unsetenv("PEARL_SWEEP_RESUME");
 }
 

@@ -389,32 +389,7 @@ TEST(RefDiff, CmeshHotspotClusterMatchesReference)
     }
 }
 
-// Idle fast-forward vs the reference simulator (no fast path) --------------
-
-/** RAII override of PEARL_FAST_FORWARD. */
-class FastForwardEnv
-{
-  public:
-    explicit FastForwardEnv(const char *value)
-    {
-        const char *old = std::getenv("PEARL_FAST_FORWARD");
-        had_ = old != nullptr;
-        if (had_)
-            old_ = old;
-        ::setenv("PEARL_FAST_FORWARD", value, 1);
-    }
-    ~FastForwardEnv()
-    {
-        if (had_)
-            ::setenv("PEARL_FAST_FORWARD", old_.c_str(), 1);
-        else
-            ::unsetenv("PEARL_FAST_FORWARD");
-    }
-
-  private:
-    bool had_ = false;
-    std::string old_;
-};
+// A silent chip vs the reference simulator ----------------------------------
 
 traffic::BenchmarkProfile
 quietProfile(CoreType t)
@@ -431,7 +406,6 @@ quietProfile(CoreType t)
 struct QuietOutcome
 {
     Cycle cycle = 0;
-    Cycle fastForwarded = 0;
     std::uint64_t delivered = 0;
     std::uint64_t laserCycles = 0;
     std::uint64_t upSwitches = 0;
@@ -447,7 +421,6 @@ runQuietSystem(sim::Network &net, core::HeteroSystem &system, Cycle cycles)
     system.run(cycles);
     QuietOutcome out;
     out.cycle = net.cycle();
-    out.fastForwarded = system.fastForwardedCycles();
     out.delivered = net.stats().deliveredPackets();
     return out;
 }
@@ -455,7 +428,6 @@ runQuietSystem(sim::Network &net, core::HeteroSystem &system, Cycle cycles)
 QuietOutcome
 runQuietPearl(Cycle cycles, core::PowerPolicy &policy)
 {
-    FastForwardEnv env("1");
     const core::PearlConfig cfg;
     const photonic::PowerModel power;
     core::PearlNetwork net(cfg, power, core::DbaConfig{}, &policy);
@@ -480,10 +452,6 @@ runQuietPearl(Cycle cycles, core::PowerPolicy &policy)
 QuietOutcome
 runQuietRef(Cycle cycles, core::PowerPolicy &policy)
 {
-    // RefNetwork keeps the interface's default advanceIdle (0), so the
-    // system steps it through every single cycle — the honest baseline
-    // fastForwardQuiescent must be indistinguishable from.
-    FastForwardEnv env("1");
     const core::PearlConfig cfg;
     const photonic::PowerModel power;
     RefNetwork net(cfg, power, core::DbaConfig{}, &policy);
@@ -504,48 +472,26 @@ runQuietRef(Cycle cycles, core::PowerPolicy &policy)
     return out;
 }
 
-TEST(RefDiff, FastForwardQuiescentMatchesReferenceStaticPolicy)
+TEST(RefDiff, SilentChipReactiveLasersMatchReference)
 {
-    core::StaticPolicy ff_policy(photonic::WlState::WL64);
-    core::StaticPolicy ref_policy(photonic::WlState::WL64);
-    const QuietOutcome ff = runQuietPearl(12000, ff_policy);
-    const QuietOutcome ref = runQuietRef(12000, ref_policy);
-
-    EXPECT_GT(ff.fastForwarded, 0u) << "fast path never engaged";
-    EXPECT_EQ(ref.fastForwarded, 0u);
-    EXPECT_EQ(ff.cycle, ref.cycle);
-    EXPECT_EQ(ff.delivered, ref.delivered);
-    EXPECT_EQ(ff.laserCycles, ref.laserCycles);
-    EXPECT_EQ(ff.upSwitches, ref.upSwitches);
-    EXPECT_EQ(ff.downSwitches, ref.downSwitches);
-    EXPECT_EQ(ff.residencyWl8, ref.residencyWl8);
-    // The jump integrates k cycles as one multiply-add; the reference
-    // adds per cycle.  Same integral, different rounding path.
-    EXPECT_NEAR(ff.laserEnergyJ, ref.laserEnergyJ,
-                1e-9 * ref.laserEnergyJ);
-    EXPECT_NEAR(ff.trimmingEnergyJ, ref.trimmingEnergyJ,
-                1e-9 * ref.trimmingEnergyJ);
-}
-
-TEST(RefDiff, FastForwardQuiescentMatchesReferenceReactivePolicy)
-{
-    // A reactive policy on a silent fabric walks every laser down to
-    // WL8 through window-boundary downswitches — cycles fast-forward
-    // must land on exactly, never skip.
-    core::ReactivePolicy ff_policy;
+    // A reactive policy on a chip whose cores never issue walks every
+    // laser down to WL8 through window-boundary downswitches; the full
+    // system must drive both fabrics through the same states.
+    core::ReactivePolicy pearl_policy;
     core::ReactivePolicy ref_policy;
-    const QuietOutcome ff = runQuietPearl(12000, ff_policy);
+    const QuietOutcome pearl = runQuietPearl(12000, pearl_policy);
     const QuietOutcome ref = runQuietRef(12000, ref_policy);
 
-    EXPECT_GT(ff.fastForwarded, 0u);
-    EXPECT_GT(ff.downSwitches, 0u);
-    EXPECT_EQ(ff.downSwitches, ref.downSwitches);
-    EXPECT_EQ(ff.upSwitches, ref.upSwitches);
-    EXPECT_EQ(ff.laserCycles, ref.laserCycles);
-    EXPECT_GT(ff.residencyWl8, 0.9);
-    EXPECT_EQ(ff.residencyWl8, ref.residencyWl8);
-    EXPECT_NEAR(ff.laserEnergyJ, ref.laserEnergyJ,
-                1e-9 * ref.laserEnergyJ);
+    EXPECT_EQ(pearl.cycle, ref.cycle);
+    EXPECT_EQ(pearl.delivered, ref.delivered);
+    EXPECT_GT(pearl.downSwitches, 0u);
+    EXPECT_EQ(pearl.downSwitches, ref.downSwitches);
+    EXPECT_EQ(pearl.upSwitches, ref.upSwitches);
+    EXPECT_EQ(pearl.laserCycles, ref.laserCycles);
+    EXPECT_GT(pearl.residencyWl8, 0.9);
+    EXPECT_EQ(pearl.residencyWl8, ref.residencyWl8);
+    EXPECT_EQ(pearl.laserEnergyJ, ref.laserEnergyJ);
+    EXPECT_EQ(pearl.trimmingEnergyJ, ref.trimmingEnergyJ);
 }
 
 // Runtime invariant checker ------------------------------------------------
@@ -566,6 +512,20 @@ TEST(Invariants, AuditsEveryStepSilently)
         net.delivered().clear();
     }
     EXPECT_EQ(inv.stepsAudited(), 600u);
+}
+
+TEST(Invariants, CatchesASkippedCycle)
+{
+    // Every step is audited, so consecutive audits are one cycle apart.
+    const core::PearlConfig cfg = smallConfig();
+    const photonic::PowerModel power;
+    core::ReactivePolicy policy;
+    core::PearlNetwork net(cfg, power, core::DbaConfig{}, &policy);
+    Invariants inv;
+    inv.afterStep(net);
+    net.step();
+    net.step();
+    EXPECT_THROW(inv.afterStep(net), InvariantViolation);
 }
 
 TEST(Invariants, MaxScaleChipRunsInvariantClean)
