@@ -2,9 +2,9 @@
  * @file
  * Shared infrastructure for the figure/table reproduction benches.
  *
- * Every bench binary regenerates one table or figure of the paper.  Run
- * lengths and pair counts are environment-tunable so a quick smoke run
- * is possible:
+ * Each table bench regenerates one table of the paper; `bench_figures`
+ * regenerates Figs. 4-11 from one shared grid.  Run lengths and pair
+ * counts are environment-tunable so a quick smoke run is possible:
  *   PEARL_BENCH_CYCLES   measurement cycles per run   (default 60000)
  *   PEARL_BENCH_WARMUP   warmup cycles per run        (default 10000)
  *   PEARL_BENCH_PAIRS    test pairs to use, 0 = all   (default 0)
@@ -23,11 +23,10 @@
  * staying bit-identical to a serial run (each job's seed is derived
  * from (base seed, job index), never from scheduling order).
  *
- * Trained ridge models are cached as pearl_ml_rw<RW>.model in the
- * working directory so the figure benches that share a model do not
- * retrain; in-process the load goes through the mutex-guarded
- * `ml::ModelCache`, so concurrent sweep jobs cannot retrain or race on
- * the file.
+ * Trained ridge models are saved in the working directory as
+ * pearl_ml_rw<RW>_train<cycles>_pairs<pairs>.model, named after the
+ * two PEARL_BENCH_TRAIN* knobs, and reloaded by later runs with the
+ * same window and training budget.
  */
 
 #ifndef PEARL_BENCH_COMMON_HPP
@@ -47,7 +46,6 @@
 #include "metrics/experiment.hpp"
 #include "metrics/runner.hpp"
 #include "metrics/sweep.hpp"
-#include "ml/model_cache.hpp"
 #include "ml/pipeline.hpp"
 #include "ml/policy.hpp"
 #include "traffic/suite.hpp"
@@ -228,94 +226,22 @@ banner(const std::string &what, const std::string &paper_ref)
 }
 
 /**
- * Accumulates the sweep summaries of a bench process so the bench can
- * print one footer with the parallel speedup (tracked by the
- * BENCH_*.json trajectories).
- */
-class SweepTracker
-{
-  public:
-    static SweepTracker &
-    instance()
-    {
-        static SweepTracker tracker;
-        return tracker;
-    }
-
-    void
-    add(const metrics::SweepSummary &s)
-    {
-        total_.jobs += s.jobs;
-        total_.failed += s.failed;
-        total_.skipped += s.skipped;
-        total_.threads = std::max(total_.threads, s.threads);
-        total_.wallSeconds += s.wallSeconds;
-        total_.aggregateJobSeconds += s.aggregateJobSeconds;
-        total_.phaseSeconds.buildSeconds += s.phaseSeconds.buildSeconds;
-        total_.phaseSeconds.warmupSeconds +=
-            s.phaseSeconds.warmupSeconds;
-        total_.phaseSeconds.runSeconds += s.phaseSeconds.runSeconds;
-        total_.phaseSeconds.collectSeconds +=
-            s.phaseSeconds.collectSeconds;
-        ++sweeps_;
-    }
-
-    /** The per-sweep summary footer. */
-    void
-    print(std::ostream &os) const
-    {
-        if (total_.jobs == 0)
-            return;
-        os << "\n[sweep] " << total_.jobs << " jobs in " << sweeps_
-           << " sweep" << (sweeps_ == 1 ? "" : "s") << " on "
-           << total_.threads << " thread"
-           << (total_.threads == 1 ? "" : "s") << ": wall "
-           << TextTable::num(total_.wallSeconds, 2) << " s, aggregate "
-           << TextTable::num(total_.aggregateJobSeconds, 2)
-           << " s, speedup " << TextTable::num(total_.speedup(), 2)
-           << "x\n";
-        const metrics::PhaseTimings &p = total_.phaseSeconds;
-        if (p.totalSeconds() > 0.0) {
-            os << "[sweep] phases (aggregate): build "
-               << TextTable::num(p.buildSeconds, 2) << " s, warmup "
-               << TextTable::num(p.warmupSeconds, 2) << " s, run "
-               << TextTable::num(p.runSeconds, 2) << " s, collect "
-               << TextTable::num(p.collectSeconds, 2) << " s\n";
-        }
-    }
-
-  private:
-    metrics::SweepSummary total_;
-    std::size_t sweeps_ = 0;
-};
-
-/** Print the accumulated sweep footer (jobs, threads, wall vs
- *  aggregate time, speedup). */
-inline void
-sweepFooter()
-{
-    SweepTracker::instance().print(std::cout);
-}
-
-/**
  * Run a spec grid through the metrics::Runner facade (environment
- * configured: trace/dump knobs + PEARL_THREADS), feed the footer
- * tracker, and return the metrics in submission order (fatal on
- * failure).
+ * configured: trace/dump knobs + PEARL_THREADS) and return the metrics
+ * in submission order (fatal on failure).  `summary`, if given,
+ * receives the sweep's timing for a bench footer.
  */
 inline std::vector<metrics::RunMetrics>
 runGrid(const std::vector<metrics::RunSpec> &specs,
-        std::uint64_t base_seed = 100)
+        metrics::SweepSummary *summary = nullptr)
 {
-    metrics::RunnerOptions ro = metrics::RunnerOptions::fromEnv();
-    ro.sweep.baseSeed = base_seed;
-    const metrics::SweepResult result =
-        metrics::Runner(ro).sweep(specs);
-    SweepTracker::instance().add(result.summary);
+    const metrics::SweepResult result = metrics::Runner().sweep(specs);
     if (const metrics::SweepJobResult *bad = result.firstError()) {
         fatal("sweep job '", bad->metrics.configName, "/",
               bad->metrics.pairLabel, "' failed: ", bad->error);
     }
+    if (summary)
+        *summary = result.summary;
     std::vector<metrics::RunMetrics> runs;
     runs.reserve(result.jobs.size());
     for (const auto &j : result.jobs)
@@ -323,59 +249,70 @@ runGrid(const std::vector<metrics::RunSpec> &specs,
     return runs;
 }
 
-/**
- * Train (or load from cache) the ridge model for a reservation window.
- * The pipeline mirrors Section IV-A: random-state first pass, optional
- * policy-driven second pass, lambda tuned on the validation pairs.
- * Load-once: concurrent callers share one entry via ml::ModelCache.
- */
-inline const ml::PipelineResult &
-trainedModel(const traffic::BenchmarkSuite &suite, std::uint64_t rw,
-             bool verbose = true)
+/** One configuration's per-pair runs and their average. */
+struct ConfigResult
 {
-    return ml::ModelCache::instance().get(rw, [&suite, rw, verbose] {
-        const std::string path =
-            "pearl_ml_rw" + std::to_string(rw) + ".model";
+    std::string name;
+    std::vector<metrics::RunMetrics> runs;
+    metrics::RunMetrics avg;
+};
 
-        ml::PipelineConfig cfg;
-        cfg.reservationWindow = rw;
-        cfg.simCycles = envU64("PEARL_BENCH_TRAIN", 30000);
-        cfg.maxTrainPairs =
-            static_cast<int>(envU64("PEARL_BENCH_TRAIN_PAIRS", 0));
-        cfg.secondPass = true;
+/** Name a configuration's runs and average them over the pairs. */
+inline ConfigResult
+finish(std::string name, std::vector<metrics::RunMetrics> runs)
+{
+    ConfigResult r;
+    r.avg = metrics::average(runs, "avg");
+    r.avg.configName = name;
+    r.name = std::move(name);
+    r.runs = std::move(runs);
+    return r;
+}
 
-        ml::PipelineResult result;
-        {
-            std::ifstream in(path);
-            if (in && result.model.load(in)) {
-                if (verbose) {
-                    std::cout << "[ml] loaded cached model " << path
-                              << " (lambda " << result.model.lambda()
-                              << ")\n";
-                }
-                result.bestLambda = result.model.lambda();
-                return result;
-            }
-        }
+/**
+ * Load or train the ridge model for a reservation window.  The pipeline
+ * mirrors Section IV-A: random-state first pass, policy-driven second
+ * pass, lambda tuned on the validation pairs.  The model file is named
+ * after the window and both training-budget knobs, so a model trained
+ * at one budget is never loaded at another.
+ */
+inline ml::PipelineResult
+trainedModel(const traffic::BenchmarkSuite &suite, std::uint64_t rw)
+{
+    ml::PipelineConfig cfg;
+    cfg.reservationWindow = rw;
+    cfg.simCycles = envU64("PEARL_BENCH_TRAIN", 30000);
+    cfg.maxTrainPairs =
+        static_cast<int>(envU64("PEARL_BENCH_TRAIN_PAIRS", 0));
+    cfg.secondPass = true;
+    const std::string path =
+        "pearl_ml_rw" + std::to_string(rw) + "_train" +
+        std::to_string(cfg.simCycles) + "_pairs" +
+        std::to_string(cfg.maxTrainPairs) + ".model";
 
-        if (verbose) {
-            std::cout << "[ml] training ridge model for RW" << rw
-                      << " (cache miss; this runs the 36-pair "
-                         "pipeline)\n";
+    ml::PipelineResult result;
+    {
+        std::ifstream in(path);
+        if (in && result.model.load(in)) {
+            std::cout << "[ml] loaded cached model " << path
+                      << " (lambda " << result.model.lambda() << ")\n";
+            result.bestLambda = result.model.lambda();
+            return result;
         }
-        ml::TrainingPipeline pipeline(suite, cfg);
-        result = pipeline.run();
-        std::ofstream out(path);
-        result.model.save(out);
-        if (verbose) {
-            std::cout << "[ml] trained: lambda " << result.bestLambda
-                      << ", validation NRMSE "
-                      << TextTable::num(result.validationNrmse, 3)
-                      << ", " << result.trainSamples
-                      << " samples -> cached to " << path << "\n";
-        }
-        return result;
-    });
+    }
+
+    std::cout << "[ml] training ridge model for RW" << rw
+              << " (cache miss; this runs the 36-pair pipeline)\n";
+    ml::TrainingPipeline pipeline(suite, cfg);
+    result = pipeline.run();
+    std::ofstream out(path);
+    result.model.save(out);
+    std::cout << "[ml] trained: lambda " << result.bestLambda
+              << ", validation NRMSE "
+              << TextTable::num(result.validationNrmse, 3) << ", "
+              << result.trainSamples << " samples -> cached to " << path
+              << "\n";
+    return result;
 }
 
 /** Run a PEARL configuration over all test pairs (one Runner spec per

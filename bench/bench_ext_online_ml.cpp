@@ -11,7 +11,7 @@
  * pairs (which the offline model never saw).
  */
 
-#include "bench_powerscale.hpp"
+#include "bench_common.hpp"
 #include "ml/online_ridge.hpp"
 
 using namespace pearl;

@@ -132,6 +132,6 @@ main(int argc, char **argv)
     std::ofstream out("pearl_ml_rw500.model");
     result.model.save(out);
     std::cout << "\nModel saved to pearl_ml_rw500.model (reusable by "
-                 "power_scaling_explorer and the benches).\n";
+                 "power_scaling_explorer).\n";
     return 0;
 }

@@ -103,8 +103,7 @@ main(int argc, char **argv)
         });
     } else {
         std::cout << "(no pearl_ml_rw500.model in the working directory;"
-                     " run bench_fig6_throughput or the ml_workflow "
-                     "example to train one)\n\n";
+                     " run the ml_workflow example to train one)\n\n";
     }
 
     t.print(std::cout);
