@@ -24,9 +24,9 @@
  * from (base seed, job index), never from scheduling order).
  *
  * Trained ridge models are saved in the working directory as
- * pearl_ml_rw<RW>_train<cycles>_pairs<pairs>.model, named after the
- * two PEARL_BENCH_TRAIN* knobs, and reloaded by later runs with the
- * same window and training budget.
+ * pearl_ml_rw<RW>_train<cycles>_pairs<pairs>_v<schema>.model, named
+ * after the two PEARL_BENCH_TRAIN* knobs and kModelSchema, and reloaded
+ * by later runs with the same window, training budget and schema.
  */
 
 #ifndef PEARL_BENCH_COMMON_HPP
@@ -71,7 +71,7 @@ runOptions()
 
 /** Process CPU time (user + system, all threads).  Immune to VM steal
  *  and host contention, which swing wall clock on shared boxes by tens
- *  of percent; the host-throughput benches clock on this. */
+ *  of percent; bench_ext_scaling's host columns clock on this. */
 inline double
 cpuSeconds()
 {
@@ -81,7 +81,7 @@ cpuSeconds()
            double(ru.ru_stime.tv_sec) + double(ru.ru_stime.tv_usec) * 1e-6;
 }
 
-// JSON of the host-speed benches (BENCH_hotpath.json, BENCH_scaling.json).
+// JSON of bench_ext_scaling (BENCH_scaling.json).
 
 /** One `"key": value` member; the value is JSON text (jsonNum, jsonStr,
  *  jsonInline, jsonLines). */
@@ -270,11 +270,19 @@ finish(std::string name, std::vector<metrics::RunMetrics> runs)
 }
 
 /**
+ * Version of the simulator that trains the bench models.  Bump it with
+ * every golden regeneration: a model trained before a behaviour change
+ * is then retrained, not loaded.
+ */
+constexpr int kModelSchema = 1;
+
+/**
  * Load or train the ridge model for a reservation window.  The pipeline
  * mirrors Section IV-A: random-state first pass, policy-driven second
  * pass, lambda tuned on the validation pairs.  The model file is named
- * after the window and both training-budget knobs, so a model trained
- * at one budget is never loaded at another.
+ * after the window, both training-budget knobs and kModelSchema, so a
+ * model trained at another budget or by an older simulator is never
+ * loaded.
  */
 inline ml::PipelineResult
 trainedModel(const traffic::BenchmarkSuite &suite, std::uint64_t rw)
@@ -288,7 +296,8 @@ trainedModel(const traffic::BenchmarkSuite &suite, std::uint64_t rw)
     const std::string path =
         "pearl_ml_rw" + std::to_string(rw) + "_train" +
         std::to_string(cfg.simCycles) + "_pairs" +
-        std::to_string(cfg.maxTrainPairs) + ".model";
+        std::to_string(cfg.maxTrainPairs) + "_v" +
+        std::to_string(kModelSchema) + ".model";
 
     ml::PipelineResult result;
     {

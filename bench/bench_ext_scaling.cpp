@@ -12,15 +12,14 @@
  * Beyond 16 clusters the fabric splits into waveguide groups with
  * slot-arbitrated inter-group express broadcasts.
  *
- * Results land in BENCH_scaling.json (committed, like
- * BENCH_hotpath.json): the simulation metrics are produced at a pinned
- * seed, so those fields are machine-independent and diff only when
- * behaviour changes.  Each row also records host cost —
- * host_cycles_per_sec and host_sec_total, clocked on process CPU time
- * — which IS machine-dependent; treat those two fields as a
- * same-machine trajectory, not a cross-machine contract.  The headline
- * figure is per-cluster throughput retention at 64 clusters vs the
- * paper-sized 16-cluster chip.
+ * Results land in BENCH_scaling.json (committed): the simulation
+ * metrics are produced at a pinned seed, so those fields are
+ * machine-independent and diff only when behaviour changes.  Each row
+ * also records host cost — host_cycles_per_sec and host_sec_total,
+ * clocked on process CPU time — which IS machine-dependent; treat those
+ * two fields as a same-machine trajectory, not a cross-machine
+ * contract.  The headline figure is per-cluster throughput retention
+ * at 64 clusters vs the paper-sized 16-cluster chip.
  *
  * Knobs: PEARL_BENCH_CYCLES (60000), PEARL_BENCH_WARMUP (10000),
  * PEARL_BENCH_JSON (BENCH_scaling.json), plus the Runner's
@@ -65,8 +64,7 @@ run()
     const std::string json_path =
         envStr("PEARL_BENCH_JSON", "BENCH_scaling.json");
 
-    // One spec per cluster count, all derived from a TopologySpec —
-    // the grid runs through the parallel sweep engine.
+    // One spec per cluster count, all derived from a TopologySpec.
     std::vector<core::TopologySpec> topos;
     std::vector<metrics::RunSpec> specs;
     for (int clusters : kClusterCounts) {
@@ -87,8 +85,9 @@ run()
         specs.push_back(std::move(spec));
     }
 
-    // Each spec runs serially on the calling thread so the CPU-time
-    // delta around it is that topology's own host cost.
+    // Each spec runs serially through Runner::run on the calling
+    // thread, not as a sweep, so the CPU-time delta around it is that
+    // topology's own host cost.
     metrics::Runner runner;
     TextTable t({"clusters", "groups", "thru (flits/cyc)",
                  "thru/cluster", "vs 16", "avg lat", "cpu lat",
@@ -156,10 +155,12 @@ run()
     validateBenchJson(json_path, "ext_scaling", "delivered_packets");
     std::cout << "\n[scaling] wrote " << json_path << "\n"
               << "Expected shape: aggregate throughput grows with the "
-                 "cluster count while per-cluster throughput stays "
-                 "roughly flat — grouped waveguides add bandwidth with "
-                 "every group, and only inter-group packets pay the "
-                 "express reservation.\n";
+                 "cluster count, but per-cluster throughput falls — "
+                 "each group adds waveguide bandwidth, while "
+                 "inter-group packets pay the express reservation and "
+                 "the one memory-controller hub saturates at 128 "
+                 "clusters.  Laser energy per delivered bit falls with "
+                 "size.\n";
     return 0;
 }
 

@@ -12,11 +12,9 @@
 #define PEARL_CACHE_MEMORY_HPP
 
 #include <cstdint>
-#include <deque>
-#include <queue>
-#include <vector>
 
 #include "cache/config.hpp"
+#include "sim/min_heap.hpp"
 #include "sim/packet.hpp"
 #include "sim/sink.hpp"
 #include "sim/telemetry.hpp"
@@ -126,8 +124,7 @@ class MemoryNode
     double credit_ = 0.0;
     sim::PacketSink *sink_ = nullptr;
     sim::RouterTelemetry *telemetry_ = nullptr;
-    std::priority_queue<Pending, std::vector<Pending>, std::greater<Pending>>
-        pending_;
+    sim::MinHeap<Pending> pending_;
     MemoryStats stats_;
     std::uint64_t seq_ = 0;
 };

@@ -225,20 +225,16 @@ envRegistry()
          "non-zero appends a CSV copy after each bench table"},
         {"PEARL_BENCH_CYCLES", "u64", "60000",
          "measured cycles per bench run"},
-        {"PEARL_BENCH_JSON", "string", "per-bench",
-         "committed-baseline JSON path (bench_hotpath, "
-         "bench_ext_scaling)"},
+        {"PEARL_BENCH_JSON", "string", "BENCH_scaling.json",
+         "output JSON path of bench_ext_scaling"},
         {"PEARL_BENCH_PAIRS", "u64", "0 (= all)",
          "cap on benchmark pairs a figure aggregates over"},
-        {"PEARL_BENCH_REPS", "u64", "3",
-         "repetitions per timing bench; the best rep is reported"},
         {"PEARL_BENCH_TRAIN", "u64", "30000",
          "training-simulation cycles for ML benches"},
         {"PEARL_BENCH_TRAIN_PAIRS", "u64", "0 (= all)",
          "cap on training pairs for ML benches"},
-        {"PEARL_BENCH_WARMUP", "u64", "per-bench",
-         "warm-up cycles excluded from measurement (10000 for figure "
-         "benches, 2000 for bench_hotpath)"},
+        {"PEARL_BENCH_WARMUP", "u64", "10000",
+         "warm-up cycles excluded from measurement"},
         // Tests and fuzzing.
         {"PEARL_FUZZ_CASES", "u64", "200",
          "differential fuzz cases per campaign"},

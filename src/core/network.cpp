@@ -117,18 +117,6 @@ PearlNetwork::inject(const Packet &pkt)
     return true;
 }
 
-bool
-PearlNetwork::isWindowBoundary(int router, Cycle now) const
-{
-    const std::uint64_t rw = cfg_.reservationWindow;
-    if (rw == 0)
-        return false;
-    const std::uint64_t offset =
-        (static_cast<std::uint64_t>(cfg_.windowOffsetPerRouter) *
-         static_cast<std::uint64_t>(router)) % rw;
-    return (now % rw) == offset && now > 0;
-}
-
 void
 PearlNetwork::step()
 {
@@ -303,9 +291,10 @@ PearlNetwork::step()
                                 cfg_.cycleSeconds;
     }
 
-    // 5. Reservation-window boundaries (staggered per router).  One
-    // shared `cycle_ % rw` against precomputed per-router offsets — the
-    // same predicate as isWindowBoundary() without 17 modulos per cycle.
+    // 5. Reservation-window boundaries (staggered per router).  Router
+    // r's window ends at every cycle c > 0 with
+    // c % rw == (windowOffsetPerRouter * r) % rw; the offsets are
+    // precomputed, so one shared `cycle_ % rw` serves every router.
     const std::uint64_t rw = cfg_.reservationWindow;
     const std::uint64_t now_mod = rw ? cycle_ % rw : 0;
     for (int r = 0; r < cfg_.numNodes(); ++r) {

@@ -158,10 +158,6 @@ class PearlNetwork : public sim::Network
     /** Head-of-line cycles lost waiting for an express slot. */
     std::uint64_t expressStallCycles() const;
 
-    /** Energy of the per-group express reservation channels, joules
-     *  (also included in laserEnergyJ()). */
-    double expressLaserEnergyJ() const { return expressLaserEnergyJ_; }
-
     // Energy / power --------------------------------------------------
     double laserEnergyJ() const;
     double trimmingEnergyJ() const { return trimmingEnergyJ_; }
@@ -189,18 +185,6 @@ class PearlNetwork : public sim::Network
     /** The fault injector (inert unless cfg.faults.enabled). */
     const photonic::FaultInjector &faults() const { return faults_; }
 
-    /** Packets transmitted by `node` still awaiting an ACK. */
-    std::size_t
-    outstandingAcks(int node) const
-    {
-        return faults_.enabled()
-                   ? outstanding_[static_cast<std::size_t>(node)].size()
-                   : 0;
-    }
-
-    /** Packets network-wide waiting in the retransmit backoff queue. */
-    std::size_t pendingRetransmits() const { return retx_.size(); }
-
     // Introspection ---------------------------------------------------
     PearlRouter &router(int node) { return *routers_[node]; }
     const PearlRouter &router(int node) const { return *routers_[node]; }
@@ -209,21 +193,10 @@ class PearlNetwork : public sim::Network
         return routers_[node]->telemetry();
     }
     const PearlConfig &config() const { return cfg_; }
-    const photonic::PowerModel &routerPowerModel() const
-    {
-        return routerPower_;
-    }
 
     // Verification plane ----------------------------------------------
     /** Where every accepted packet currently is (see AuditCounts). */
     AuditCounts auditCounts() const;
-
-    /** Bits put on `node`'s waveguide during the last step(). */
-    int
-    bitsTransmitted(int node) const
-    {
-        return bitsScratch_[static_cast<std::size_t>(node)];
-    }
 
   private:
     /**
@@ -286,8 +259,6 @@ class PearlNetwork : public sim::Network
             return due > o.due;
         }
     };
-
-    bool isWindowBoundary(int router, sim::Cycle now) const;
 
     /** Receiver-side thermal condition feeding the BER model. */
     void receiverThermal(int node, double &trim_gap_c,

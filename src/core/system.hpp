@@ -19,13 +19,13 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "cache/cluster.hpp"
 #include "cache/l3.hpp"
 #include "cache/memory.hpp"
 #include "core/arch_config.hpp"
+#include "sim/min_heap.hpp"
 #include "sim/network.hpp"
 #include "sim/sink.hpp"
 #include "traffic/suite.hpp"
@@ -136,9 +136,7 @@ class HeteroSystem : public sim::PacketSink
     std::vector<std::unique_ptr<cache::L3Bank>> banks_;
     std::unique_ptr<cache::MemoryNode> memory_;
     std::vector<std::deque<sim::Packet>> outbox_;
-    std::priority_queue<LocalHop, std::vector<LocalHop>,
-                        std::greater<LocalHop>>
-        localHops_;
+    sim::MinHeap<LocalHop> localHops_;
 };
 
 } // namespace core
