@@ -3,14 +3,14 @@
  * Shared infrastructure for the figure/table reproduction benches.
  *
  * Each table bench regenerates one table of the paper; `bench_figures`
- * regenerates Figs. 4-11 from one shared grid.  Run lengths and pair
- * counts are environment-tunable so a quick smoke run is possible:
+ * regenerates Figs. 4-11 and `bench_ablations` the ablations and
+ * extensions, each from one shared Grid.  Run lengths and pair counts
+ * are environment-tunable so a quick smoke run is possible:
  *   PEARL_BENCH_CYCLES   measurement cycles per run   (default 60000)
  *   PEARL_BENCH_WARMUP   warmup cycles per run        (default 10000)
  *   PEARL_BENCH_PAIRS    test pairs to use, 0 = all   (default 0)
  *   PEARL_BENCH_TRAIN    training cycles per pair     (default 30000)
  *   PEARL_BENCH_TRAIN_PAIRS  training pairs, 0 = all  (default 0)
- *   PEARL_BENCH_CSV      also print CSV               (default 0)
  *   PEARL_THREADS        sweep job worker threads; 1 = serial
  *                        (default: hardware concurrency)
  *   PEARL_TRACE          per-window event tracing     (default 0)
@@ -18,10 +18,10 @@
  *                        else Chrome trace; one file per sweep job)
  *   PEARL_METRICS_DUMP   append canonical RunMetrics CSV rows here
  *
- * The (config x pair) grids run through the `metrics::Runner` facade
- * (parallel sweep engine underneath), so they scale with cores while
- * staying bit-identical to a serial run (each job's seed is derived
- * from (base seed, job index), never from scheduling order).
+ * A Grid runs its (config x pair) jobs through the `metrics::Runner`
+ * facade (parallel sweep engine underneath), so it scales with cores
+ * while staying bit-identical to a serial run (each job's seed is
+ * derived from its pair index, never from scheduling order).
  *
  * Trained ridge models are saved in the working directory as
  * pearl_ml_rw<RW>_train<cycles>_pairs<pairs>_v<schema>.model, named
@@ -34,7 +34,9 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <iostream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <sys/resource.h>
@@ -42,6 +44,7 @@
 #include <vector>
 
 #include "common/env.hpp"
+#include "common/rng.hpp"
 #include "common/table.hpp"
 #include "metrics/experiment.hpp"
 #include "metrics/runner.hpp"
@@ -52,12 +55,6 @@
 
 namespace pearl {
 namespace bench {
-
-inline std::uint64_t
-envU64(const char *name, std::uint64_t fallback)
-{
-    return pearl::envU64(name, fallback);
-}
 
 /** Common run options from the environment. */
 inline metrics::RunOptions
@@ -206,47 +203,12 @@ testPairs(const traffic::BenchmarkSuite &suite)
     return pairs;
 }
 
-/** Emit the table, optionally with a CSV copy. */
-inline void
-emit(const TextTable &table)
-{
-    table.print(std::cout);
-    if (envU64("PEARL_BENCH_CSV", 0)) {
-        std::cout << "\n--- csv ---\n";
-        table.printCsv(std::cout);
-    }
-}
-
 /** Print the standard bench banner. */
 inline void
 banner(const std::string &what, const std::string &paper_ref)
 {
     std::cout << "== PEARL reproduction: " << what << " ==\n"
               << "   (paper reference: " << paper_ref << ")\n\n";
-}
-
-/**
- * Run a spec grid through the metrics::Runner facade (environment
- * configured: trace/dump knobs + PEARL_THREADS) and return the metrics
- * in submission order (fatal on failure).  `summary`, if given,
- * receives the sweep's timing for a bench footer.
- */
-inline std::vector<metrics::RunMetrics>
-runGrid(const std::vector<metrics::RunSpec> &specs,
-        metrics::SweepSummary *summary = nullptr)
-{
-    const metrics::SweepResult result = metrics::Runner().sweep(specs);
-    if (const metrics::SweepJobResult *bad = result.firstError()) {
-        fatal("sweep job '", bad->metrics.configName, "/",
-              bad->metrics.pairLabel, "' failed: ", bad->error);
-    }
-    if (summary)
-        *summary = result.summary;
-    std::vector<metrics::RunMetrics> runs;
-    runs.reserve(result.jobs.size());
-    for (const auto &j : result.jobs)
-        runs.push_back(j.metrics);
-    return runs;
 }
 
 /** One configuration's per-pair runs and their average. */
@@ -257,17 +219,118 @@ struct ConfigResult
     metrics::RunMetrics avg;
 };
 
-/** Name a configuration's runs and average them over the pairs. */
-inline ConfigResult
-finish(std::string name, std::vector<metrics::RunMetrics> runs)
+/**
+ * Configurations x the test pairs, run as one sweep through the
+ * metrics::Runner facade (environment configured: trace/dump knobs +
+ * PEARL_THREADS).  Pair i of every configuration runs on
+ * deriveSeed(kBaseSeed, i), the seed a sweep of that configuration on
+ * its own derives, so each configuration's rows equal a run of it
+ * alone.  Add each distinct configuration once, run(), then read it
+ * into every table that shows it.
+ */
+class Grid
 {
-    ConfigResult r;
-    r.avg = metrics::average(runs, "avg");
-    r.avg.configName = name;
-    r.name = std::move(name);
-    r.runs = std::move(runs);
-    return r;
-}
+  public:
+    /** Base of the per-pair seed derivation. */
+    static constexpr std::uint64_t kBaseSeed = 100;
+
+    using MakePolicy = std::function<std::unique_ptr<core::PowerPolicy>()>;
+
+    explicit Grid(const traffic::BenchmarkSuite &suite)
+        : pairs_(testPairs(suite)), opts_(runOptions())
+    {}
+
+    /** Add a PEARL configuration; returns its index. */
+    std::size_t
+    pearl(const std::string &name, const core::PearlConfig &cfg,
+          const core::DbaConfig &dba, MakePolicy make_policy)
+    {
+        return add(metrics::pearlGrid(name, pairs_, cfg, dba,
+                                      std::move(make_policy), opts_));
+    }
+
+    /** Add a CMESH configuration; returns its index. */
+    std::size_t
+    cmesh(const std::string &name, const electrical::CmeshConfig &mesh)
+    {
+        return add(metrics::cmeshGrid(name, pairs_, mesh, opts_));
+    }
+
+    /** Run every job in one sweep; fatal if any job fails. */
+    void
+    run()
+    {
+        const metrics::SweepResult result = metrics::Runner().sweep(specs_);
+        if (const metrics::SweepJobResult *bad = result.firstError()) {
+            fatal("sweep job '", bad->metrics.configName, "/",
+                  bad->metrics.pairLabel, "' failed: ", bad->error);
+        }
+        summary_ = result.summary;
+        runs_.clear();
+        for (const auto &j : result.jobs)
+            runs_.push_back(j.metrics);
+    }
+
+    /** After run(): configuration `config`'s runs, named `name`, and
+     *  their average over the pairs. */
+    ConfigResult
+    result(std::size_t config, std::string name) const
+    {
+        PEARL_ASSERT((config + 1) * pairs_.size() <= runs_.size(),
+                     "Grid::result before run() or past the last config");
+        const auto first =
+            runs_.begin() +
+            static_cast<std::ptrdiff_t>(config * pairs_.size());
+        ConfigResult r;
+        r.runs.assign(first,
+                      first + static_cast<std::ptrdiff_t>(pairs_.size()));
+        r.avg = metrics::average(r.runs, "avg");
+        r.avg.configName = name;
+        r.name = std::move(name);
+        return r;
+    }
+
+    /** After run(): the [sweep] footer, with jobs, threads, wall vs
+     *  aggregate time, speedup and the per-phase split. */
+    void
+    printFooter() const
+    {
+        const metrics::SweepSummary &s = summary_;
+        std::cout << "[sweep] " << s.jobs << " jobs in one sweep on "
+                  << s.threads << " thread" << (s.threads == 1 ? "" : "s")
+                  << ": wall " << TextTable::num(s.wallSeconds, 2)
+                  << " s, aggregate "
+                  << TextTable::num(s.aggregateJobSeconds, 2)
+                  << " s, speedup " << TextTable::num(s.speedup(), 2)
+                  << "x\n";
+        const metrics::PhaseTimings &p = s.phaseSeconds;
+        if (p.totalSeconds() > 0.0) {
+            std::cout << "[sweep] phases (aggregate): build "
+                      << TextTable::num(p.buildSeconds, 2)
+                      << " s, warmup " << TextTable::num(p.warmupSeconds, 2)
+                      << " s, run " << TextTable::num(p.runSeconds, 2)
+                      << " s, collect "
+                      << TextTable::num(p.collectSeconds, 2) << " s\n";
+        }
+    }
+
+  private:
+    std::size_t
+    add(std::vector<metrics::RunSpec> specs)
+    {
+        for (std::size_t i = 0; i < specs.size(); ++i) {
+            specs[i].explicitSeed = deriveSeed(kBaseSeed, i);
+            specs_.push_back(std::move(specs[i]));
+        }
+        return specs_.size() / pairs_.size() - 1;
+    }
+
+    std::vector<traffic::BenchmarkPair> pairs_;
+    metrics::RunOptions opts_;
+    std::vector<metrics::RunSpec> specs_;
+    std::vector<metrics::RunMetrics> runs_;
+    metrics::SweepSummary summary_;
+};
 
 /**
  * Version of the simulator that trains the bench models.  Bump it with
@@ -322,30 +385,6 @@ trainedModel(const traffic::BenchmarkSuite &suite, std::uint64_t rw)
               << result.trainSamples << " samples -> cached to " << path
               << "\n";
     return result;
-}
-
-/** Run a PEARL configuration over all test pairs (one Runner spec per
- *  pair, executed in parallel) and return per-pair metrics. */
-template <typename MakePolicy>
-std::vector<metrics::RunMetrics>
-runPearlGrid(const traffic::BenchmarkSuite &suite,
-             const std::string &name, const core::PearlConfig &net_cfg,
-             const core::DbaConfig &dba, MakePolicy &&make_policy)
-{
-    return runGrid(metrics::pearlGrid(
-        name, testPairs(suite), net_cfg, dba,
-        std::forward<MakePolicy>(make_policy), runOptions()));
-}
-
-/** Run the CMESH baseline over all test pairs through the Runner
- *  facade (same derived seeds as the PEARL configs). */
-inline std::vector<metrics::RunMetrics>
-runCmeshGrid(const traffic::BenchmarkSuite &suite,
-             const std::string &name,
-             const electrical::CmeshConfig &mesh)
-{
-    return runGrid(
-        metrics::cmeshGrid(name, testPairs(suite), mesh, runOptions()));
 }
 
 } // namespace bench

@@ -143,7 +143,7 @@ run()
              {"host_cycles_per_sec", jsonNum(r.hostCyclesPerSec)},
              {"host_sec_total", jsonNum(r.hostSecTotal)}});
     }
-    emit(t);
+    t.print(std::cout);
 
     writeBenchJson(json_path,
                    {{"bench", jsonStr("ext_scaling")},

@@ -14,22 +14,18 @@
  *
  * Job seeds are deriveSeed(100, pair index), the seed a sweep of one
  * configuration over the pairs derives, so every row equals a run of
- * that configuration on its own.
+ * that configuration on its own (bench::Grid).
  */
 
 #include <map>
 
 #include "bench_common.hpp"
-#include "common/rng.hpp"
 
 using namespace pearl;
 
 namespace {
 
 using bench::ConfigResult;
-
-/** Base of the per-pair seed derivation. */
-constexpr std::uint64_t kBaseSeed = 100;
 
 /** Fig. 11's laser turn-on times; 2 ns is the default. */
 constexpr int kTurnOnNs[] = {2, 4, 16, 32};
@@ -63,7 +59,7 @@ figure4(const ConfigResult &dyn64)
     const double n = static_cast<double>(dyn64.runs.size());
     t.addRow({"average", "", "", TextTable::pct(cpu_sum / n),
               TextTable::pct(1.0 - cpu_sum / n)});
-    bench::emit(t);
+    t.print(std::cout);
 }
 
 /**
@@ -91,7 +87,7 @@ figure5(const std::vector<ConfigResult> &rows)
                   TextTable::num(row.avg.cpuLatencyCycles, 0),
                   TextTable::num(row.avg.gpuLatencyCycles, 0)});
     }
-    bench::emit(t);
+    t.print(std::cout);
 
     // Headline deltas in the paper's framing.
     auto find = [&rows](const std::string &n) -> const metrics::RunMetrics & {
@@ -124,7 +120,7 @@ figure5(const std::vector<ConfigResult> &rows)
               TextTable::pct(1.0 - dyn16.energyPerBitPj /
                                        cmesh16.energyPerBitPj),
               "88.8% lower"});
-    bench::emit(h);
+    h.print(std::cout);
 }
 
 /** Figs. 6 and 7's per-pair table: one column per configuration. */
@@ -141,7 +137,7 @@ perPairTable(const std::vector<ConfigResult> &results,
             row.push_back(TextTable::num(r.runs[i].*field, 3));
         p.addRow(row);
     }
-    bench::emit(p);
+    p.print(std::cout);
 }
 
 /**
@@ -172,7 +168,7 @@ figure6(const std::vector<ConfigResult> &results)
                                  1.0),
                   paper_loss[i]});
     }
-    bench::emit(t);
+    t.print(std::cout);
 
     std::cout << "\nPer-pair throughput (flits/cycle):\n";
     perPairTable(results, &metrics::RunMetrics::throughputFlitsPerCycle);
@@ -205,7 +201,7 @@ figure7(const std::vector<ConfigResult> &results)
                                            base.laserPowerW),
                   paper[i]});
     }
-    bench::emit(t);
+    t.print(std::cout);
 
     std::cout << "\nPer-pair laser power (W):\n";
     perPairTable(results, &metrics::RunMetrics::laserPowerW);
@@ -235,7 +231,7 @@ figure8(const std::vector<ConfigResult> &results)
                       TextTable::pct(
                           r.avg.residency[static_cast<std::size_t>(s)])});
         }
-        bench::emit(t);
+        t.print(std::cout);
         std::cout << "\n";
     }
 
@@ -252,7 +248,7 @@ figure8(const std::vector<ConfigResult> &results)
                       TextTable::pct(m.residency[4])});
         }
     }
-    bench::emit(p);
+    p.print(std::cout);
 }
 
 /**
@@ -285,13 +281,13 @@ figure9(const std::vector<ConfigResult> &results)
                                  1.0),
                   paper[i]});
     }
-    bench::emit(t);
+    t.print(std::cout);
 
     std::cout << "\nLatency view (cycles):\n";
     TextTable l({"config", "avg latency"});
     for (const auto &r : results)
         l.addRow({r.name, TextTable::num(r.avg.avgLatencyCycles, 0)});
-    bench::emit(l);
+    l.print(std::cout);
 }
 
 /**
@@ -325,7 +321,7 @@ figure10(const ConfigResult &baseline,
                   TextTable::pct(1.0 - r.avg.laserPowerW /
                                            baseline.avg.laserPowerW)});
     }
-    bench::emit(t);
+    t.print(std::cout);
 }
 
 /**
@@ -358,32 +354,10 @@ figure11(const std::vector<ConfigResult> &results)
                                      thr_at_2ns -
                                  1.0)});
     }
-    bench::emit(t);
+    t.print(std::cout);
     std::cout << "\nPaper reference: power variation < 1% across "
                  "turn-on times; Dyn RW500 throughput loss 0-17.9%, "
                  "Dyn RW2000 0-17.3% from 2 ns to 32 ns.\n";
-}
-
-/** The sweep footer: jobs, threads, wall vs aggregate time, speedup
- *  and the per-phase split. */
-void
-sweepFooter(const metrics::SweepSummary &s)
-{
-    std::cout << "\n[sweep] " << s.jobs << " jobs in one sweep on "
-              << s.threads << " thread" << (s.threads == 1 ? "" : "s")
-              << ": wall " << TextTable::num(s.wallSeconds, 2)
-              << " s, aggregate "
-              << TextTable::num(s.aggregateJobSeconds, 2)
-              << " s, speedup " << TextTable::num(s.speedup(), 2)
-              << "x\n";
-    const metrics::PhaseTimings &p = s.phaseSeconds;
-    if (p.totalSeconds() > 0.0) {
-        std::cout << "[sweep] phases (aggregate): build "
-                  << TextTable::num(p.buildSeconds, 2) << " s, warmup "
-                  << TextTable::num(p.warmupSeconds, 2) << " s, run "
-                  << TextTable::num(p.runSeconds, 2) << " s, collect "
-                  << TextTable::num(p.collectSeconds, 2) << " s\n";
-    }
 }
 
 } // namespace
@@ -392,8 +366,6 @@ int
 main()
 {
     traffic::BenchmarkSuite suite;
-    const auto pairs = bench::testPairs(suite);
-    const metrics::RunOptions opts = bench::runOptions();
 
     // Every model the grid uses, loaded or trained here before any job
     // exists.  The map outlives the sweep, so the policy factories may
@@ -402,26 +374,11 @@ main()
     for (std::uint64_t rw : {100ULL, 500ULL, 1000ULL, 2000ULL})
         models.emplace(rw, bench::trainedModel(suite, rw));
 
-    // The grid: each configuration over every pair, pair i on seed
-    // deriveSeed(kBaseSeed, i).  `add` returns the configuration's index.
-    std::vector<metrics::RunSpec> grid;
-    auto add = [&](std::vector<metrics::RunSpec> specs) {
-        for (std::size_t i = 0; i < specs.size(); ++i) {
-            specs[i].explicitSeed = deriveSeed(kBaseSeed, i);
-            grid.push_back(std::move(specs[i]));
-        }
-        return grid.size() / pairs.size() - 1;
-    };
+    // The grid: each configuration over every pair.
+    bench::Grid grid(suite);
     core::DbaConfig dyn;
     core::DbaConfig fcfs;
     fcfs.mode = core::DbaConfig::Mode::Fcfs;
-    auto pearl = [&](const std::string &name, const core::PearlConfig &cfg,
-                     const core::DbaConfig &dba,
-                     std::function<std::unique_ptr<core::PowerPolicy>()>
-                         make_policy) {
-        return add(metrics::pearlGrid(name, pairs, cfg, dba,
-                                      std::move(make_policy), opts));
-    };
     // (configuration, display name) in a figure's row order.
     using Rows = std::vector<std::pair<std::size_t, std::string>>;
 
@@ -443,12 +400,12 @@ main()
         for (const auto &[name, dba] :
              {std::pair{"PEARL-Dyn " + suffix, dyn},
               std::pair{"PEARL-FCFS " + suffix, fcfs}})
-            fig5.emplace_back(pearl(name, cfg, dba, make_static), name);
+            fig5.emplace_back(grid.pearl(name, cfg, dba, make_static),
+                              name);
         electrical::CmeshConfig mesh;
         mesh.linkCyclesPerFlit = cmesh_slowdown[i];
-        fig5.emplace_back(
-            add(metrics::cmeshGrid("CMESH " + suffix, pairs, mesh, opts)),
-            "CMESH " + suffix);
+        fig5.emplace_back(grid.cmesh("CMESH " + suffix, mesh),
+                          "CMESH " + suffix);
     }
     const std::size_t dyn64 = fig5[0].first;
     const std::size_t fcfs64 = fig5[1].first;
@@ -465,8 +422,9 @@ main()
             cfg.reservationWindow = rw;
             cfg.laserTurnOnCycles = static_cast<std::uint64_t>(2 * ns);
             fig11.emplace_back(
-                pearl(name + " " + std::to_string(ns) + "ns", cfg, dyn,
-                      [] { return std::make_unique<core::ReactivePolicy>(); }),
+                grid.pearl(
+                    name + " " + std::to_string(ns) + "ns", cfg, dyn,
+                    [] { return std::make_unique<core::ReactivePolicy>(); }),
                 name);
         }
     }
@@ -481,65 +439,57 @@ main()
         ml::MlPolicyConfig pol;
         pol.enable8Wl = enable8;
         const ml::RidgeRegression *model = &models.at(rw).model;
-        return pearl("ML RW" + std::to_string(rw) +
-                         (enable8 ? "" : " no8WL"),
-                     cfg, dyn, [model, pol] {
-                         return std::make_unique<ml::MlPowerPolicy>(model,
-                                                                    pol);
-                     });
+        return grid.pearl("ML RW" + std::to_string(rw) +
+                              (enable8 ? "" : " no8WL"),
+                          cfg, dyn, [model, pol] {
+                              return std::make_unique<ml::MlPowerPolicy>(
+                                  model, pol);
+                          });
     };
     std::map<std::uint64_t, std::size_t> ml_rw;
     for (const auto &[rw, model] : models)
         ml_rw[rw] = ml_config(rw, true);
     const std::size_t ml500_no8 = ml_config(500, false);
 
-    metrics::SweepSummary summary;
-    const std::vector<metrics::RunMetrics> runs =
-        bench::runGrid(grid, &summary);
-    auto result = [&](std::size_t config, std::string name) {
-        const auto first = runs.begin() + static_cast<std::ptrdiff_t>(
-                                              config * pairs.size());
-        return bench::finish(
-            std::move(name),
-            {first, first + static_cast<std::ptrdiff_t>(pairs.size())});
-    };
+    grid.run();
     auto results = [&](const Rows &rows) {
         std::vector<ConfigResult> out;
         for (const auto &[config, name] : rows)
-            out.push_back(result(config, name));
+            out.push_back(grid.result(config, name));
         return out;
     };
 
-    figure4(result(dyn64, "PEARL-Dyn 64WL"));
+    figure4(grid.result(dyn64, "PEARL-Dyn 64WL"));
     std::cout << "\n";
     figure5(results(fig5));
     std::cout << "\n";
     const std::vector<ConfigResult> scaling = {
-        result(dyn64, "64WL (PEARL-Dyn)"),
-        result(dyn500, "Dyn RW500"),
-        result(dyn2000, "Dyn RW2000"),
-        result(ml_rw.at(500), "ML RW500"),
-        result(ml500_no8, "ML RW500 no8WL"),
-        result(ml_rw.at(2000), "ML RW2000")};
+        grid.result(dyn64, "64WL (PEARL-Dyn)"),
+        grid.result(dyn500, "Dyn RW500"),
+        grid.result(dyn2000, "Dyn RW2000"),
+        grid.result(ml_rw.at(500), "ML RW500"),
+        grid.result(ml500_no8, "ML RW500 no8WL"),
+        grid.result(ml_rw.at(2000), "ML RW2000")};
     figure6(scaling);
     std::cout << "\n";
     figure7(scaling);
     std::cout << "\n";
-    figure8({result(ml_rw.at(500), "ML RW500"),
-             result(ml_rw.at(2000), "ML RW2000")});
+    figure8({grid.result(ml_rw.at(500), "ML RW500"),
+             grid.result(ml_rw.at(2000), "ML RW2000")});
     std::cout << "\n";
-    figure9({result(dyn64, "PEARL-Dyn (64WL)"),
-             result(fcfs64, "PEARL-FCFS (64WL)"),
-             result(dyn500, "Dyn RW500"),
-             result(ml500_no8, "ML RW500 (no 8WL)"),
-             result(cmesh64, "CMESH")});
+    figure9({grid.result(dyn64, "PEARL-Dyn (64WL)"),
+             grid.result(fcfs64, "PEARL-FCFS (64WL)"),
+             grid.result(dyn500, "Dyn RW500"),
+             grid.result(ml500_no8, "ML RW500 (no 8WL)"),
+             grid.result(cmesh64, "CMESH")});
     std::cout << "\n";
     Rows fig10;
     for (const auto &[rw, config] : ml_rw)
         fig10.emplace_back(config, "ML RW" + std::to_string(rw));
-    figure10(result(dyn64, "64WL"), results(fig10));
+    figure10(grid.result(dyn64, "64WL"), results(fig10));
     std::cout << "\n";
     figure11(results(fig11));
-    sweepFooter(summary);
+    std::cout << "\n";
+    grid.printFooter();
     return 0;
 }

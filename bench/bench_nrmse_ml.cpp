@@ -29,7 +29,7 @@ main()
 
         ml::PipelineConfig cfg;
         cfg.reservationWindow = rw;
-        cfg.simCycles = bench::envU64("PEARL_BENCH_TRAIN", 30000);
+        cfg.simCycles = envU64("PEARL_BENCH_TRAIN", 30000);
         ml::TrainingPipeline pipeline(suite, cfg);
 
         ml::MlPolicyConfig pol;
@@ -58,6 +58,6 @@ main()
                   TextTable::pct(eval.topStateAccuracy),
                   std::to_string(eval.samples)});
     }
-    bench::emit(t);
+    t.print(std::cout);
     return 0;
 }

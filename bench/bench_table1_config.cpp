@@ -24,7 +24,7 @@ main()
     cpu.addRow({"L1 Instr Cache (kB)", std::to_string(spec.cpuL1InstrKb)});
     cpu.addRow({"L1 Data Cache (kB)", std::to_string(spec.cpuL1DataKb)});
     cpu.addRow({"L2 Cache (kB)", std::to_string(spec.cpuL2Kb)});
-    bench::emit(cpu);
+    cpu.print(std::cout);
     std::cout << "\n";
 
     TextTable gpu({"GPU", "value"});
@@ -32,7 +32,7 @@ main()
     gpu.addRow({"Frequency (GHz)", TextTable::num(spec.gpuFreqGhz, 0)});
     gpu.addRow({"L1 Cache Size (kB)", std::to_string(spec.gpuL1Kb)});
     gpu.addRow({"L2 Cache Size (kB)", std::to_string(spec.gpuL2Kb)});
-    bench::emit(gpu);
+    gpu.print(std::cout);
     std::cout << "\n";
 
     TextTable shared({"Shared Components", "value"});
@@ -44,6 +44,6 @@ main()
     shared.addRow({"Clusters (routers)", std::to_string(net.numClusters)});
     shared.addRow({"Network cycle (ns)",
                    TextTable::num(spec.networkCycleSeconds() * 1e9, 2)});
-    bench::emit(shared);
+    shared.print(std::cout);
     return 0;
 }

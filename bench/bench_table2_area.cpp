@@ -35,7 +35,7 @@ main()
               TextTable::num(area.dynamicAllocationMm2, 3) + " mm^2"});
     t.addRow({"Machine Learning",
               TextTable::num(area.machineLearningMm2, 3) + " mm^2"});
-    bench::emit(t);
+    t.print(std::cout);
 
     std::cout << "\nDerived totals:\n";
     TextTable d({"quantity", "value"});
@@ -43,6 +43,6 @@ main()
               TextTable::num(area.totalMm2(), 1) + " mm^2"});
     d.addRow({"Adaptive (DBA+ML) overhead",
               TextTable::pct(area.adaptiveOverheadFraction(), 3)});
-    bench::emit(d);
+    d.print(std::cout);
     return 0;
 }

@@ -21,7 +21,7 @@ main()
     const auto &names = ml::FeatureExtractor::names();
     for (std::size_t i = 0; i < names.size(); ++i)
         t.addRow({std::to_string(i + 1), names[i]});
-    bench::emit(t);
+    t.print(std::cout);
 
     ml::MlCostModel cost;
     std::cout << "\nInference-unit cost (Section IV-B):\n";
@@ -37,6 +37,6 @@ main()
               TextTable::num(cost.averagePowerW(500) * 1e6, 1), "178.4"});
     c.addRow({"multiplier power at RW500 (uW)",
               TextTable::num(cost.multiplierPowerW(500) * 1e6, 1), "132"});
-    bench::emit(c);
+    c.print(std::cout);
     return 0;
 }

@@ -28,7 +28,7 @@ profileTable(const std::vector<traffic::BenchmarkProfile> &profiles,
                   TextTable::num(p.sharedFraction, 2),
                   TextTable::num(p.streamFraction, 2)});
     }
-    bench::emit(t);
+    t.print(std::cout);
     std::cout << "\n";
 }
 
@@ -48,7 +48,7 @@ main()
         t.addRow({"CPU", a, suite.find(a).name});
     for (const char *a : {"DCT", "Dwrt", "QRS", "Reduc"})
         t.addRow({"GPU", a, suite.find(a).name});
-    bench::emit(t);
+    t.print(std::cout);
     std::cout << "\n";
 
     std::cout << "Splits: " << suite.trainingPairs().size()

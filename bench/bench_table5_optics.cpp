@@ -37,7 +37,7 @@ main()
               "uW/ring"});
     t.addRow({"Ring Modulating",
               TextTable::num(dev.ringModulatingW * 1e6, 0), "uW/ring"});
-    bench::emit(t);
+    t.print(std::cout);
 
     photonic::LossBudget budget{dev, photonic::ChipGeometry{}};
     std::cout << "\nLoss budget:\n";
@@ -55,7 +55,7 @@ main()
               std::to_string(res.packetBits())});
     b.addRow({"reservation wavelengths",
               std::to_string(res.wavelengthsNeeded())});
-    bench::emit(b);
+    b.print(std::cout);
 
     std::cout << "\nLaser power per wavelength state "
               << "(network aggregate, Section IV-B):\n";
@@ -69,6 +69,6 @@ main()
                   TextTable::num(paper.laserPowerW(s), 3),
                   TextTable::num(derived.laserPowerW(s), 3)});
     }
-    bench::emit(p);
+    p.print(std::cout);
     return 0;
 }

@@ -12,7 +12,8 @@
 # so repeated runs are incremental and the user's ./build is untouched.
 # Every test flavour builds the library, the tests, bench/ and
 # examples/, so tier-1 includes the bench smokes (bench_trace_smoke,
-# bench_ext_scaling_smoke) and the tsan flavour race-checks their sweeps.
+# bench_ablations_smoke, bench_ext_scaling_smoke) and the tsan flavour
+# race-checks their sweeps.
 # Exits non-zero on the first failing flavour.
 #
 # The bench flavour runs pearlbench/selftest.py: it builds pearlbench

@@ -124,13 +124,6 @@ ClusterNode::l1IndexFor(CoreType t, int core_slot, bool instr) const
     return instr ? core_slot : cpu_cores + core_slot;
 }
 
-sim::CoreType
-ClusterNode::l1Type(int l1_index) const
-{
-    return l1_index < 2 * cfg_.cpuCoresPerCluster ? CoreType::CPU
-                                                  : CoreType::GPU;
-}
-
 bool
 ClusterNode::isSharedAddr(std::uint64_t line_addr) const
 {

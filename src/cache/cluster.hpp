@@ -186,7 +186,6 @@ class ClusterNode
     L1Array &l1Array(int l1_index);
     L2Array &l2Array(sim::CoreType t);
     int l1IndexFor(sim::CoreType t, int core_slot, bool instr) const;
-    sim::CoreType l1Type(int l1_index) const;
     bool isSharedAddr(std::uint64_t line_addr) const;
     void sendNetwork(sim::MsgClass cls, sim::CoherenceOp op,
                      std::uint64_t addr, sim::NodeId dst, sim::Cycle now);

@@ -17,7 +17,6 @@
 #include "sim/min_heap.hpp"
 #include "sim/packet.hpp"
 #include "sim/sink.hpp"
-#include "sim/telemetry.hpp"
 
 namespace pearl {
 namespace cache {
@@ -45,12 +44,7 @@ class MemoryNode
         : nodeId_(node_id), cfg_(cfg), rate_(responses_per_cycle)
     {}
 
-    void
-    attach(sim::PacketSink *sink, sim::RouterTelemetry *telemetry)
-    {
-        sink_ = sink;
-        telemetry_ = telemetry;
-    }
+    void attach(sim::PacketSink *sink) { sink_ = sink; }
 
     /** Handle a packet delivered to the memory node. */
     void
@@ -58,8 +52,8 @@ class MemoryNode
     {
         if (pkt.op == sim::CoherenceOp::Read) {
             ++stats_.reads;
-            pending_.push(Pending{now + cfg_.memoryCycles, pkt.src,
-                                  pkt.addr, pkt.msgClass});
+            pending_.push(
+                Pending{now + cfg_.memoryCycles, pkt.src, pkt.addr});
         } else {
             // Writebacks (and stray data) are absorbed.
             ++stats_.writes;
@@ -109,7 +103,6 @@ class MemoryNode
         sim::Cycle due;
         sim::NodeId requester;
         std::uint64_t addr;
-        sim::MsgClass reqClass;
 
         bool
         operator>(const Pending &o) const
@@ -123,7 +116,6 @@ class MemoryNode
     double rate_;
     double credit_ = 0.0;
     sim::PacketSink *sink_ = nullptr;
-    sim::RouterTelemetry *telemetry_ = nullptr;
     sim::MinHeap<Pending> pending_;
     MemoryStats stats_;
     std::uint64_t seq_ = 0;

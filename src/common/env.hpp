@@ -221,8 +221,6 @@ envRegistry()
         {"PEARL_THREADS", "u64", "hardware threads",
          "job worker threads for sweeps; single runs use one thread"},
         // Benchmarks (bench/*).
-        {"PEARL_BENCH_CSV", "u64", "0",
-         "non-zero appends a CSV copy after each bench table"},
         {"PEARL_BENCH_CYCLES", "u64", "60000",
          "measured cycles per bench run"},
         {"PEARL_BENCH_JSON", "string", "BENCH_scaling.json",

@@ -117,12 +117,6 @@ class Expected
         return *value_;
     }
 
-    T
-    valueOr(T fallback) const
-    {
-        return value_ ? *value_ : std::move(fallback);
-    }
-
     /** The error; only meaningful when !hasValue(). */
     const Error &error() const { return error_; }
 

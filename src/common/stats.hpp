@@ -2,10 +2,9 @@
  * @file
  * Lightweight statistics primitives shared by all subsystems.
  *
- * Counters are plain integers with names; ScalarStat adds rate queries;
  * RunningStat keeps an online mean/variance (Welford) without storing
- * samples; Histogram buckets values for distribution-shaped results such as
- * the wavelength-state residency of Figure 8.
+ * samples; DiscreteHistogram buckets values for distribution-shaped
+ * results such as the wavelength-state residency of Figure 8.
  */
 
 #ifndef PEARL_COMMON_STATS_HPP
@@ -46,7 +45,6 @@ class RunningStat
         return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
     }
 
-    double stddev() const { return std::sqrt(variance()); }
     double min() const { return n_ ? min_ : 0.0; }
     double max() const { return n_ ? max_ : 0.0; }
 
@@ -106,51 +104,6 @@ class DiscreteHistogram
   private:
     std::map<int, std::uint64_t> counts_;
     std::uint64_t total_ = 0;
-};
-
-/**
- * A named group of integer counters, used for per-router accounting where
- * the set of counter names is fixed at construction.
- */
-class CounterGroup
-{
-  public:
-    explicit CounterGroup(std::vector<std::string> names)
-        : names_(std::move(names)), values_(names_.size(), 0)
-    {}
-
-    std::size_t size() const { return values_.size(); }
-
-    std::uint64_t &
-    operator[](std::size_t idx)
-    {
-        PEARL_ASSERT(idx < values_.size());
-        return values_[idx];
-    }
-
-    std::uint64_t
-    operator[](std::size_t idx) const
-    {
-        PEARL_ASSERT(idx < values_.size());
-        return values_[idx];
-    }
-
-    const std::string &
-    name(std::size_t idx) const
-    {
-        PEARL_ASSERT(idx < names_.size());
-        return names_[idx];
-    }
-
-    void
-    reset()
-    {
-        std::fill(values_.begin(), values_.end(), 0);
-    }
-
-  private:
-    std::vector<std::string> names_;
-    std::vector<std::uint64_t> values_;
 };
 
 } // namespace pearl

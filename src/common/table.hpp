@@ -1,10 +1,10 @@
 /**
  * @file
- * Aligned text-table and CSV emission for the benchmark harness.
+ * Aligned text tables for the benchmark harness.
  *
- * Every bench binary regenerates one of the paper's tables or figures; the
- * TextTable renders the rows in a human-readable aligned form, and the same
- * data can be dumped as CSV for plotting.
+ * Every bench binary regenerates one or more of the paper's tables or
+ * figures; the TextTable renders the rows in a human-readable aligned
+ * form.  Machine-readable rows come from PEARL_METRICS_DUMP.
  */
 
 #ifndef PEARL_COMMON_TABLE_HPP
@@ -77,23 +77,6 @@ class TextTable
         for (std::size_t c = 0; c < width.size(); ++c)
             os << std::string(width[c], '-') << "  ";
         os << "\n";
-        for (const auto &row : rows_)
-            emit(row);
-    }
-
-    /** Render the table as CSV. */
-    void
-    printCsv(std::ostream &os) const
-    {
-        auto emit = [&](const std::vector<std::string> &row) {
-            for (std::size_t c = 0; c < row.size(); ++c) {
-                if (c)
-                    os << ",";
-                os << row[c];
-            }
-            os << "\n";
-        };
-        emit(header_);
         for (const auto &row : rows_)
             emit(row);
     }

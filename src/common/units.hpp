@@ -37,13 +37,6 @@ dbmToWatts(double dbm)
     return 1e-3 * std::pow(10.0, dbm / 10.0);
 }
 
-/** Convert absolute power in watts to dBm. */
-inline double
-wattsToDbm(double watts)
-{
-    return 10.0 * std::log10(watts / 1e-3);
-}
-
 // Scalar prefixes -----------------------------------------------------------
 
 constexpr double kilo = 1e3;
@@ -54,13 +47,6 @@ constexpr double micro = 1e-6;
 constexpr double nano = 1e-9;
 constexpr double pico = 1e-12;
 constexpr double femto = 1e-15;
-
-/** Seconds per cycle at a given clock frequency in Hz. */
-inline double
-cycleTime(double freq_hz)
-{
-    return 1.0 / freq_hz;
-}
 
 /** Number of whole clock cycles needed to cover `seconds` at `freq_hz`. */
 inline std::uint64_t

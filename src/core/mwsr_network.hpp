@@ -65,13 +65,6 @@ class MwsrNetwork : public sim::Network
      *  latency — the quantity R-SWMR removes). */
     double avgTokenWaitCycles() const;
 
-    /** Current token holder of a destination channel (tests). */
-    int
-    tokenHolder(int dst) const
-    {
-        return channels_[static_cast<std::size_t>(dst)].holder;
-    }
-
   private:
     /** One destination's waveguide + its circulating token. */
     struct Channel

@@ -171,13 +171,6 @@ class PearlNetwork : public sim::Network
     /** Fraction of router-cycles spent in `s` (Figure 8). */
     double residency(photonic::WlState s) const;
 
-    /** Thermal bank of a router (only when useThermalModel). */
-    const photonic::ThermalRingBank &thermalBank(int node) const
-    {
-        PEARL_ASSERT(node < static_cast<int>(thermal_.size()));
-        return thermal_[static_cast<std::size_t>(node)];
-    }
-
     /** Fraction of router-steps with rings out of thermal lock. */
     double thermalUnlockedFraction() const;
 

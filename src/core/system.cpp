@@ -49,8 +49,7 @@ HeteroSystem::HeteroSystem(sim::Network &network,
     }
     memory_ = std::make_unique<cache::MemoryNode>(
         cfg.home.memoryNode, cfg.hierarchy, cfg.memResponsesPerCycle);
-    memory_->attach(this, telemetry_ ? telemetry_(cfg.home.memoryNode)
-                                     : nullptr);
+    memory_->attach(this);
 }
 
 void
@@ -137,87 +136,11 @@ HeteroSystem::stepOnce()
     delivered.clear();
 }
 
-bool
-HeteroSystem::nodesQuiescent() const
-{
-    if (!localHops_.empty() || !memory_->quiescent())
-        return false;
-    for (const auto &box : outbox_) {
-        if (!box.empty())
-            return false;
-    }
-    for (const auto &cluster : clusters_) {
-        if (!cluster->quiescent())
-            return false;
-    }
-    for (const auto &bank : banks_) {
-        if (!bank->quiescent())
-            return false;
-    }
-    return true;
-}
-
 void
 HeteroSystem::run(Cycle cycles)
 {
     for (Cycle i = 0; i < cycles; ++i)
         stepOnce();
-}
-
-bool
-HeteroSystem::runUntilIdle(Cycle max_cycles)
-{
-    // Progress watchdog state: injected+delivered packet counts are a
-    // monotone progress measure; if they freeze while work is pending,
-    // the system is livelocked (e.g. every response of a dropped
-    // request chain timed out) and spinning to max_cycles would only
-    // waste time and hide the diagnosis.
-    std::uint64_t last_progress = network_.stats().injectedPackets() +
-                                  network_.stats().deliveredPackets();
-    int stalled_windows = 0;
-
-    for (Cycle i = 0; i < max_cycles; ++i) {
-        stepOnce();
-        if (network_.idle() && nodesQuiescent())
-            return true;
-
-        if (cfg_.watchdogWindowCycles != 0 &&
-            (i + 1) % cfg_.watchdogWindowCycles == 0) {
-            const std::uint64_t progress =
-                network_.stats().injectedPackets() +
-                network_.stats().deliveredPackets();
-            stalled_windows =
-                progress == last_progress ? stalled_windows + 1 : 0;
-            last_progress = progress;
-            if (stalled_windows >= cfg_.watchdogWindows) {
-                dumpStallDiagnostics(i + 1);
-                return false;
-            }
-        }
-    }
-    return false;
-}
-
-void
-HeteroSystem::dumpStallDiagnostics(Cycle elapsed) const
-{
-    std::ostringstream oss;
-    oss << "watchdog: no network progress over "
-        << cfg_.watchdogWindows << " windows of "
-        << cfg_.watchdogWindowCycles << " cycles (" << elapsed
-        << " cycles into runUntilIdle); giving up instead of spinning."
-        << "\n  injected=" << network_.stats().injectedPackets()
-        << " delivered=" << network_.stats().deliveredPackets()
-        << " dropped=" << network_.stats().droppedPackets()
-        << " retransmitted="
-        << network_.stats().retransmittedPackets() << "\n  outboxes:";
-    for (std::size_t n = 0; n < outbox_.size(); ++n) {
-        if (!outbox_[n].empty())
-            oss << " node" << n << "=" << outbox_[n].size();
-    }
-    oss << "\n  localHops=" << localHops_.size() << "\n";
-    network_.describeState(oss);
-    warn(oss.str());
 }
 
 cache::ClusterStats

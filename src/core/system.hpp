@@ -51,17 +51,6 @@ struct SystemConfig
     std::uint64_t seed = 1;
     std::uint64_t localHopCycles = 4; //!< same-router crossbar round
     double memResponsesPerCycle = 1.6; //!< aggregate MC bandwidth
-
-    /**
-     * Livelock watchdog for runUntilIdle: when the system is still
-     * pending but neither injects nor delivers a single packet for
-     * `watchdogWindows` consecutive windows of `watchdogWindowCycles`
-     * cycles, runUntilIdle dumps a diagnostic snapshot (per-router
-     * queue depths, outstanding retries) and returns false instead of
-     * spinning to max_cycles.  0 window cycles disables the watchdog.
-     */
-    std::uint64_t watchdogWindowCycles = 10000;
-    int watchdogWindows = 5;
 };
 
 /** Looks up the telemetry block of a node, or nullptr if none. */
@@ -83,10 +72,6 @@ class HeteroSystem : public sim::PacketSink
 
     /** Run `cycles` network cycles. */
     void run(sim::Cycle cycles);
-
-    /** Run until nothing is pending or `max_cycles` elapse.
-     *  @return true if the system drained. */
-    bool runUntilIdle(sim::Cycle max_cycles);
 
     // sim::PacketSink ----------------------------------------------------
     void send(sim::Packet &&pkt) override;
@@ -122,10 +107,6 @@ class HeteroSystem : public sim::PacketSink
 
     void stepOnce();
     void dispatch(const sim::Packet &pkt, sim::Cycle now);
-    void dumpStallDiagnostics(sim::Cycle elapsed) const;
-
-    /** True when no local hop, outbox or node model holds work. */
-    bool nodesQuiescent() const;
 
     sim::Network &network_;
     SystemConfig cfg_;

@@ -73,37 +73,32 @@ class OnlineRidge
     mutable std::vector<double> px_;
 };
 
-/** Online policy knobs. */
-struct OnlinePolicyConfig
-{
-    /**
-     * Only train on windows that could not have been throttled by the
-     * chosen state: either the window ran at the full 64-wavelength
-     * state or its mean input-buffer occupancy stayed low.  Without
-     * this guard the model learns the *throttled* injection counts as
-     * demand and drifts toward ever-lower states (the online version
-     * of the label-contamination problem the paper discusses for
-     * buffer utilization).
-     */
-    bool trainOnlyUnthrottled = true;
-    double unthrottledOccupancyBound = 0.25;
-};
-
 /**
  * Power policy that predicts with an OnlineRidge and feeds every closed
  * window back into it (predict-then-train, per router).
+ *
+ * It trains only on windows that could not have been throttled by the
+ * chosen state: either the window ran at the full 64-wavelength state
+ * or its mean input-buffer occupancy stayed under
+ * kUnthrottledOccupancyBound.  Without this guard the model learns the
+ * *throttled* injection counts as demand and drifts toward ever-lower
+ * states (the online version of the label-contamination problem the
+ * paper discusses for buffer utilization).
  */
 class OnlineMlPolicy : public core::PowerPolicy
 {
   public:
+    /** Mean input-buffer occupancy below which a window trains the
+     *  model whatever its wavelength state. */
+    static constexpr double kUnthrottledOccupancyBound = 0.25;
+
     /**
      * @param model  shared online model (not owned; must outlive).
      * @param cfg    Equation 7 selection-rule configuration.
      */
     OnlineMlPolicy(OnlineRidge *model, int num_routers,
-                   MlPolicyConfig cfg = MlPolicyConfig{},
-                   OnlinePolicyConfig online_cfg = OnlinePolicyConfig{})
-        : model_(model), cfg_(cfg), onlineCfg_(online_cfg),
+                   MlPolicyConfig cfg = MlPolicyConfig{})
+        : model_(model), cfg_(cfg),
           lastFeatures_(static_cast<std::size_t>(num_routers))
     {
         PEARL_ASSERT(model_);
@@ -118,7 +113,7 @@ class OnlineMlPolicy : public core::PowerPolicy
 
         // Train on the previous window's features, labelled by this
         // window's realised injections — but only when the label is a
-        // trustworthy demand signal (see OnlinePolicyConfig).
+        // trustworthy demand signal (see the class comment).
         const double w = obs.windowCycles
                              ? static_cast<double>(obs.windowCycles)
                              : 1.0;
@@ -127,9 +122,9 @@ class OnlineMlPolicy : public core::PowerPolicy
              obs.telemetry->gpuCoreBufOccupancy) / w;
         const bool unthrottled =
             obs.telemetry->wavelengths >= 64 ||
-            mean_occupancy < onlineCfg_.unthrottledOccupancyBound;
+            mean_occupancy < kUnthrottledOccupancyBound;
         auto &slot = lastFeatures_[static_cast<std::size_t>(obs.router)];
-        if (slot && (!onlineCfg_.trainOnlyUnthrottled || unthrottled)) {
+        if (slot && unthrottled) {
             model_->update(*slot, static_cast<double>(
                                       obs.telemetry->packetsInjected));
         }
@@ -150,7 +145,6 @@ class OnlineMlPolicy : public core::PowerPolicy
   private:
     OnlineRidge *model_;
     MlPolicyConfig cfg_;
-    OnlinePolicyConfig onlineCfg_;
     std::vector<std::optional<std::vector<double>>> lastFeatures_;
 };
 

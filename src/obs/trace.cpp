@@ -245,8 +245,6 @@ jobTracePath(const TraceOptions &opts, std::size_t job_index,
              const std::string &config_name,
              const std::string &pair_label)
 {
-    if (!opts.perJobSuffix)
-        return opts.path;
     std::string stem = opts.path;
     std::string ext = ".json";
     for (const char *candidate : {".jsonl", ".json"}) {

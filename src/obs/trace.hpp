@@ -122,10 +122,9 @@ class ChromeTraceSink : public TraceSink
 struct TraceOptions
 {
     bool enabled = false;
+    /** Runner::run() writes exactly this file; sweep job i writes
+     *  jobTracePath(*this, i, ...). */
     std::string path = "pearl_trace.json";
-    /** Sweeps write one file per job ("<stem>-job<i>-<config>-<pair>");
-     *  single runs via Runner::run() write exactly `path`. */
-    bool perJobSuffix = true;
 
     static TraceOptions fromEnv();
 };

@@ -57,8 +57,9 @@ class Network
     virtual bool idle() const = 0;
 
     /**
-     * Write a human-readable queue/health snapshot to `os` — used by
-     * the system watchdog when it detects livelock.  Default: nothing.
+     * Write a human-readable queue/health snapshot to `os`.  Default:
+     * nothing.  Kept virtual only because pearlbench's TimedNetwork
+     * overrides it; PearlNetwork's snapshot is read directly by tests.
      */
     virtual void
     describeState(std::ostream &os) const

@@ -185,8 +185,6 @@ class NetworkStats
         return classLatency_[static_cast<int>(c)].mean();
     }
 
-    const RunningStat &latencyStat() const { return latency_; }
-
     /** Latency percentile estimate (reservoir-sampled), cycles. */
     double
     latencyQuantile(double q) const

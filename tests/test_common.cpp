@@ -451,20 +451,6 @@ TEST(DiscreteHistogram, EmptyFractionIsZero)
     EXPECT_DOUBLE_EQ(h.fraction(3), 0.0);
 }
 
-TEST(CounterGroup, IndexingAndReset)
-{
-    CounterGroup g({"a", "b", "c"});
-    g[0] = 5;
-    g[2] += 7;
-    EXPECT_EQ(g[0], 5u);
-    EXPECT_EQ(g[1], 0u);
-    EXPECT_EQ(g[2], 7u);
-    EXPECT_EQ(g.name(1), "b");
-    g.reset();
-    EXPECT_EQ(g[0], 0u);
-    EXPECT_EQ(g[2], 0u);
-}
-
 TEST(Units, DbRoundTrip)
 {
     for (double db : {-30.0, -3.0, 0.0, 3.0, 10.0, 20.0}) {
@@ -503,15 +489,6 @@ TEST(TextTable, AlignsAndPreservesCells)
     EXPECT_NE(out.find("alpha"), std::string::npos);
     EXPECT_NE(out.find("22"), std::string::npos);
     EXPECT_EQ(t.rows().size(), 2u);
-}
-
-TEST(TextTable, CsvOutput)
-{
-    TextTable t({"a", "b"});
-    t.addRow({"1", "2"});
-    std::ostringstream oss;
-    t.printCsv(oss);
-    EXPECT_EQ(oss.str(), "a,b\n1,2\n");
 }
 
 TEST(TextTable, NumberFormatting)

@@ -42,7 +42,7 @@ TEST(MemoryNode, RespondsAfterLatency)
     cfg.memoryCycles = 20;
     CapturingSink sink;
     MemoryNode mem(16, cfg, /*responses_per_cycle=*/2.0);
-    mem.attach(&sink, nullptr);
+    mem.attach(&sink);
 
     mem.deliver(memRead(3, 0x42), /*now=*/5);
     for (Cycle t = 5; t < 24; ++t)
@@ -64,7 +64,7 @@ TEST(MemoryNode, AbsorbsWritebacks)
     HierarchyConfig cfg;
     CapturingSink sink;
     MemoryNode mem(16, cfg, 2.0);
-    mem.attach(&sink, nullptr);
+    mem.attach(&sink);
 
     Packet wb = memRead(4, 0x99);
     wb.op = CoherenceOp::Writeback;
@@ -83,7 +83,7 @@ TEST(MemoryNode, BandwidthCapThrottlesResponses)
     cfg.memoryCycles = 1;
     CapturingSink sink;
     MemoryNode mem(16, cfg, /*responses_per_cycle=*/0.5);
-    mem.attach(&sink, nullptr);
+    mem.attach(&sink);
 
     // 40 requests all due immediately: at 0.5 responses/cycle they take
     // about 80 cycles to drain.
@@ -102,7 +102,7 @@ TEST(MemoryNode, ReadsCounted)
     HierarchyConfig cfg;
     CapturingSink sink;
     MemoryNode mem(16, cfg, 2.0);
-    mem.attach(&sink, nullptr);
+    mem.attach(&sink);
     mem.deliver(memRead(0, 1), 0);
     mem.deliver(memRead(1, 2), 0);
     EXPECT_EQ(mem.stats().reads, 2u);

@@ -361,9 +361,6 @@ TEST(Trace, JobTracePathEncodesJobConfigAndPair)
     opts.path = "deep/stem.jsonl";
     EXPECT_EQ(obs::jobTracePath(opts, 0, "ml", "x264+QRS"),
               "deep/stem-job0-ml-x264_QRS.jsonl");
-
-    opts.perJobSuffix = false;
-    EXPECT_EQ(obs::jobTracePath(opts, 7, "a", "b"), "deep/stem.jsonl");
 }
 
 TEST(Trace, OptionsFromEnvironment)

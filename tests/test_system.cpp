@@ -182,20 +182,6 @@ TEST_F(SystemTest, MemoryNodeServesBankMisses)
     EXPECT_GT(system.memory().stats().reads, 0u);
 }
 
-TEST_F(SystemTest, RunUntilIdleOnQuietSystem)
-{
-    // With zero-rate profiles the system drains immediately.
-    traffic::BenchmarkProfile quiet_cpu = pair_.cpu;
-    quiet_cpu.accessRateOn = quiet_cpu.accessRateOff = 0.0;
-    traffic::BenchmarkProfile quiet_gpu = pair_.gpu;
-    quiet_gpu.accessRateOn = quiet_gpu.accessRateOff = 0.0;
-    BenchmarkPair quiet{quiet_cpu, quiet_gpu};
-
-    electrical::CmeshNetwork net;
-    HeteroSystem system(net, quiet, SystemConfig{});
-    EXPECT_TRUE(system.runUntilIdle(100));
-}
-
 TEST_F(SystemTest, ScalesDownToEightClusters)
 {
     // Section III-A2 discusses scaling the design; the model is
