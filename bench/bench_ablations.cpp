@@ -164,26 +164,6 @@ reactiveThresholds(const bench::Grid &grid, std::size_t baseline,
                  "thresholds favour throughput.\n";
 }
 
-ml::Dataset
-collectWith(const traffic::BenchmarkPair &pair, core::PowerPolicy &policy,
-            ml::LabelKind label, std::uint64_t rw, std::uint64_t cycles,
-            std::uint64_t seed)
-{
-    core::PearlConfig cfg;
-    cfg.reservationWindow = rw;
-    photonic::PowerModel power;
-    core::PearlNetwork net(cfg, power, core::DbaConfig{}, &policy);
-    ml::WindowDatasetCollector collector(net.numNodes(), cfg.l3Node,
-                                         label);
-    net.setWindowCollector(collector.callback());
-    core::SystemConfig sys;
-    sys.seed = seed;
-    core::HeteroSystem system(
-        net, pair, sys, [&net](int n) { return &net.telemetryOf(n); });
-    system.run(cycles);
-    return collector.takeDataset();
-}
-
 /**
  * The ML label choice.  The paper predicts *injected packets* rather
  * than buffer utilisation because utilisation depends on the wavelength
@@ -198,8 +178,10 @@ mlLabel(const traffic::BenchmarkSuite &suite)
                   "utilization",
                   "Section IV-A label-choice discussion");
 
-    const std::uint64_t rw = 500;
-    const std::uint64_t cycles = envU64("PEARL_BENCH_TRAIN", 30000);
+    ml::PipelineConfig cfg;
+    cfg.reservationWindow = 500;
+    cfg.simCycles = envU64("PEARL_BENCH_TRAIN", 30000);
+    const ml::TrainingPipeline pipeline(suite, cfg);
 
     auto train_pairs = suite.trainingPairs();
     train_pairs.resize(6); // one row per training CPU benchmark suffices
@@ -214,8 +196,8 @@ mlLabel(const traffic::BenchmarkSuite &suite)
         ml::Dataset train;
         std::uint64_t seed = 10;
         for (const auto &pair : train_pairs) {
-            train.append(collectWith(pair, random_policy, label, rw,
-                                     cycles, ++seed));
+            train.append(
+                pipeline.collect(pair, random_policy, ++seed, label));
         }
         ml::RidgeRegression model;
         model.fit(train, 1.0);
@@ -227,8 +209,7 @@ mlLabel(const traffic::BenchmarkSuite &suite)
         core::StaticPolicy low(photonic::WlState::WL16);
         ml::Dataset test;
         for (const auto &pair : test_pairs) {
-            test.append(
-                collectWith(pair, low, label, rw, cycles, ++seed));
+            test.append(pipeline.collect(pair, low, ++seed, label));
         }
         const double test_nrmse =
             ml::nrmseFit(test.labels, model.predictAll(test));

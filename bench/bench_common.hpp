@@ -1,10 +1,10 @@
 /**
  * @file
- * Shared infrastructure for the figure/table reproduction benches.
+ * Shared infrastructure for the reproduction benches.
  *
- * Each table bench regenerates one table of the paper; `bench_figures`
- * regenerates Figs. 4-11 and `bench_ablations` the ablations and
- * extensions, each from one shared Grid.  Run lengths and pair counts
+ * `bench_paper` regenerates Tables I-V, Figs. 4-11 and the NRMSE table
+ * and `bench_ablations` the ablations and extensions, each from one
+ * shared Grid.  Run lengths and pair counts
  * are environment-tunable so a quick smoke run is possible:
  *   PEARL_BENCH_CYCLES   measurement cycles per run   (default 60000)
  *   PEARL_BENCH_WARMUP   warmup cycles per run        (default 10000)

@@ -1,7 +1,10 @@
 /**
  * @file
- * Regenerates Figures 4-11, the paper's network comparison, from one
- * sweep.
+ * Regenerates the paper's evaluation: Tables I-V, Figures 4-11 and the
+ * Section IV-C predictive-performance (NRMSE) table, in that order.
+ *
+ * The five tables come from the static models and print first, before
+ * any model is loaded or any simulation runs.
  *
  * The eight figures compare 22 distinct configurations on the same
  * test pairs: PEARL-Dyn, PEARL-FCFS and CMESH at static 64/32/16
@@ -15,17 +18,258 @@
  * Job seeds are deriveSeed(100, pair index), the seed a sweep of one
  * configuration over the pairs derives, so every row equals a run of
  * that configuration on its own (bench::Grid).
+ *
+ * The NRMSE table scores the RW500 and RW2000 models the figures
+ * deploy, on data collected serially under each model's own policy.
  */
 
 #include <map>
 
 #include "bench_common.hpp"
+#include "core/arch_config.hpp"
+#include "core/area_model.hpp"
+#include "ml/cost_model.hpp"
+#include "ml/features.hpp"
+#include "photonic/loss_budget.hpp"
+#include "photonic/power_model.hpp"
+#include "photonic/reservation.hpp"
 
 using namespace pearl;
 
 namespace {
 
 using bench::ConfigResult;
+
+/** Table I: the PEARL architecture specification. */
+void
+table1()
+{
+    bench::banner("Table I — Architecture Specifications",
+                  "Section III-A2, Table I");
+
+    core::ArchSpec spec;
+    core::PearlConfig net;
+
+    TextTable cpu({"CPU", "value"});
+    cpu.addRow({"Cores", std::to_string(spec.cpuCores)});
+    cpu.addRow({"Threads/Core", std::to_string(spec.cpuThreadsPerCore)});
+    cpu.addRow({"Frequency (GHz)", TextTable::num(spec.cpuFreqGhz, 0)});
+    cpu.addRow({"L1 Instr Cache (kB)", std::to_string(spec.cpuL1InstrKb)});
+    cpu.addRow({"L1 Data Cache (kB)", std::to_string(spec.cpuL1DataKb)});
+    cpu.addRow({"L2 Cache (kB)", std::to_string(spec.cpuL2Kb)});
+    cpu.print(std::cout);
+    std::cout << "\n";
+
+    TextTable gpu({"GPU", "value"});
+    gpu.addRow({"Computation Units", std::to_string(spec.gpuComputeUnits)});
+    gpu.addRow({"Frequency (GHz)", TextTable::num(spec.gpuFreqGhz, 0)});
+    gpu.addRow({"L1 Cache Size (kB)", std::to_string(spec.gpuL1Kb)});
+    gpu.addRow({"L2 Cache Size (kB)", std::to_string(spec.gpuL2Kb)});
+    gpu.print(std::cout);
+    std::cout << "\n";
+
+    TextTable shared({"Shared Components", "value"});
+    shared.addRow({"Network Frequency (GHz)",
+                   TextTable::num(spec.networkFreqGhz, 0)});
+    shared.addRow({"L3 Cache Size (MB)", std::to_string(spec.l3CacheMb)});
+    shared.addRow({"Main Memory Size (GB)",
+                   std::to_string(spec.mainMemoryGb)});
+    shared.addRow({"Clusters (routers)", std::to_string(net.numClusters)});
+    shared.addRow({"Network cycle (ns)",
+                   TextTable::num(spec.networkCycleSeconds() * 1e9, 2)});
+    shared.print(std::cout);
+}
+
+/**
+ * Table II: the area overhead of the PEARL components, including the
+ * dynamic-allocation and machine-learning hardware.
+ */
+void
+table2()
+{
+    bench::banner("Table II — Area overhead for PEARL",
+                  "Table II, references [48][49][50]");
+
+    core::AreaModel area;
+    TextTable t({"Photonic and Electronic Component", "Area"});
+    t.addRow({"Cluster (CPU, GPU and L1 cache)",
+              TextTable::num(area.clusterMm2, 1) + " mm^2"});
+    t.addRow({"L2 Cache per Cluster",
+              TextTable::num(area.l2PerClusterMm2, 1) + " mm^2"});
+    t.addRow({"Optical Components (MRRs and Waveguides)",
+              TextTable::num(area.opticalComponentsMm2, 1) + " mm^2"});
+    t.addRow({"Waveguide Width",
+              TextTable::num(area.waveguideWidthUm, 2) + " um"});
+    t.addRow({"MRR Diameter",
+              TextTable::num(area.mrrDiameterUm, 1) + " um"});
+    t.addRow({"L3 Cache", TextTable::num(area.l3Mm2, 1) + " mm^2"});
+    t.addRow({"Router", TextTable::num(area.routerMm2, 3) + " mm^2"});
+    t.addRow({"On-Chip laser per router",
+              TextTable::num(area.laserPerRouterMm2, 3) + " mm^2"});
+    t.addRow({"Dynamic Allocation",
+              TextTable::num(area.dynamicAllocationMm2, 3) + " mm^2"});
+    t.addRow({"Machine Learning",
+              TextTable::num(area.machineLearningMm2, 3) + " mm^2"});
+    t.print(std::cout);
+
+    std::cout << "\nDerived totals:\n";
+    TextTable d({"quantity", "value"});
+    d.addRow({"Total chip area (16 clusters, 17 routers)",
+              TextTable::num(area.totalMm2(), 1) + " mm^2"});
+    d.addRow({"Adaptive (DBA+ML) overhead",
+              TextTable::pct(area.adaptiveOverheadFraction(), 3)});
+    d.print(std::cout);
+}
+
+/**
+ * Table III (the 30-feature list of the dynamic laser scaling model)
+ * and the Section IV-B hardware-cost numbers of the inference unit
+ * (44.6 pJ per prediction, 178.4 uW at RW500).
+ */
+void
+table3()
+{
+    bench::banner("Table III — Dynamic Laser Scaling Feature List",
+                  "Table III + Section IV-B cost estimate");
+
+    TextTable t({"#", "feature"});
+    const auto &names = ml::FeatureExtractor::names();
+    for (std::size_t i = 0; i < names.size(); ++i)
+        t.addRow({std::to_string(i + 1), names[i]});
+    t.print(std::cout);
+
+    ml::MlCostModel cost;
+    std::cout << "\nInference-unit cost (Section IV-B):\n";
+    TextTable c({"quantity", "model", "paper"});
+    c.addRow({"multiplies per prediction",
+              std::to_string(cost.multiplies()), "~30"});
+    c.addRow({"adds per prediction", std::to_string(cost.adds()), "~29"});
+    c.addRow({"energy per prediction (pJ)",
+              TextTable::num(cost.inferenceEnergyJ() * 1e12, 1), "44.6"});
+    c.addRow({"compute time (ns)", TextTable::num(cost.computeTimeNs, 0),
+              "5"});
+    c.addRow({"avg power at RW500 (uW)",
+              TextTable::num(cost.averagePowerW(500) * 1e6, 1), "178.4"});
+    c.addRow({"multiplier power at RW500 (uW)",
+              TextTable::num(cost.multiplierPowerW(500) * 1e6, 1), "132"});
+    c.print(std::cout);
+}
+
+void
+profileTable(const std::vector<traffic::BenchmarkProfile> &profiles,
+             const std::string &title)
+{
+    std::cout << title << "\n";
+    TextTable t({"abbrev", "benchmark name", "rate on/off", "on-frac",
+                 "ws lines", "wr", "shared", "stream"});
+    for (const auto &p : profiles) {
+        t.addRow({p.abbrev, p.name,
+                  TextTable::num(p.accessRateOn, 3) + "/" +
+                      TextTable::num(p.accessRateOff, 3),
+                  TextTable::num(p.onFraction(), 2),
+                  std::to_string(p.workingSetLines),
+                  TextTable::num(p.writeFraction, 2),
+                  TextTable::num(p.sharedFraction, 2),
+                  TextTable::num(p.streamFraction, 2)});
+    }
+    t.print(std::cout);
+    std::cout << "\n";
+}
+
+/**
+ * Table IV (the benchmarks used for testing the ML model) and the full
+ * synthetic-profile suite standing in for the PARSEC / SPLASH2 /
+ * OpenCL SDK programs (see DESIGN.md).
+ */
+void
+table4(const traffic::BenchmarkSuite &suite)
+{
+    bench::banner("Table IV — Benchmarks used for testing ML",
+                  "Table IV + Section IV-A splits");
+
+    std::cout << "Test benchmarks (Table IV):\n";
+    TextTable t({"Core Type", "Abbreviation", "Benchmark Name"});
+    for (const char *a : {"FA", "fmm", "Rad", "x264"})
+        t.addRow({"CPU", a, suite.find(a).name});
+    for (const char *a : {"DCT", "Dwrt", "QRS", "Reduc"})
+        t.addRow({"GPU", a, suite.find(a).name});
+    t.print(std::cout);
+    std::cout << "\n";
+
+    std::cout << "Splits: " << suite.trainingPairs().size()
+              << " training pairs (6 CPU x 6 GPU), "
+              << suite.validationPairs().size()
+              << " validation pairs (2 x 2), " << suite.testPairs().size()
+              << " test pairs (4 x 4)\n\n";
+
+    profileTable(suite.cpuBenchmarks(), "All CPU profiles:");
+    profileTable(suite.gpuBenchmarks(), "All GPU profiles:");
+}
+
+/**
+ * Table V (optical component losses and powers) and the per-state
+ * laser powers derived from the bottom-up loss budget, against the
+ * paper's calibrated values (Section IV-B).
+ */
+void
+table5()
+{
+    bench::banner("Table V — Optical components and laser power states",
+                  "Table V + Section IV-B power values");
+
+    photonic::DeviceConstants dev;
+    TextTable t({"Component", "Value", "Unit"});
+    t.addRow({"Modulator Insertion",
+              TextTable::num(dev.modulatorInsertionDb, 1), "dB"});
+    t.addRow({"Waveguide", TextTable::num(dev.waveguideDbPerCm, 1),
+              "dB/cm"});
+    t.addRow({"Coupler", TextTable::num(dev.couplerDb, 1), "dB"});
+    t.addRow({"Splitter", TextTable::num(dev.splitterDb, 1), "dB"});
+    t.addRow({"Filter Through", TextTable::num(dev.filterThroughDb, 5),
+              "dB"});
+    t.addRow({"Filter Drop", TextTable::num(dev.filterDropDb, 1), "dB"});
+    t.addRow({"Photodetector", TextTable::num(dev.photodetectorDb, 1),
+              "dB"});
+    t.addRow({"Receiver Sensitivity",
+              TextTable::num(dev.receiverSensitivityDbm, 0), "dBm"});
+    t.addRow({"Ring Heating", TextTable::num(dev.ringHeatingW * 1e6, 0),
+              "uW/ring"});
+    t.addRow({"Ring Modulating",
+              TextTable::num(dev.ringModulatingW * 1e6, 0), "uW/ring"});
+    t.print(std::cout);
+
+    photonic::LossBudget budget{dev, photonic::ChipGeometry{}};
+    std::cout << "\nLoss budget:\n";
+    TextTable b({"quantity", "value"});
+    b.addRow({"worst-case data path loss (dB)",
+              TextTable::num(budget.worstCasePathLossDb(), 2)});
+    b.addRow({"reservation broadcast loss (dB)",
+              TextTable::num(budget.reservationPathLossDb(), 2)});
+    b.addRow({"required laser optical power per wavelength (uW)",
+              TextTable::num(budget.requiredLaserOpticalW() * 1e6, 1)});
+    b.addRow({"calibrated wall-plug efficiency",
+              TextTable::pct(budget.calibratedEfficiency(), 2)});
+    photonic::ReservationChannel res;
+    b.addRow({"reservation packet (bits)",
+              std::to_string(res.packetBits())});
+    b.addRow({"reservation wavelengths",
+              std::to_string(res.wavelengthsNeeded())});
+    b.print(std::cout);
+
+    std::cout << "\nLaser power per wavelength state "
+              << "(network aggregate, Section IV-B):\n";
+    photonic::PowerModel paper;
+    photonic::PowerModel derived = photonic::PowerModel::fromLossBudget(
+        budget, budget.calibratedEfficiency());
+    TextTable p({"state", "paper (W)", "derived (W)"});
+    for (int i = photonic::kNumWlStates - 1; i >= 0; --i) {
+        const auto s = photonic::stateFromIndex(i);
+        p.addRow({photonic::toString(s),
+                  TextTable::num(paper.laserPowerW(s), 3),
+                  TextTable::num(derived.laserPowerW(s), 3)});
+    }
+    p.print(std::cout);
+}
 
 /** Fig. 11's laser turn-on times; 2 ns is the default. */
 constexpr int kTurnOnNs[] = {2, 4, 16, 32};
@@ -360,6 +604,61 @@ figure11(const std::vector<ConfigResult> &results)
                  "Dyn RW2000 0-17.3% from 2 ns to 32 ns.\n";
 }
 
+/**
+ * The Section IV-C predictive-performance numbers: NRMSE of the ridge
+ * model on validation vs test data for RW500 and RW2000, and the
+ * wavelength-state selection accuracy (the paper reports 99.9% accuracy
+ * for selecting the top 64WL state at RW2000).
+ */
+void
+nrmse(const traffic::BenchmarkSuite &suite,
+      const std::map<std::uint64_t, ml::PipelineResult> &models)
+{
+    bench::banner("ML predictive performance (NRMSE + state accuracy)",
+                  "Section IV-C text: NRMSE 0.79->0.68 (RW500), "
+                  "0.79->0.05 (RW2000), 99.9% top-state accuracy");
+
+    TextTable t({"window", "val NRMSE", "test NRMSE", "state acc",
+                 "top-state acc", "test samples"});
+    for (std::uint64_t rw : {500ULL, 2000ULL}) {
+        // Collect test data under the model's own policy, mirroring
+        // the paper's deployment measurement.
+        const ml::PipelineResult &trained = models.at(rw);
+
+        ml::PipelineConfig cfg;
+        cfg.reservationWindow = rw;
+        cfg.simCycles = envU64("PEARL_BENCH_TRAIN", 30000);
+        ml::TrainingPipeline pipeline(suite, cfg);
+
+        ml::MlPolicyConfig pol;
+        pol.enable8Wl = false;
+        ml::MlPowerPolicy policy(&trained.model, pol);
+        ml::Dataset test;
+        std::uint64_t seed = 900;
+        for (const auto &pair : bench::testPairs(suite))
+            test.append(pipeline.collect(pair, policy, ++seed));
+
+        const auto eval = pipeline.evaluate(trained.model, test);
+        // Validation NRMSE of the deployed model: the validation pairs
+        // re-collected under the model's own policy, so a freshly
+        // trained model and one loaded from its file report the same.
+        ml::Dataset val;
+        std::uint64_t vseed = 500;
+        for (const auto &pair : suite.validationPairs())
+            val.append(pipeline.collect(pair, policy, ++vseed));
+        const double val_nrmse =
+            ml::nrmseFit(val.labels, trained.model.predictAll(val));
+
+        t.addRow({"RW" + std::to_string(rw),
+                  TextTable::num(val_nrmse, 3),
+                  TextTable::num(eval.nrmse, 3),
+                  TextTable::pct(eval.stateAccuracy),
+                  TextTable::pct(eval.topStateAccuracy),
+                  std::to_string(eval.samples)});
+    }
+    t.print(std::cout);
+}
+
 } // namespace
 
 int
@@ -367,9 +666,19 @@ main()
 {
     traffic::BenchmarkSuite suite;
 
-    // Every model the grid uses, loaded or trained here before any job
-    // exists.  The map outlives the sweep, so the policy factories may
-    // hold pointers into it.
+    table1();
+    std::cout << "\n";
+    table2();
+    std::cout << "\n";
+    table3();
+    std::cout << "\n";
+    table4(suite);
+    table5();
+    std::cout << "\n";
+
+    // Every model the grid and the NRMSE table use, loaded or trained
+    // here before any job exists.  The map outlives the sweep, so the
+    // policy factories may hold pointers into it.
     std::map<std::uint64_t, ml::PipelineResult> models;
     for (std::uint64_t rw : {100ULL, 500ULL, 1000ULL, 2000ULL})
         models.emplace(rw, bench::trainedModel(suite, rw));
@@ -489,6 +798,8 @@ main()
     figure10(grid.result(dyn64, "64WL"), results(fig10));
     std::cout << "\n";
     figure11(results(fig11));
+    std::cout << "\n";
+    nrmse(suite, models);
     std::cout << "\n";
     grid.printFooter();
     return 0;

@@ -4,11 +4,15 @@
  * CMESH and print load diagnostics — injection rates, buffer occupancy,
  * cache miss rates — used to keep the synthetic traffic in the regime the
  * paper's techniques operate in (loaded but not permanently saturated).
+ *
+ * Usage: calibrate [cycles [rate_scale]]  (default 20000 and 1.0; the
+ * scale multiplies every profile's access rates)
  */
 
 #include <algorithm>
 #include <iostream>
 
+#include "common/env.hpp"
 #include "common/table.hpp"
 #include "core/network.hpp"
 #include "core/system.hpp"
@@ -115,8 +119,13 @@ runCmeshDiag(const traffic::BenchmarkPair &pair, sim::Cycle cycles)
 int
 main(int argc, char **argv)
 {
-    const sim::Cycle cycles = argc > 1 ? std::atoll(argv[1]) : 20000;
-    const double scale = argc > 2 ? std::atof(argv[2]) : 1.0;
+    std::uint64_t cycles = 20000;
+    double scale = 1.0;
+    if ((argc > 1 && (!parseU64(argv[1], cycles) || cycles == 0)) ||
+        (argc > 2 && (!parseDouble(argv[2], scale) || !(scale > 0.0)))) {
+        std::cerr << "usage: calibrate [cycles > 0 [rate_scale > 0]]\n";
+        return 2;
+    }
     traffic::BenchmarkSuite suite;
 
     TextTable table({"pair", "net", "inj pkt/cyc", "del flit/cyc",

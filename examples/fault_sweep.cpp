@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "common/env.hpp"
 #include "common/table.hpp"
 #include "metrics/runner.hpp"
 #include "ml/guarded_policy.hpp"
@@ -73,9 +74,13 @@ main(int argc, char **argv)
 
     metrics::RunOptions opts;
     opts.warmupCycles = 5000;
-    opts.measureCycles = argc > 3
-                             ? static_cast<sim::Cycle>(atoll(argv[3]))
-                             : 40000;
+    opts.measureCycles = 40000;
+    if (argc > 3 && (!parseU64(argv[3], opts.measureCycles) ||
+                     opts.measureCycles == 0)) {
+        std::cerr << "usage: fault_sweep [cpu_abbrev gpu_abbrev "
+                     "[cycles > 0]]\n";
+        return 2;
+    }
 
     const std::vector<Severity> sweep = {
         {"healthy", 0.0, 0.0, 0.0},

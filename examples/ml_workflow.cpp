@@ -21,6 +21,7 @@
 #include <iostream>
 #include <memory>
 
+#include "common/env.hpp"
 #include "common/table.hpp"
 #include "metrics/runner.hpp"
 #include "ml/features.hpp"
@@ -36,8 +37,12 @@ main(int argc, char **argv)
 
     ml::PipelineConfig cfg;
     cfg.reservationWindow = 500;
-    cfg.simCycles =
-        argc > 1 ? static_cast<std::uint64_t>(atoll(argv[1])) : 20000;
+    cfg.simCycles = 20000;
+    if (argc > 1 && (!parseU64(argv[1], cfg.simCycles) ||
+                     cfg.simCycles == 0)) {
+        std::cerr << "usage: ml_workflow [train_cycles > 0]\n";
+        return 2;
+    }
     cfg.maxTrainPairs = 12; // keep the demo quick; 0 = all 36
     ml::TrainingPipeline pipeline(suite, cfg);
 

@@ -16,6 +16,7 @@
 #include <iostream>
 #include <memory>
 
+#include "common/env.hpp"
 #include "common/table.hpp"
 #include "metrics/runner.hpp"
 #include "ml/policy.hpp"
@@ -34,9 +35,13 @@ main(int argc, char **argv)
 
     metrics::RunOptions opts;
     opts.warmupCycles = 10000;
-    opts.measureCycles = argc > 3
-                             ? static_cast<sim::Cycle>(atoll(argv[3]))
-                             : 60000;
+    opts.measureCycles = 60000;
+    if (argc > 3 && (!parseU64(argv[3], opts.measureCycles) ||
+                     opts.measureCycles == 0)) {
+        std::cerr << "usage: power_scaling_explorer [cpu_abbrev "
+                     "gpu_abbrev [cycles > 0]]\n";
+        return 2;
+    }
     core::DbaConfig dba;
 
     std::cout << "Power-performance frontier for " << pair.label()

@@ -14,6 +14,7 @@
 #include <fstream>
 #include <iostream>
 
+#include "common/env.hpp"
 #include "common/table.hpp"
 #include "core/network.hpp"
 #include "core/system.hpp"
@@ -27,8 +28,12 @@ using namespace pearl;
 int
 main(int argc, char **argv)
 {
-    const sim::Cycle capture_cycles =
-        argc > 1 ? static_cast<sim::Cycle>(atoll(argv[1])) : 20000;
+    std::uint64_t capture_cycles = 20000;
+    if (argc > 1 && (!parseU64(argv[1], capture_cycles) ||
+                     capture_cycles == 0)) {
+        std::cerr << "usage: trace_replay [capture_cycles > 0]\n";
+        return 2;
+    }
     traffic::BenchmarkSuite suite;
     traffic::BenchmarkPair pair{suite.find("x264"), suite.find("Reduc")};
 

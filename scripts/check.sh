@@ -12,8 +12,10 @@
 # so repeated runs are incremental and the user's ./build is untouched.
 # Every test flavour builds the library, the tests, bench/ and
 # examples/, so tier-1 includes the bench smokes (bench_trace_smoke,
-# bench_ablations_smoke, bench_ext_scaling_smoke) and the tsan flavour
-# race-checks their sweeps.
+# which runs every table and figure of bench_paper,
+# bench_paper_cold_warm, bench_ablations_smoke, bench_ext_scaling_smoke)
+# and one smoke per example, and the tsan flavour race-checks their
+# sweeps.
 # Exits non-zero on the first failing flavour.
 #
 # The bench flavour runs pearlbench/selftest.py: it builds pearlbench

@@ -1,25 +1,20 @@
 /**
  * @file
- * Structured errors and an `Expected<T>` result type.
+ * Structured errors and the `Validation` result type.
  *
  * PEARL_ASSERT is for simulator invariants — it aborts, which is the
  * right reaction to a bug but the wrong one to a user typo.  Everything
  * a *user* can get wrong (configuration structs, RunSpecs, environment
  * knobs) flows through this layer instead: validation entry points
- * return `Expected<void>` carrying an actionable message, callers that
+ * return a `Validation` carrying an actionable message, callers that
  * cannot continue throw `ConfigError`, and the sweep engine captures
  * such exceptions as structured per-job failures instead of taking the
  * whole run down.
- *
- * `Expected<T>` is a deliberately small subset of C++23 std::expected
- * (value-or-Error), enough for validation and parsing call sites; it is
- * not a coroutine-friendly monad and does not try to be.
  */
 
 #ifndef PEARL_COMMON_EXPECTED_HPP
 #define PEARL_COMMON_EXPECTED_HPP
 
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -90,48 +85,13 @@ class ConfigError : public std::runtime_error
     Error err_;
 };
 
-/** Value-or-Error result.  Default-constructed as an empty error. */
-template <typename T>
-class Expected
+/** Success-or-Error result: the canonical return type of `validate()`
+ *  entry points. */
+class Validation
 {
   public:
-    Expected(T value) : value_(std::move(value)) {} // NOLINT(google-explicit-constructor)
-    Expected(Error err) : error_(std::move(err)) {} // NOLINT(google-explicit-constructor)
-
-    bool hasValue() const { return value_.has_value(); }
-    explicit operator bool() const { return hasValue(); }
-
-    /** The value; throws ConfigError when this holds an error. */
-    T &
-    value()
-    {
-        if (!value_)
-            throw ConfigError(error_);
-        return *value_;
-    }
-    const T &
-    value() const
-    {
-        if (!value_)
-            throw ConfigError(error_);
-        return *value_;
-    }
-
-    /** The error; only meaningful when !hasValue(). */
-    const Error &error() const { return error_; }
-
-  private:
-    std::optional<T> value_;
-    Error error_;
-};
-
-/** Success-or-Error result of a validation entry point. */
-template <>
-class Expected<void>
-{
-  public:
-    Expected() = default;                           //!< success
-    Expected(Error err) : error_(std::move(err)) {} // NOLINT(google-explicit-constructor)
+    Validation() = default;                           //!< success
+    Validation(Error err) : error_(std::move(err)) {} // NOLINT(google-explicit-constructor)
 
     bool hasValue() const { return error_.code == ErrorCode::None; }
     explicit operator bool() const { return hasValue(); }
@@ -149,9 +109,6 @@ class Expected<void>
   private:
     Error error_;
 };
-
-/** The canonical return type of `validate()` entry points. */
-using Validation = Expected<void>;
 
 /** Build an InvalidConfig error from streamable parts. */
 template <typename... Args>

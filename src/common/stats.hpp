@@ -3,21 +3,14 @@
  * Lightweight statistics primitives shared by all subsystems.
  *
  * RunningStat keeps an online mean/variance (Welford) without storing
- * samples; DiscreteHistogram buckets values for distribution-shaped
- * results such as the wavelength-state residency of Figure 8.
+ * samples.
  */
 
 #ifndef PEARL_COMMON_STATS_HPP
 #define PEARL_COMMON_STATS_HPP
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
-#include <map>
-#include <string>
-#include <vector>
-
-#include "common/log.hpp"
 
 namespace pearl {
 
@@ -61,49 +54,6 @@ class RunningStat
     double m2_ = 0.0;
     double min_ = 0.0;
     double max_ = 0.0;
-};
-
-/** Discrete histogram keyed by integer bucket (e.g. wavelength state). */
-class DiscreteHistogram
-{
-  public:
-    void
-    add(int bucket, std::uint64_t weight = 1)
-    {
-        counts_[bucket] += weight;
-        total_ += weight;
-    }
-
-    std::uint64_t total() const { return total_; }
-
-    std::uint64_t
-    count(int bucket) const
-    {
-        auto it = counts_.find(bucket);
-        return it == counts_.end() ? 0 : it->second;
-    }
-
-    /** Fraction of total weight in `bucket`; 0 when empty. */
-    double
-    fraction(int bucket) const
-    {
-        return total_ ? static_cast<double>(count(bucket)) /
-                            static_cast<double>(total_)
-                      : 0.0;
-    }
-
-    const std::map<int, std::uint64_t> &buckets() const { return counts_; }
-
-    void
-    reset()
-    {
-        counts_.clear();
-        total_ = 0;
-    }
-
-  private:
-    std::map<int, std::uint64_t> counts_;
-    std::uint64_t total_ = 0;
 };
 
 } // namespace pearl

@@ -7,8 +7,8 @@
  * constraints the simulator otherwise only enforces via PEARL_ASSERT
  * (or not at all: several bad values — a zero reservation window, a
  * negative buffer depth — previously produced wrong numbers or UB
- * instead of a diagnostic).  Validators return `Validation`
- * (`Expected<void>`) with an actionable message naming the field, the
+ * instead of a diagnostic).  Validators return a `Validation` (success
+ * or an `Error`) with an actionable message naming the field, the
  * constraint and the offending value; they never log or abort, so
  * callers decide whether to throw (`throwIfInvalid`), record a
  * structured job failure, or print and exit.

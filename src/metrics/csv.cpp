@@ -16,13 +16,6 @@ namespace {
  * (metricFields) and journal restore (parseMetricCells) — walk this
  * visitor, so the schema cannot diverge between them.  `f` must expose
  * integer(name, u64&) and real(name, double&) overload points.
- *
- * The policy-fallback counters (RunMetrics::policyFallback*) are
- * deliberately NOT part of the canonical schema: the checked-in golden
- * CSVs and every PEARL_METRICS_DUMP consumer keep their byte-exact
- * column set, and the counters are zero except under the guarded ML
- * policy (they are published to the MetricsRegistry and printed by the
- * fault-sweep example instead).
  */
 template <typename F>
 void
@@ -50,6 +43,9 @@ visitMetricFields(RunMetrics &m, F &&f)
     f.integer("thermalUnlockedCycles", m.thermalUnlockedCycles);
     for (std::size_t s = 0; s < m.residency.size(); ++s)
         f.real("residency" + std::to_string(s), m.residency[s]);
+    f.integer("policyFallbackEntries", m.policyFallbackEntries);
+    f.integer("policyFallbackExits", m.policyFallbackExits);
+    f.integer("policyFallbackWindows", m.policyFallbackWindows);
 }
 
 /** Visitor collecting (name, value) descriptors for rendering. */

@@ -79,8 +79,6 @@ struct RunMetrics
     std::uint64_t thermalUnlockedCycles = 0;
 
     // Guard-layer counters (nonzero only under ml::GuardedPolicy).
-    // Deliberately outside the canonical CSV schema — see
-    // metrics/csv.cpp — so goldens and dump consumers are unaffected.
     std::uint64_t policyFallbackEntries = 0;
     std::uint64_t policyFallbackExits = 0;
     std::uint64_t policyFallbackWindows = 0;

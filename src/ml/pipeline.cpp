@@ -2,7 +2,6 @@
 
 #include "common/log.hpp"
 #include "core/network.hpp"
-#include "ml/collector.hpp"
 #include "photonic/power_model.hpp"
 
 namespace pearl {
@@ -19,13 +18,14 @@ TrainingPipeline::TrainingPipeline(const traffic::BenchmarkSuite &suite,
 
 Dataset
 TrainingPipeline::collect(const BenchmarkPair &pair,
-                          core::PowerPolicy &policy,
-                          std::uint64_t seed) const
+                          core::PowerPolicy &policy, std::uint64_t seed,
+                          LabelKind label) const
 {
     const photonic::PowerModel power;
     core::PearlNetwork net(cfg_.pearl, power, cfg_.dba, &policy);
 
-    WindowDatasetCollector collector(net.numNodes(), cfg_.pearl.l3Node);
+    WindowDatasetCollector collector(net.numNodes(), cfg_.pearl.l3Node,
+                                     label);
     net.setWindowCollector(collector.callback());
 
     core::SystemConfig sys = cfg_.system;

@@ -23,6 +23,7 @@
 #include "core/dba.hpp"
 #include "core/power_policy.hpp"
 #include "core/system.hpp"
+#include "ml/collector.hpp"
 #include "ml/policy.hpp"
 #include "ml/ridge.hpp"
 #include "traffic/suite.hpp"
@@ -80,11 +81,12 @@ class TrainingPipeline
     PipelineResult run();
 
     /**
-     * Simulate one benchmark pair under `policy` and return the labelled
-     * window dataset.
+     * Simulate one benchmark pair under `policy` and return the window
+     * dataset labelled with `label`.
      */
     Dataset collect(const traffic::BenchmarkPair &pair,
-                    core::PowerPolicy &policy, std::uint64_t seed) const;
+                    core::PowerPolicy &policy, std::uint64_t seed,
+                    LabelKind label = LabelKind::InjectedPackets) const;
 
     /** Collect a dataset over several pairs. */
     Dataset collectAll(const std::vector<traffic::BenchmarkPair> &pairs,

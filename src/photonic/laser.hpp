@@ -14,9 +14,9 @@
 #ifndef PEARL_PHOTONIC_LASER_HPP
 #define PEARL_PHOTONIC_LASER_HPP
 
+#include <array>
 #include <cstdint>
 
-#include "common/stats.hpp"
 #include "photonic/power_model.hpp"
 #include "photonic/wl_state.hpp"
 
@@ -78,7 +78,7 @@ class LaserBank
     tick(double cycle_seconds)
     {
         energyJ_ += model_->laserPowerW(state_) * cycle_seconds;
-        residency_.add(indexOf(state_));
+        ++residency_[static_cast<std::size_t>(indexOf(state_))];
         ++cycles_;
     }
 
@@ -96,7 +96,10 @@ class LaserBank
     double
     residency(WlState s) const
     {
-        return residency_.fraction(indexOf(s));
+        const auto ticks = residency_[static_cast<std::size_t>(indexOf(s))];
+        return cycles_ ? static_cast<double>(ticks) /
+                             static_cast<double>(cycles_)
+                       : 0.0;
     }
 
     std::uint64_t upSwitches() const { return upSwitches_; }
@@ -110,7 +113,7 @@ class LaserBank
         energyJ_ = 0.0;
         cycles_ = 0;
         upSwitches_ = downSwitches_ = 0;
-        residency_.reset();
+        residency_ = {};
     }
 
   private:
@@ -122,7 +125,8 @@ class LaserBank
     std::uint64_t cycles_ = 0;
     std::uint64_t upSwitches_ = 0;
     std::uint64_t downSwitches_ = 0;
-    DiscreteHistogram residency_;
+    /** Ticked cycles per state, by indexOf(); they sum to cycles_. */
+    std::array<std::uint64_t, kNumWlStates> residency_ = {};
 };
 
 } // namespace photonic

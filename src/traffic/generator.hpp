@@ -177,7 +177,6 @@ class alignas(64) CoreDemandGenerator
         return generateAccess();
     }
 
-    bool inBurst() const { return phase_ ? phase_->on() : on_; }
     const BenchmarkProfile &profile() const { return profile_; }
 
   private:

@@ -432,25 +432,6 @@ TEST(RunningStat, ResetClears)
     EXPECT_DOUBLE_EQ(s.mean(), 0.0);
 }
 
-TEST(DiscreteHistogram, FractionsSumToOne)
-{
-    DiscreteHistogram h;
-    h.add(0, 10);
-    h.add(1, 30);
-    h.add(4, 60);
-    EXPECT_EQ(h.total(), 100u);
-    EXPECT_DOUBLE_EQ(h.fraction(0), 0.10);
-    EXPECT_DOUBLE_EQ(h.fraction(1), 0.30);
-    EXPECT_DOUBLE_EQ(h.fraction(4), 0.60);
-    EXPECT_DOUBLE_EQ(h.fraction(2), 0.0);
-}
-
-TEST(DiscreteHistogram, EmptyFractionIsZero)
-{
-    DiscreteHistogram h;
-    EXPECT_DOUBLE_EQ(h.fraction(3), 0.0);
-}
-
 TEST(Units, DbRoundTrip)
 {
     for (double db : {-30.0, -3.0, 0.0, 3.0, 10.0, 20.0}) {

@@ -87,6 +87,9 @@ fuzzedMetrics(Rng &rng, const std::vector<double> &corpus)
     m.ackTimeouts = rng.next();
     m.droppedPackets = rng.next();
     m.thermalUnlockedCycles = rng.next();
+    m.policyFallbackEntries = rng.next();
+    m.policyFallbackExits = rng.next();
+    m.policyFallbackWindows = rng.next();
     // Double fields: a special value or a raw random bit pattern.
     const auto draw = [&]() -> double {
         if (rng.chance(0.5))

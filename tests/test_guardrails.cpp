@@ -409,15 +409,15 @@ TEST(Guardrails, ZeroDegradationAgainstBareMlRun)
     }
 }
 
-TEST(Guardrails, BrokenModelEngagesFallbackAndTraces)
+/**
+ * Fault injection for the guard itself: a model that predicts zero
+ * demand under real traffic, on a faulty fabric.  The run is long
+ * enough (12 window boundaries) for the tightened guard (4-sample
+ * window, 2-window streak) to fill its error window and trip.
+ */
+metrics::RunSpec
+brokenModelSpec()
 {
-    // Fault injection for the guard itself: a model that predicts zero
-    // demand under real traffic.  The guarded run must engage the
-    // fallback (counters land in RunMetrics through NetworkStats) and
-    // emit policy_fallback transition events into the trace.  The run
-    // is long enough (12 window boundaries) for the tightened guard
-    // (4-sample window, 2-window streak) to fill its error window and
-    // trip.
     static const RidgeRegression broken = constantModel(0.0);
     GuardrailConfig tight;
     tight.errorWindow = 4;
@@ -432,6 +432,15 @@ TEST(Guardrails, BrokenModelEngagesFallbackAndTraces)
     spec.pearl.faults.seed = 0xFA017;
     spec.pearl.faults.baseBer = 5e-5;
     spec.pearl.faults.reservationDropRate = 1e-3;
+    return spec;
+}
+
+TEST(Guardrails, BrokenModelEngagesFallbackAndTraces)
+{
+    // The guarded run must engage the fallback (counters land in
+    // RunMetrics through NetworkStats) and emit policy_fallback
+    // transition events into the trace.
+    metrics::RunSpec spec = brokenModelSpec();
 
     const std::string trace_path =
         ::testing::TempDir() + "/guardrail_trace.jsonl";
@@ -452,6 +461,35 @@ TEST(Guardrails, BrokenModelEngagesFallbackAndTraces)
     EXPECT_NE(buf.str().find("policy_fallback"), std::string::npos)
         << "no policy_fallback events in the trace";
     std::remove(trace_path.c_str());
+}
+
+TEST(Guardrails, FallbackCountersSurviveJournalResume)
+{
+    // The fallback counters are journal columns: a job restored from
+    // the sweep journal reports the counters of the run that wrote it.
+    const std::string journal =
+        ::testing::TempDir() + "/guardrail_journal.csv";
+    std::remove(journal.c_str());
+    const std::vector<metrics::RunSpec> jobs = {brokenModelSpec()};
+    metrics::SweepOptions so;
+    so.threads = 1;
+    so.journalPath = journal;
+    const metrics::SweepResult ran = metrics::SweepRunner(so).run(jobs);
+    ASSERT_TRUE(ran.allOk());
+    const metrics::RunMetrics &a = ran.jobs[0].metrics;
+    EXPECT_GT(a.policyFallbackEntries, 0u);
+    EXPECT_GT(a.policyFallbackWindows, 0u);
+
+    so.resume = true;
+    const metrics::SweepResult resumed =
+        metrics::SweepRunner(so).run(jobs);
+    ASSERT_TRUE(resumed.allOk());
+    ASSERT_TRUE(resumed.jobs[0].resumed);
+    const metrics::RunMetrics &b = resumed.jobs[0].metrics;
+    EXPECT_EQ(b.policyFallbackEntries, a.policyFallbackEntries);
+    EXPECT_EQ(b.policyFallbackExits, a.policyFallbackExits);
+    EXPECT_EQ(b.policyFallbackWindows, a.policyFallbackWindows);
+    std::remove(journal.c_str());
 }
 
 } // namespace

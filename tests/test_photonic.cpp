@@ -241,6 +241,8 @@ TEST(LaserBank, ResidencyTracksStates)
 {
     PowerModel model;
     LaserBank bank(model, 0, WlState::WL64);
+    for (WlState s : kWlStates)
+        EXPECT_EQ(bank.residency(s), 0.0) << "before any tick";
     const double dt = 0.5e-9;
     for (int i = 0; i < 750; ++i)
         bank.tick(dt);

@@ -92,6 +92,9 @@ expectBitIdentical(const RunMetrics &a, const RunMetrics &b)
         EXPECT_SAME_BITS(a.residency[s], b.residency[s],
                          "residency[" + std::to_string(s) + "]");
     }
+    EXPECT_EQ(a.policyFallbackEntries, b.policyFallbackEntries);
+    EXPECT_EQ(a.policyFallbackExits, b.policyFallbackExits);
+    EXPECT_EQ(a.policyFallbackWindows, b.policyFallbackWindows);
 }
 
 core::PearlConfig

@@ -46,20 +46,10 @@ failsMentioning(const Validation &v, const std::string &needle)
     return testing::AssertionSuccess();
 }
 
-// Expected<T> ------------------------------------------------------------
+// Validation -------------------------------------------------------------
 
-TEST(Expected, ValueAndErrorStates)
+TEST(Validation, SuccessAndErrorStates)
 {
-    Expected<int> ok(42);
-    EXPECT_TRUE(ok.hasValue());
-    EXPECT_EQ(ok.value(), 42);
-
-    Expected<int> bad(Error(ErrorCode::InvalidArgument, "nope"));
-    EXPECT_FALSE(bad.hasValue());
-    EXPECT_FALSE(bad);
-    EXPECT_EQ(bad.error().code, ErrorCode::InvalidArgument);
-    EXPECT_EQ(bad.error().message, "nope");
-
     Validation v; // default: success
     EXPECT_TRUE(v);
     EXPECT_NO_THROW(throwIfInvalid(v));
