@@ -6,13 +6,34 @@
  * (L2 lines track which local L1s hold the line; L3 lines carry directory
  * state).  Addresses are cache-line granular throughout the simulator, so
  * the array indexes directly on line addresses.
+ *
+ * Sets materialise on first touch.  Construction allocates the line and
+ * shadow-tag storage but writes none of it; a bitmap with one bit per
+ * set records which sets exist.  victim() and victimWhere() construct a
+ * set's `Line{}`s and zero its shadow tags the first time they reach
+ * it, find() misses on a set that does not exist yet without reading
+ * its storage, and reset() clears the bitmap.  A set therefore holds
+ * exactly what an eagerly initialised array would hold before any
+ * operation can observe it, so every result is the eager array's, while
+ * a short run pays only for the sets it touches (DESIGN.md "Hot path").
+ * Under AddressSanitizer the storage of every unmaterialised set is
+ * poisoned, so reading a set that does not exist yet fails the run.
  */
 
 #ifndef PEARL_CACHE_CACHE_ARRAY_HPP
 #define PEARL_CACHE_CACHE_ARRAY_HPP
 
+#include <algorithm>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <type_traits>
 #include <vector>
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
 
 #include "common/log.hpp"
 #include "cache/nmoesi.hpp"
@@ -40,6 +61,8 @@ class CacheArray
         CacheState state = CacheState::I;
         Meta meta{};
     };
+    // Storage is released without running destructors.
+    static_assert(std::is_trivially_destructible_v<Line>);
 
     /**
      * @param total_lines capacity in lines (must be divisible by ways).
@@ -60,18 +83,24 @@ class CacheArray
         // keep the modulo path; the mapping is identical either way.
         pow2Sets_ = (numSets_ & (numSets_ - 1)) == 0;
         setMask_ = numSets_ - 1;
-        lines_.resize(total_lines);
-        tags_.resize(total_lines, 0);
+        lines_ = allocate<Line>(total_lines);
+        tags_ = allocate<std::uint64_t>(total_lines);
+        materialized_.assign((numSets_ + 63) / 64, 0);
     }
 
     std::uint64_t numSets() const { return numSets_; }
     int ways() const { return ways_; }
-    std::uint64_t capacityLines() const { return lines_.size(); }
+    std::uint64_t capacityLines() const { return numSets_ * waysU(); }
 
     /** Find a valid line for `line_addr`; nullptr on miss. */
     Line *
     find(std::uint64_t line_addr)
     {
+        // A set that does not exist yet would hold only Line{}s, none
+        // valid, so it misses without its storage being read.
+        const std::uint64_t set = setOf(line_addr);
+        if (!isMaterialized(set))
+            return nullptr;
         // Scan the densely packed tag shadow first: a set's tags span one
         // or two cache lines, versus one line per way when striding over
         // the full Line records.  The arrays together exceed the host
@@ -80,8 +109,7 @@ class CacheArray
         // lines by writing `state` directly, which leaves a stale shadow
         // tag behind (and possibly a second, valid copy in another way),
         // so a stale match must not end the scan.
-        const std::uint64_t base = setOf(line_addr) *
-                                   static_cast<std::uint64_t>(ways_);
+        const std::uint64_t base = set * waysU();
         for (int w = 0; w < ways_; ++w) {
             if (tags_[base + static_cast<std::uint64_t>(w)] != line_addr)
                 continue;
@@ -113,10 +141,10 @@ class CacheArray
     Line &
     victim(std::uint64_t line_addr)
     {
-        const std::uint64_t set = setOf(line_addr);
-        Line *lru = &lines_[set * ways_];
+        Line *const base = materialize(setOf(line_addr));
+        Line *lru = base;
         for (int w = 0; w < ways_; ++w) {
-            Line &line = lines_[set * ways_ + w];
+            Line &line = base[w];
             if (!isValid(line.state))
                 return line;
             if (line.lastUse < lru->lastUse)
@@ -140,8 +168,7 @@ class CacheArray
         // exactly "least-recently-used non-busy way" — the same line
         // the old every-way scan picked — while the busy predicate
         // (typically an MSHR scan) usually runs once instead of per way.
-        const std::uint64_t set = setOf(line_addr);
-        Line *const base = &lines_[set * static_cast<std::uint64_t>(ways_)];
+        Line *const base = materialize(setOf(line_addr));
         for (int w = 0; w < ways_; ++w) {
             if (!isValid(base[w].state))
                 return base[w];
@@ -174,7 +201,7 @@ class CacheArray
     install(Line &line, std::uint64_t line_addr, CacheState state)
     {
         line.tag = line_addr;
-        tags_[static_cast<std::size_t>(&line - lines_.data())] = line_addr;
+        tags_[static_cast<std::size_t>(&line - lines_.get())] = line_addr;
         line.state = state;
         line.meta = Meta{};
         touch(line);
@@ -184,9 +211,9 @@ class CacheArray
     void
     reset()
     {
-        for (auto &line : lines_)
-            line = Line{};
-        tags_.assign(tags_.size(), 0);
+        std::fill(materialized_.begin(), materialized_.end(), 0);
+        poison(lines_.get(), capacityLines() * sizeof(Line));
+        poison(tags_.get(), capacityLines() * sizeof(std::uint64_t));
         useClock_ = 0;
     }
 
@@ -195,28 +222,131 @@ class CacheArray
     validLines() const
     {
         std::uint64_t n = 0;
-        for (const auto &line : lines_) {
-            if (isValid(line.state))
-                ++n;
+        for (std::size_t word = 0; word < materialized_.size(); ++word) {
+            for (std::uint64_t bits = materialized_[word]; bits;
+                 bits &= bits - 1) {
+                const std::uint64_t set =
+                    word * 64 +
+                    static_cast<std::uint64_t>(std::countr_zero(bits));
+                const Line *const base = &lines_[set * waysU()];
+                for (int w = 0; w < ways_; ++w) {
+                    if (isValid(base[w].state))
+                        ++n;
+                }
+            }
         }
         return n;
     }
 
+    /** Sets constructed since construction or the last reset() (tests). */
+    std::uint64_t
+    materializedSets() const
+    {
+        std::uint64_t n = 0;
+        for (std::uint64_t word : materialized_)
+            n += static_cast<std::uint64_t>(std::popcount(word));
+        return n;
+    }
+
   private:
+    /** Make `bytes` at `p` unreadable (AddressSanitizer builds only). */
+    static void
+    poison(const void *p, std::size_t bytes)
+    {
+#if defined(__SANITIZE_ADDRESS__)
+        ASAN_POISON_MEMORY_REGION(p, bytes);
+#else
+        (void)p;
+        (void)bytes;
+#endif
+    }
+
+    /** Make `bytes` at `p` readable again (AddressSanitizer builds only). */
+    static void
+    unpoison(const void *p, std::size_t bytes)
+    {
+#if defined(__SANITIZE_ADDRESS__)
+        ASAN_UNPOISON_MEMORY_REGION(p, bytes);
+#else
+        (void)p;
+        (void)bytes;
+#endif
+    }
+
+    /**
+     * Deleter for storage of `count` Ts obtained from std::allocator.
+     * The objects are never destroyed (they are trivially destructible),
+     * and the block is unpoisoned before it goes back to the allocator.
+     */
+    template <typename T>
+    struct Release
+    {
+        std::size_t count = 0;
+
+        void
+        operator()(T *p) const
+        {
+            unpoison(p, count * sizeof(T));
+            std::allocator<T>{}.deallocate(p, count);
+        }
+    };
+
+    template <typename T>
+    using Storage = std::unique_ptr<T[], Release<T>>;
+
+    /** Uninitialised, poisoned storage for `count` Ts. */
+    template <typename T>
+    static Storage<T>
+    allocate(std::size_t count)
+    {
+        Storage<T> storage(std::allocator<T>{}.allocate(count),
+                           Release<T>{count});
+        poison(storage.get(), count * sizeof(T));
+        return storage;
+    }
+
     std::uint64_t
     setOf(std::uint64_t line_addr) const
     {
         return pow2Sets_ ? (line_addr & setMask_) : (line_addr % numSets_);
     }
 
+    std::uint64_t waysU() const { return static_cast<std::uint64_t>(ways_); }
+
+    bool
+    isMaterialized(std::uint64_t set) const
+    {
+        return (materialized_[set >> 6] >> (set & 63)) & 1;
+    }
+
+    /** First way of `set`, constructing the set on first touch. */
+    Line *
+    materialize(std::uint64_t set)
+    {
+        Line *const base = lines_.get() + set * waysU();
+        std::uint64_t &word = materialized_[set >> 6];
+        const std::uint64_t bit = std::uint64_t{1} << (set & 63);
+        if (!(word & bit)) {
+            word |= bit;
+            std::uint64_t *const tags = tags_.get() + set * waysU();
+            unpoison(base, waysU() * sizeof(Line));
+            unpoison(tags, waysU() * sizeof(std::uint64_t));
+            std::uninitialized_value_construct_n(base, ways_);
+            std::fill_n(tags, ways_, std::uint64_t{0});
+        }
+        return base;
+    }
+
     int ways_;
     std::uint64_t numSets_;
     std::uint64_t setMask_ = 0;
     bool pow2Sets_ = false;
-    std::vector<Line> lines_;
+    Storage<Line> lines_;
     /** Shadow of each line's tag, written only by install(); see find().
      *  Entries for invalid lines are stale, never cleared. */
-    std::vector<std::uint64_t> tags_;
+    Storage<std::uint64_t> tags_;
+    /** One bit per set: set `s` exists iff bit `s % 64` of word `s / 64`. */
+    std::vector<std::uint64_t> materialized_;
     std::uint64_t useClock_ = 0;
 };
 

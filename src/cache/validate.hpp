@@ -50,6 +50,17 @@ validate(const HierarchyConfig &cfg)
         return configError("cluster composition must be > 0, got "
                            "cpuCoresPerCluster=", cfg.cpuCoresPerCluster,
                            " gpuCusPerCluster=", cfg.gpuCusPerCluster);
+    // A cluster has 2*cpu + gpu L1s, and L2 lines record which of them
+    // hold a copy in an 8-bit mask: a 9th L1 would alias bit 0, so its
+    // copy would survive the eviction or probe meant to drop it.
+    const std::int64_t l1s =
+        std::int64_t{2} * cfg.cpuCoresPerCluster + cfg.gpuCusPerCluster;
+    if (l1s > 8)
+        return configError("cluster composition needs 2*cpuCoresPerCluster"
+                           " + gpuCusPerCluster <= 8 L1s (the L2's 8-bit "
+                           "L1 mask), got cpuCoresPerCluster=",
+                           cfg.cpuCoresPerCluster, " gpuCusPerCluster=",
+                           cfg.gpuCusPerCluster);
 
     struct ArraySpec
     {

@@ -12,6 +12,7 @@
 
 #include <cstdlib>
 #include <iostream>
+#include <mutex>
 #include <sstream>
 #include <string>
 
@@ -52,6 +53,30 @@ formatMessage(Args &&...args)
     return oss.str();
 }
 
+/** Serialises log lines across threads. */
+inline std::mutex &
+logMutex()
+{
+    static std::mutex m;
+    return m;
+}
+
+/**
+ * Format `prefix`, the message and the newline into one string, then
+ * insert it into Log::stream() once, under logMutex().  Lines from
+ * concurrent sweep jobs therefore never interleave, and a stream other
+ * than std::cerr (a test's or a benchmark's tap) sees no data race.
+ */
+template <typename... Args>
+void
+writeLine(const char *prefix, Args &&...args)
+{
+    const std::string line =
+        formatMessage(prefix, std::forward<Args>(args)..., '\n');
+    const std::lock_guard<std::mutex> lock(logMutex());
+    *Log::stream() << line;
+}
+
 } // namespace detail
 
 /** Informational message: normal operating status, nothing is wrong. */
@@ -60,9 +85,7 @@ void
 inform(Args &&...args)
 {
     if (Log::level() >= LogLevel::Info) {
-        *Log::stream() << "info: "
-                       << detail::formatMessage(std::forward<Args>(args)...)
-                       << "\n";
+        detail::writeLine("info: ", std::forward<Args>(args)...);
     }
 }
 
@@ -72,9 +95,7 @@ void
 warn(Args &&...args)
 {
     if (Log::level() >= LogLevel::Warn) {
-        *Log::stream() << "warn: "
-                       << detail::formatMessage(std::forward<Args>(args)...)
-                       << "\n";
+        detail::writeLine("warn: ", std::forward<Args>(args)...);
     }
 }
 
@@ -86,9 +107,7 @@ template <typename... Args>
 [[noreturn]] void
 fatal(Args &&...args)
 {
-    *Log::stream() << "fatal: "
-                   << detail::formatMessage(std::forward<Args>(args)...)
-                   << "\n";
+    detail::writeLine("fatal: ", std::forward<Args>(args)...);
     std::exit(1);
 }
 
@@ -100,9 +119,7 @@ template <typename... Args>
 [[noreturn]] void
 panic(Args &&...args)
 {
-    *Log::stream() << "panic: "
-                   << detail::formatMessage(std::forward<Args>(args)...)
-                   << "\n";
+    detail::writeLine("panic: ", std::forward<Args>(args)...);
     std::abort();
 }
 

@@ -1,11 +1,19 @@
 /**
  * @file
- * Tests for the generic set-associative cache array.
+ * Tests for the generic set-associative cache array, including a
+ * lockstep differential test against the eagerly initialised array the
+ * simulator used before sets materialised on first touch.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+#include <vector>
+
 #include "cache/cache_array.hpp"
+#include "cache/sharer_mask.hpp"
+#include "common/rng.hpp"
 
 namespace pearl {
 namespace cache {
@@ -140,6 +148,401 @@ TEST(CacheArray, InvalidLinesNotFound)
     arr.install(v, 5, CacheState::S);
     arr.find(5)->state = CacheState::I;
     EXPECT_EQ(arr.find(5), nullptr);
+}
+
+TEST(CacheArray, ConstructionFindAndResetMaterialiseNoSet)
+{
+    // Pins the lazy layout: only victim() and victimWhere() construct a
+    // set, so a return to eager initialisation fails here.
+    CacheArray<> arr(1024, 8); // 128 sets
+    EXPECT_EQ(arr.materializedSets(), 0u);
+    for (std::uint64_t addr = 0; addr < 4096; addr += 3)
+        EXPECT_EQ(arr.find(addr), nullptr);
+    EXPECT_EQ(arr.find(~std::uint64_t{0}), nullptr);
+    EXPECT_EQ(arr.materializedSets(), 0u);
+    EXPECT_EQ(arr.validLines(), 0u);
+
+    arr.install(arr.victim(5), 5, CacheState::S);
+    EXPECT_EQ(arr.materializedSets(), 1u);
+    arr.victimWhere(6, [](std::uint64_t) { return true; });
+    EXPECT_EQ(arr.materializedSets(), 2u);
+    arr.victim(5 + 128); // same set as 5
+    EXPECT_EQ(arr.materializedSets(), 2u);
+    EXPECT_NE(arr.find(5), nullptr);
+    EXPECT_EQ(arr.materializedSets(), 2u);
+
+    arr.reset();
+    EXPECT_EQ(arr.materializedSets(), 0u);
+    EXPECT_EQ(arr.find(5), nullptr);
+    EXPECT_EQ(arr.materializedSets(), 0u);
+    EXPECT_EQ(arr.capacityLines(), 1024u);
+}
+
+// Differential test against the eager array ------------------------------
+
+/**
+ * The cache array as it was before sets materialised on first touch:
+ * every line and shadow tag written at construction and on reset().
+ * Kept as the lockstep reference: its operations are copied unchanged,
+ * only comments and accessors the test does not use are dropped.
+ */
+template <typename Meta = NoMeta>
+class EagerCacheArray
+{
+  public:
+    struct Line
+    {
+        std::uint64_t tag = 0;
+        std::uint64_t lastUse = 0;
+        CacheState state = CacheState::I;
+        Meta meta{};
+    };
+
+    EagerCacheArray(std::uint64_t total_lines, int ways)
+        : ways_(ways > 0 ? ways : 1),
+          numSets_(ways > 0 ? total_lines / static_cast<std::uint64_t>(ways)
+                            : 0)
+    {
+        throwIfInvalid(
+            validateArrayGeometry("CacheArray", total_lines, ways));
+        pow2Sets_ = (numSets_ & (numSets_ - 1)) == 0;
+        setMask_ = numSets_ - 1;
+        lines_.resize(total_lines);
+        tags_.resize(total_lines, 0);
+    }
+
+    Line *
+    find(std::uint64_t line_addr)
+    {
+        const std::uint64_t base = setOf(line_addr) *
+                                   static_cast<std::uint64_t>(ways_);
+        for (int w = 0; w < ways_; ++w) {
+            if (tags_[base + static_cast<std::uint64_t>(w)] != line_addr)
+                continue;
+            Line &line = lines_[base + static_cast<std::uint64_t>(w)];
+            if (isValid(line.state))
+                return &line;
+        }
+        return nullptr;
+    }
+
+    void
+    touch(Line &line)
+    {
+        line.lastUse = ++useClock_;
+    }
+
+    Line &
+    victim(std::uint64_t line_addr)
+    {
+        const std::uint64_t set = setOf(line_addr);
+        Line *lru = &lines_[set * ways_];
+        for (int w = 0; w < ways_; ++w) {
+            Line &line = lines_[set * ways_ + w];
+            if (!isValid(line.state))
+                return line;
+            if (line.lastUse < lru->lastUse)
+                lru = &line;
+        }
+        return *lru;
+    }
+
+    template <typename BusyPred>
+    Line &
+    victimWhere(std::uint64_t line_addr, BusyPred busy)
+    {
+        const std::uint64_t set = setOf(line_addr);
+        Line *const base = &lines_[set * static_cast<std::uint64_t>(ways_)];
+        for (int w = 0; w < ways_; ++w) {
+            if (!isValid(base[w].state))
+                return base[w];
+        }
+        bool tried[64] = {};
+        PEARL_ASSERT(ways_ <= 64);
+        for (int round = 0; round < ways_; ++round) {
+            Line *lru = nullptr;
+            int lru_w = 0;
+            for (int w = 0; w < ways_; ++w) {
+                if (tried[w])
+                    continue;
+                if (!lru || base[w].lastUse < lru->lastUse) {
+                    lru = &base[w];
+                    lru_w = w;
+                }
+            }
+            if (!busy(lru->tag))
+                return *lru;
+            tried[lru_w] = true;
+        }
+        return victim(line_addr); // every valid way is busy: plain LRU
+    }
+
+    void
+    install(Line &line, std::uint64_t line_addr, CacheState state)
+    {
+        line.tag = line_addr;
+        tags_[static_cast<std::size_t>(&line - lines_.data())] = line_addr;
+        line.state = state;
+        line.meta = Meta{};
+        touch(line);
+    }
+
+    void
+    reset()
+    {
+        for (auto &line : lines_)
+            line = Line{};
+        tags_.assign(tags_.size(), 0);
+        useClock_ = 0;
+    }
+
+    std::uint64_t
+    validLines() const
+    {
+        std::uint64_t n = 0;
+        for (const auto &line : lines_) {
+            if (isValid(line.state))
+                ++n;
+        }
+        return n;
+    }
+
+  private:
+    std::uint64_t
+    setOf(std::uint64_t line_addr) const
+    {
+        return pow2Sets_ ? (line_addr & setMask_) : (line_addr % numSets_);
+    }
+
+    int ways_;
+    std::uint64_t numSets_;
+    std::uint64_t setMask_ = 0;
+    bool pow2Sets_ = false;
+    std::vector<Line> lines_;
+    std::vector<std::uint64_t> tags_;
+    std::uint64_t useClock_ = 0;
+};
+
+/** Shaped like ClusterNode's L2 metadata. */
+struct L2LikeMeta
+{
+    std::uint8_t l1Mask = 0;
+    bool operator==(const L2LikeMeta &) const = default;
+};
+
+/** Shaped like L3Bank's directory metadata (no owner is -1). */
+struct DirLikeMeta
+{
+    SharerMask sharers;
+    std::int16_t owner = -1;
+    bool dirty = false;
+    bool operator==(const DirLikeMeta &) const = default;
+};
+
+void scribble(NoMeta &, std::uint64_t) {}
+
+void
+scribble(L2LikeMeta &m, std::uint64_t r)
+{
+    m.l1Mask |= static_cast<std::uint8_t>(1u << (r % 8));
+}
+
+void
+scribble(DirLikeMeta &m, std::uint64_t r)
+{
+    m.sharers.set(static_cast<int>(r % kMaxClusters));
+    m.owner = (r >> 8) % 3 == 0
+                  ? std::int16_t{-1}
+                  : static_cast<std::int16_t>((r >> 16) % kMaxClusters);
+    m.dirty = ((r >> 32) & 1) != 0;
+}
+
+template <typename Meta>
+bool
+sameMeta(const Meta &a, const Meta &b)
+{
+    if constexpr (std::is_empty_v<Meta>)
+        return true;
+    else
+        return a == b;
+}
+
+/**
+ * Run `ops` random operations on a lazy and an eager array of the same
+ * geometry in lockstep, as ClusterNode and L3Bank drive them: lookups,
+ * victim selection and install, busy-aware victims, LRU touches,
+ * invalidation and metadata writes through returned pointers, resets
+ * and occupancy counts.  Every returned line must be the same way and
+ * hold the same tag, state, LRU stamp and metadata.
+ */
+template <typename Meta>
+void
+runLockstep(std::uint64_t total_lines, int ways, std::uint64_t seed,
+            int ops)
+{
+    SCOPED_TRACE(testing::Message() << total_lines << " lines, " << ways
+                                    << " ways, seed " << seed);
+    using LazyLine = typename CacheArray<Meta>::Line;
+    using EagerLine = typename EagerCacheArray<Meta>::Line;
+    CacheArray<Meta> lazy(total_lines, ways);
+    EagerCacheArray<Meta> eager(total_lines, ways);
+
+    // Both arrays keep their lines in one block, so a line's index is its
+    // offset from way 0 of set 0, which a fresh array's victim(0) is.
+    const LazyLine *const lazy0 = &lazy.victim(0);
+    const EagerLine *const eager0 = &eager.victim(0);
+    const auto same = [&](const LazyLine *a,
+                          const EagerLine *b) -> testing::AssertionResult {
+        if (!a || !b) {
+            if (!a && !b)
+                return testing::AssertionSuccess();
+            return testing::AssertionFailure()
+                   << "lazy " << (a ? "hit" : "missed") << ", eager "
+                   << (b ? "hit" : "missed");
+        }
+        if (a - lazy0 != b - eager0)
+            return testing::AssertionFailure()
+                   << "way index " << (a - lazy0) << " vs " << (b - eager0);
+        if (a->tag != b->tag || a->state != b->state ||
+            a->lastUse != b->lastUse || !sameMeta(a->meta, b->meta))
+            return testing::AssertionFailure()
+                   << "line " << (a - lazy0) << ": tag " << a->tag << "/"
+                   << b->tag << " state " << toString(a->state) << "/"
+                   << toString(b->state) << " lastUse " << a->lastUse << "/"
+                   << b->lastUse;
+        return testing::AssertionSuccess();
+    };
+
+    Rng rng(seed);
+    const auto draw_addr = [&]() -> std::uint64_t {
+        switch (rng.below(16)) {
+        case 0:
+            return 0; // matches the zeroed shadow tags of fresh sets
+        case 1:
+            return (std::uint64_t{1} << 40) + rng.below(total_lines);
+        default:
+            return rng.below(4 * total_lines);
+        }
+    };
+    const auto draw_state = [&] {
+        return static_cast<CacheState>(1 + rng.below(5)); // S..N
+    };
+
+    for (int op = 0; op < ops; ++op) {
+        SCOPED_TRACE(testing::Message() << "op " << op);
+        const std::uint64_t addr = draw_addr();
+        const std::uint64_t kind = rng.below(1000);
+        if (kind < 250) {
+            ASSERT_TRUE(same(lazy.find(addr), eager.find(addr)));
+        } else if (kind < 500) {
+            LazyLine &a = lazy.victim(addr);
+            EagerLine &b = eager.victim(addr);
+            ASSERT_TRUE(same(&a, &b));
+            const CacheState state = draw_state();
+            lazy.install(a, addr, state);
+            eager.install(b, addr, state);
+            ASSERT_TRUE(same(lazy.find(addr), eager.find(addr)));
+        } else if (kind < 650) {
+            // Busy tags: none, some or (the plain-LRU fallback) all.
+            const std::uint64_t salt = rng.next();
+            const std::uint64_t busy_in_4 = rng.below(5);
+            const auto busy = [&](std::uint64_t tag) {
+                return Rng(tag ^ salt).below(4) < busy_in_4;
+            };
+            LazyLine &a = lazy.victimWhere(addr, busy);
+            EagerLine &b = eager.victimWhere(addr, busy);
+            ASSERT_TRUE(same(&a, &b));
+            const CacheState state = draw_state();
+            lazy.install(a, addr, state);
+            eager.install(b, addr, state);
+        } else if (kind < 750) {
+            LazyLine *a = lazy.find(addr);
+            EagerLine *b = eager.find(addr);
+            ASSERT_TRUE(same(a, b));
+            if (a) {
+                lazy.touch(*a);
+                eager.touch(*b);
+                ASSERT_TRUE(same(a, b));
+            }
+        } else if (kind < 850) {
+            // Invalidate through a returned pointer, leaving the shadow
+            // tag stale, as evictions and invalidation probes do.
+            LazyLine *a = lazy.find(addr);
+            EagerLine *b = eager.find(addr);
+            if (kind < 800 && !a && !b) {
+                a = &lazy.victim(addr);
+                b = &eager.victim(addr);
+            }
+            ASSERT_TRUE(same(a, b));
+            if (a) {
+                a->state = CacheState::I;
+                b->state = CacheState::I;
+            }
+        } else if (kind < 950) {
+            LazyLine *a = lazy.find(addr);
+            EagerLine *b = eager.find(addr);
+            ASSERT_TRUE(same(a, b));
+            if (a) {
+                const std::uint64_t r = rng.next();
+                scribble(a->meta, r);
+                scribble(b->meta, r);
+                ASSERT_TRUE(same(a, b));
+            }
+        } else if (kind < 999) {
+            ASSERT_EQ(lazy.validLines(), eager.validLines());
+        } else if (rng.below(4) == 0) {
+            lazy.reset();
+            eager.reset();
+            ASSERT_EQ(lazy.materializedSets(), 0u);
+        }
+    }
+
+    for (std::uint64_t addr = 0; addr < 4 * total_lines; ++addr)
+        ASSERT_TRUE(same(lazy.find(addr), eager.find(addr))) << addr;
+    EXPECT_EQ(lazy.validLines(), eager.validLines());
+    EXPECT_LE(lazy.materializedSets(), lazy.numSets());
+    lazy.reset();
+    eager.reset();
+    EXPECT_EQ(lazy.validLines(), 0u);
+    EXPECT_EQ(eager.validLines(), 0u);
+}
+
+/** Geometries with power-of-two and odd set counts at 1/2/8/16 ways. */
+struct Geometry
+{
+    std::uint64_t lines;
+    int ways;
+};
+constexpr Geometry kGeometries[] = {
+    {64, 1},  {37, 1},  {64, 2},   {42, 2},
+    {128, 8}, {104, 8}, {256, 16}, {176, 16},
+};
+constexpr int kLockstepOps = 12000;
+
+template <typename Meta>
+void
+runEveryGeometry(std::uint64_t seed)
+{
+    for (const Geometry &g : kGeometries) {
+        runLockstep<Meta>(g.lines, g.ways, seed++, kLockstepOps);
+        if (testing::Test::HasFatalFailure())
+            return;
+    }
+}
+
+TEST(CacheArrayLockstep, MatchesEagerArrayWithoutMeta)
+{
+    runEveryGeometry<NoMeta>(100);
+}
+
+TEST(CacheArrayLockstep, MatchesEagerArrayWithL2Meta)
+{
+    runEveryGeometry<L2LikeMeta>(200);
+}
+
+TEST(CacheArrayLockstep, MatchesEagerArrayWithDirMeta)
+{
+    runEveryGeometry<DirLikeMeta>(300);
 }
 
 } // namespace

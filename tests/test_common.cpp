@@ -7,14 +7,19 @@
 
 #include <cctype>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "common/env.hpp"
+#include "common/log.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/reservoir.hpp"
@@ -400,6 +405,49 @@ TEST(EnvRegistry, ReadmeTableMatchesRegistry)
               envMarkdownTable())
         << "README env table drifted from pearl::envRegistry() — "
            "regenerate it from envMarkdownTable()";
+}
+
+TEST(Log, ConcurrentWarningsStayWholeLines)
+{
+    // Sweep job threads warn concurrently; each line must reach the
+    // stream in one piece, and a non-cerr stream must see no data race.
+    constexpr int kThreads = 8;
+    constexpr int kPerThread = 500;
+    std::ostringstream capture;
+    std::ostream *const saved_stream = Log::stream();
+    const LogLevel saved_level = Log::level();
+    Log::stream() = &capture;
+    Log::level() = LogLevel::Warn;
+    {
+        std::vector<std::jthread> threads;
+        for (int t = 0; t < kThreads; ++t) {
+            threads.emplace_back([t] {
+                for (int i = 0; i < kPerThread; ++i)
+                    warn("thread ", t, " message ", i);
+            });
+        }
+    }
+    Log::stream() = saved_stream;
+    Log::level() = saved_level;
+
+    std::istringstream lines(capture.str());
+    std::set<std::pair<int, int>> seen;
+    std::string line;
+    int count = 0;
+    while (std::getline(lines, line)) {
+        ++count;
+        int t = -1, i = -1;
+        ASSERT_EQ(std::sscanf(line.c_str(), "warn: thread %d message %d", &t,
+                              &i),
+                  2)
+            << line;
+        ASSERT_EQ(line, "warn: thread " + std::to_string(t) + " message " +
+                            std::to_string(i));
+        EXPECT_TRUE(seen.insert({t, i}).second) << "duplicate: " << line;
+    }
+    EXPECT_EQ(count, kThreads * kPerThread);
+    EXPECT_EQ(seen.size(), static_cast<std::size_t>(kThreads * kPerThread));
+    EXPECT_EQ(capture.str().back(), '\n');
 }
 
 TEST(RunningStat, MeanVarianceMinMax)

@@ -11,6 +11,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "cache/cache_array.hpp"
 #include "cache/validate.hpp"
@@ -123,6 +124,23 @@ TEST(Validate, CacheHierarchyAndArrayGeometry)
     EXPECT_TRUE(cache::validateArrayGeometry("x", 1024, 8));
     EXPECT_TRUE(failsMentioning(
         cache::validateArrayGeometry("tagArray", 1024, 128), "tagArray"));
+
+    // 2*cpu + gpu L1s per cluster must fit the L2's 8-bit L1 mask.
+    for (auto [cpu, gpu] : {std::pair{2, 4}, std::pair{1, 6}}) {
+        cfg = {};
+        cfg.cpuCoresPerCluster = cpu;
+        cfg.gpuCusPerCluster = gpu;
+        EXPECT_TRUE(cache::validate(cfg)) << cpu << "," << gpu;
+    }
+    for (auto [cpu, gpu] : {std::pair{3, 3}, std::pair{2, 5}}) {
+        cfg = {};
+        cfg.cpuCoresPerCluster = cpu;
+        cfg.gpuCusPerCluster = gpu;
+        for (const char *needle :
+             {"cpuCoresPerCluster", "gpuCusPerCluster", "8 L1s"})
+            EXPECT_TRUE(failsMentioning(cache::validate(cfg), needle))
+                << cpu << "," << gpu;
+    }
 }
 
 TEST(Validate, CacheArrayConstructionThrowsConfigError)
