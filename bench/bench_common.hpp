@@ -337,7 +337,7 @@ class Grid
  * every golden regeneration: a model trained before a behaviour change
  * is then retrained, not loaded.
  */
-constexpr int kModelSchema = 1;
+constexpr int kModelSchema = 2;
 
 /**
  * Load or train the ridge model for a reservation window.  The pipeline

@@ -282,8 +282,8 @@ ClusterNode::coreAccess(CoreType type, int core_slot,
 
     ++outstanding;
     noteLocalRequest(l1RequestClass(type, acc.instr));
-    events_.push(LocalEvent{now + cfg_.l1ToL2Cycles, acc.lineAddr, 0, type,
-                            LocalEvent::Kind::L2Access,
+    events_.push(LocalEvent{now + cfg_.l1ToL2Cycles, acc.lineAddr,
+                            ++eventSeq_, 0, type, LocalEvent::Kind::L2Access,
                             static_cast<std::int8_t>(l1_index),
                             static_cast<std::int8_t>(core_slot), acc.write,
                             acc.instr, false});
@@ -311,6 +311,7 @@ ClusterNode::l2Access(const LocalEvent &ev, Cycle now)
                 LocalEvent fill = ev;
                 fill.kind = LocalEvent::Kind::Fill;
                 fill.due = now + cfg_.l2AccessCycles;
+                fill.seq = ++eventSeq_;
                 events_.push(fill);
             }
             return;
@@ -450,7 +451,8 @@ ClusterNode::handleFillResponse(const Packet &pkt, Cycle now)
                 // store, which will raise an upgrade (ReadExcl) — this is
                 // exactly the extra coherence traffic real NMOESI incurs.
                 events_.push(LocalEvent{now + cfg_.l2AccessCycles, pkt.addr,
-                                        0, type, LocalEvent::Kind::L2Access,
+                                        ++eventSeq_, 0, type,
+                                        LocalEvent::Kind::L2Access,
                                         static_cast<std::int8_t>(w.l1Index),
                                         static_cast<std::int8_t>(w.coreSlot),
                                         true, w.instr, false});
@@ -460,8 +462,9 @@ ClusterNode::handleFillResponse(const Packet &pkt, Cycle now)
         } else {
             line->meta.l1Mask |=
                 static_cast<std::uint8_t>(1u << (w.l1Index % 8));
-            events_.push(LocalEvent{now + cfg_.l2AccessCycles, pkt.addr, 0,
-                                    type, LocalEvent::Kind::Fill,
+            events_.push(LocalEvent{now + cfg_.l2AccessCycles, pkt.addr,
+                                    ++eventSeq_, 0, type,
+                                    LocalEvent::Kind::Fill,
                                     static_cast<std::int8_t>(w.l1Index),
                                     static_cast<std::int8_t>(w.coreSlot),
                                     false, w.instr, false});

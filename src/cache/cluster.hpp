@@ -141,14 +141,17 @@ class ClusterNode
     };
 
     /** Deferred local work (L1->L2 hop, L2 array access, fills).
-     *  Deliberately packed to 32 bytes: the event heap is churned every
-     *  cycle (MSHR-full retries circulate through it), and sift cost is
-     *  proportional to element size.  The comparator is unchanged, so
-     *  heap order — and therefore behaviour — is unaffected. */
+     *  Events pop in (due, seq) order: seq is taken from eventSeq_ when
+     *  the access or fill event is created, and an MSHR-full retry
+     *  keeps its access's seq, so equal-due events pop in creation
+     *  order whatever the heap's shape.  Kept small: the event heap is
+     *  churned every cycle, and sift cost is proportional to element
+     *  size. */
     struct LocalEvent
     {
         sim::Cycle due;
         std::uint64_t addr;
+        std::uint64_t seq;
         /** MSHR-full retry memoization (see tick()): the mshrVersion_
          *  observed when the retry was queued.  Ignored unless
          *  isRetry. */
@@ -164,10 +167,10 @@ class ClusterNode
         bool
         operator>(const LocalEvent &o) const
         {
-            return due > o.due;
+            return due != o.due ? due > o.due : seq > o.seq;
         }
     };
-    static_assert(sizeof(LocalEvent) <= 32,
+    static_assert(sizeof(LocalEvent) <= 40,
                   "LocalEvent grew; the event heap is hot");
 
     // Demand + L1 ----------------------------------------------------------
@@ -225,6 +228,7 @@ class ClusterNode
     std::uint32_t mshrVersion_[sim::kNumCoreTypes] = {0, 0};
 
     sim::MinHeap<LocalEvent> events_;
+    std::uint64_t eventSeq_ = 0; //!< last seq handed to a LocalEvent
 
     ClusterStats stats_;
     std::uint64_t packetSeq_ = 0;

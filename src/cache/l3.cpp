@@ -100,7 +100,7 @@ L3Bank::tick(Cycle now)
 void
 L3Bank::startLookup(std::uint64_t addr, Cycle now)
 {
-    events_.push(TimedEvent{now + cfg_.l3AccessCycles, addr});
+    events_.push(TimedEvent{now + cfg_.l3AccessCycles, ++eventSeq_, addr});
 }
 
 void

@@ -147,15 +147,18 @@ class L3Bank
         int pendingAcks = 0;
     };
 
+    /** A queued array lookup.  Pops in (due, seq) order; seq is taken
+     *  when the lookup is queued. */
     struct TimedEvent
     {
         sim::Cycle due;
+        std::uint64_t seq;
         std::uint64_t addr;
 
         bool
         operator>(const TimedEvent &o) const
         {
-            return due > o.due;
+            return due != o.due ? due > o.due : seq > o.seq;
         }
     };
 
@@ -184,6 +187,7 @@ class L3Bank
     L3Array l3_;
     AddrMap<Transaction> mshr_;
     sim::MinHeap<TimedEvent> events_;
+    std::uint64_t eventSeq_ = 0; //!< last seq handed to a TimedEvent
 
     L3Stats stats_;
     std::uint64_t packetSeq_ = 0;

@@ -52,8 +52,8 @@ class MemoryNode
     {
         if (pkt.op == sim::CoherenceOp::Read) {
             ++stats_.reads;
-            pending_.push(
-                Pending{now + cfg_.memoryCycles, pkt.src, pkt.addr});
+            pending_.push(Pending{now + cfg_.memoryCycles, ++pendingSeq_,
+                                  pkt.src, pkt.addr});
         } else {
             // Writebacks (and stray data) are absorbed.
             ++stats_.writes;
@@ -98,16 +98,19 @@ class MemoryNode
     bool quiescent() const { return pending_.empty(); }
 
   private:
+    /** A read in service.  Pops in (due, seq) order; seq is taken when
+     *  the read arrives. */
     struct Pending
     {
         sim::Cycle due;
+        std::uint64_t seq;
         sim::NodeId requester;
         std::uint64_t addr;
 
         bool
         operator>(const Pending &o) const
         {
-            return due > o.due;
+            return due != o.due ? due > o.due : seq > o.seq;
         }
     };
 
@@ -118,7 +121,8 @@ class MemoryNode
     sim::PacketSink *sink_ = nullptr;
     sim::MinHeap<Pending> pending_;
     MemoryStats stats_;
-    std::uint64_t seq_ = 0;
+    std::uint64_t seq_ = 0;        //!< response packet-id counter
+    std::uint64_t pendingSeq_ = 0; //!< last seq handed to a Pending
 };
 
 } // namespace cache

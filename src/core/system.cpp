@@ -71,7 +71,7 @@ HeteroSystem::send(Packet &&pkt)
             }
         }
         const Cycle now = network_.cycle();
-        localHops_.push(LocalHop{now + cfg_.localHopCycles,
+        localHops_.push(LocalHop{now + cfg_.localHopCycles, ++localHopSeq_,
                                  std::move(pkt)});
         return;
     }

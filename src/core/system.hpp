@@ -93,15 +93,18 @@ class HeteroSystem : public sim::PacketSink
     cache::L3Stats aggregateL3Stats() const;
 
   private:
+    /** A same-router packet on the local crossbar.  Pops in (due, seq)
+     *  order; seq is taken when the packet is sent. */
     struct LocalHop
     {
         sim::Cycle due;
+        std::uint64_t seq;
         sim::Packet pkt;
 
         bool
         operator>(const LocalHop &o) const
         {
-            return due > o.due;
+            return due != o.due ? due > o.due : seq > o.seq;
         }
     };
 
@@ -118,6 +121,7 @@ class HeteroSystem : public sim::PacketSink
     std::unique_ptr<cache::MemoryNode> memory_;
     std::vector<std::deque<sim::Packet>> outbox_;
     sim::MinHeap<LocalHop> localHops_;
+    std::uint64_t localHopSeq_ = 0; //!< last seq handed to a LocalHop
 };
 
 } // namespace core
