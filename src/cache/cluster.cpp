@@ -204,42 +204,87 @@ ClusterNode::tick(Cycle now)
         }
     }
 
+    posCycle_ = now;
+    posSeq_ = 0;
     while (!events_.empty() && events_.top().due <= now) {
         const LocalEvent ev = events_.top();
         events_.pop();
-        if (ev.kind == LocalEvent::Kind::L2Access) {
-            if (ev.isRetry) {
-                // Memoized MSHR-full retry.  Version match: no MSHR
-                // entry was retired for this core type since the retry
-                // was queued (and none can have been inserted while the
-                // table stayed full), so re-running l2Access would take
-                // the identical full-MSHR path (no stats, no state) and
-                // requeue.  Version mismatch: an erase happened, but if
-                // the table refilled and this address is still absent,
-                // l2Access would again reach the full-MSHR path — the L2
-                // line can only have been downgraded while the address
-                // was outside the MSHR (only fills install or upgrade,
-                // and fills require an entry), so the lookup cannot have
-                // turned into a hit or an attach.  Either way requeue
-                // directly with a fresh stamp, skipping the lookups.
-                const int ti = static_cast<int>(ev.type);
-                const int capacity = ev.type == sim::CoreType::CPU
-                                         ? cfg_.cpuL2MshrEntries
-                                         : cfg_.gpuL2MshrEntries;
-                if (ev.mshrVersion == mshrVersion_[ti] ||
-                    (static_cast<int>(mshr_[ti].size()) >= capacity &&
-                     !mshr_[ti].contains(ev.addr))) {
-                    LocalEvent retry = ev;
-                    retry.due = now + 2 * cfg_.l2AccessCycles;
-                    retry.mshrVersion = mshrVersion_[ti];
-                    events_.push(retry);
-                    continue;
-                }
-            }
+        posSeq_ = ev.seq;
+        if (ev.kind == LocalEvent::Kind::L2Access)
             l2Access(ev, now);
-        } else {
+        else
             completeFill(ev, now);
+    }
+    posSeq_ = kDrained;
+}
+
+int
+ClusterNode::mshrCapacity(CoreType t) const
+{
+    return t == CoreType::CPU ? cfg_.cpuL2MshrEntries
+                              : cfg_.gpuL2MshrEntries;
+}
+
+void
+ClusterNode::park(LocalEvent ev, Cycle now)
+{
+    ev.due = now + pollPeriod();
+    ev.woken = true;
+    parked_[static_cast<int>(ev.type)].push_back(ev);
+}
+
+Cycle
+ClusterNode::nextPoll(const LocalEvent &parked) const
+{
+    // A parked access polls at due, due + P, due + 2P, ...; its next poll
+    // is the first of those the event loop has not passed yet.
+    if (parked.due > posCycle_)
+        return parked.due;
+    const Cycle period = pollPeriod();
+    Cycle slot = parked.due +
+                 (posCycle_ - parked.due + period - 1) / period * period;
+    if (slot == posCycle_ && parked.seq < posSeq_)
+        slot += period;
+    return slot;
+}
+
+void
+ClusterNode::wakeNext(int ti)
+{
+    auto &parked = parked_[ti];
+    if (parked.empty())
+        return;
+    std::size_t best = 0;
+    Cycle best_slot = nextPoll(parked[0]);
+    for (std::size_t i = 1; i < parked.size(); ++i) {
+        const Cycle slot = nextPoll(parked[i]);
+        if (slot < best_slot ||
+            (slot == best_slot && parked[i].seq < parked[best].seq)) {
+            best = i;
+            best_slot = slot;
         }
+    }
+    LocalEvent ev = parked[best];
+    parked[best] = parked.back();
+    parked.pop_back();
+    ev.due = best_slot;
+    events_.push(ev);
+}
+
+void
+ClusterNode::wakeAddr(int ti, std::uint64_t addr)
+{
+    auto &parked = parked_[ti];
+    for (std::size_t i = 0; i < parked.size();) {
+        if (parked[i].addr != addr) {
+            ++i;
+            continue;
+        }
+        LocalEvent ev = parked[i];
+        parked[i] = parked.back();
+        parked.pop_back();
+        ev.due = nextPoll(ev);
+        events_.push(ev);
     }
 }
 
@@ -283,7 +328,7 @@ ClusterNode::coreAccess(CoreType type, int core_slot,
     ++outstanding;
     noteLocalRequest(l1RequestClass(type, acc.instr));
     events_.push(LocalEvent{now + cfg_.l1ToL2Cycles, acc.lineAddr,
-                            ++eventSeq_, 0, type, LocalEvent::Kind::L2Access,
+                            ++eventSeq_, type, LocalEvent::Kind::L2Access,
                             static_cast<std::int8_t>(l1_index),
                             static_cast<std::int8_t>(core_slot), acc.write,
                             acc.instr, false});
@@ -293,6 +338,20 @@ void
 ClusterNode::l2Access(const LocalEvent &ev, Cycle now)
 {
     const int ti = static_cast<int>(ev.type);
+    auto &mshr = mshr_[ti];
+    const int capacity = mshrCapacity(ev.type);
+    if (ev.woken && static_cast<int>(mshr.size()) >= capacity &&
+        !mshr.contains(ev.addr)) {
+        // Woken, but the table refilled first: wait again, exactly
+        // where a polled retry requeued.  Polling skipped the L2 lookup
+        // here too (its memo, kept in verify::RefCluster).  The lookup
+        // could only hit if this address's fill came and went within
+        // one poll period, which the L3 round trip rules out at the
+        // paper's latencies.
+        park(ev, now);
+        return;
+    }
+
     L2Array &l2 = l2Array(ev.type);
     auto *line = l2.find(ev.addr);
 
@@ -314,32 +373,29 @@ ClusterNode::l2Access(const LocalEvent &ev, Cycle now)
                 fill.seq = ++eventSeq_;
                 events_.push(fill);
             }
+            // A woken access that took no entry leaves room for the next.
+            if (ev.woken && static_cast<int>(mshr.size()) < capacity)
+                wakeNext(ti);
             return;
         }
         // UpgradeNeeded falls through to the miss path (keeps the data,
         // needs exclusivity).
     }
 
-    auto &mshr = mshr_[ti];
     if (MshrEntry *attach = mshr.find(ev.addr)) {
         ++stats_.l2Misses[ti];
         attach->waiters.push_back(
             Waiter{ev.l1Index, ev.coreSlot, ev.write, ev.instr});
+        if (ev.woken && static_cast<int>(mshr.size()) < capacity)
+            wakeNext(ti);
         return;
     }
 
-    const int capacity = ev.type == CoreType::CPU ? cfg_.cpuL2MshrEntries
-                                                  : cfg_.gpuL2MshrEntries;
     if (static_cast<int>(mshr.size()) >= capacity) {
-        // MSHR full: retry the access shortly.  Retries are not counted
-        // as additional misses.  The version stamp lets tick() requeue
-        // the retry without repeating this lookup while the MSHR state
-        // is unchanged.
-        LocalEvent retry = ev;
-        retry.due = now + 2 * cfg_.l2AccessCycles;
-        retry.mshrVersion = mshrVersion_[ti];
-        retry.isRetry = true;
-        events_.push(retry);
+        // MSHR full: wait for an entry.  Waits are not counted as
+        // additional misses.
+        ++stats_.mshrWaits[ti];
+        park(ev, now);
         return;
     }
     ++stats_.l2Misses[ti];
@@ -351,11 +407,9 @@ ClusterNode::l2Access(const LocalEvent &ev, Cycle now)
     const bool non_coherent = entry.nonCoherent;
     entry.waiters.push_back(
         Waiter{ev.l1Index, ev.coreSlot, ev.write, ev.instr});
-    // No version bump here: a queued retry exists only because this table
-    // was full, and while it is full this insert path cannot execute, so
-    // an insert can never be the first event that changes a retry's
-    // outcome — the erase that made room for it already bumped.
     mshr.insertNew(ev.addr, std::move(entry));
+    // Accesses waiting for this address can attach now.
+    wakeAddr(ti, ev.addr);
 
     const CoherenceOp op = (ev.write && !non_coherent)
                                ? CoherenceOp::ReadExcl
@@ -421,7 +475,7 @@ ClusterNode::handleFillResponse(const Packet &pkt, Cycle now)
     }
     MshrEntry entry = std::move(*found);
     mshr.erase(pkt.addr);
-    ++mshrVersion_[ti];
+    wakeNext(ti);
 
     const bool exclusive = pkt.op == CoherenceOp::DataExcl;
     if (entry.write && !entry.nonCoherent) {
@@ -451,7 +505,7 @@ ClusterNode::handleFillResponse(const Packet &pkt, Cycle now)
                 // store, which will raise an upgrade (ReadExcl) — this is
                 // exactly the extra coherence traffic real NMOESI incurs.
                 events_.push(LocalEvent{now + cfg_.l2AccessCycles, pkt.addr,
-                                        ++eventSeq_, 0, type,
+                                        ++eventSeq_, type,
                                         LocalEvent::Kind::L2Access,
                                         static_cast<std::int8_t>(w.l1Index),
                                         static_cast<std::int8_t>(w.coreSlot),
@@ -463,7 +517,7 @@ ClusterNode::handleFillResponse(const Packet &pkt, Cycle now)
             line->meta.l1Mask |=
                 static_cast<std::uint8_t>(1u << (w.l1Index % 8));
             events_.push(LocalEvent{now + cfg_.l2AccessCycles, pkt.addr,
-                                    ++eventSeq_, 0, type,
+                                    ++eventSeq_, type,
                                     LocalEvent::Kind::Fill,
                                     static_cast<std::int8_t>(w.l1Index),
                                     static_cast<std::int8_t>(w.coreSlot),

@@ -41,6 +41,9 @@ struct ClusterStats
     std::uint64_t l2Hits[sim::kNumCoreTypes] = {};
     std::uint64_t l2Misses[sim::kNumCoreTypes] = {};
     std::uint64_t writebacks[sim::kNumCoreTypes] = {};
+    /** L2 accesses that found their type's MSHR table full and waited
+     *  for an entry (each access counts once per wait). */
+    std::uint64_t mshrWaits[sim::kNumCoreTypes] = {};
     std::uint64_t probesReceived = 0;
 
     double
@@ -107,11 +110,22 @@ class ClusterNode
         return mshr_[static_cast<int>(t)].size();
     }
 
-    /** True when no local event or outstanding miss is pending. */
+    /** True when no local event, waiting access or outstanding miss is
+     *  pending. */
     bool
     quiescent() const
     {
-        return events_.empty() && mshr_[0].empty() && mshr_[1].empty();
+        return events_.empty() && parked_[0].empty() &&
+               parked_[1].empty() && mshr_[0].empty() && mshr_[1].empty();
+    }
+
+    /** Feed one access as if core `core_slot` of `type` had issued it
+     *  at `now` (tests: scripted access sequences). */
+    void
+    issue(sim::CoreType type, int core_slot, const traffic::MemAccess &acc,
+          sim::Cycle now)
+    {
+        coreAccess(type, core_slot, acc, now);
     }
 
   private:
@@ -142,27 +156,23 @@ class ClusterNode
 
     /** Deferred local work (L1->L2 hop, L2 array access, fills).
      *  Events pop in (due, seq) order: seq is taken from eventSeq_ when
-     *  the access or fill event is created, and an MSHR-full retry
-     *  keeps its access's seq, so equal-due events pop in creation
-     *  order whatever the heap's shape.  Kept small: the event heap is
-     *  churned every cycle, and sift cost is proportional to element
-     *  size. */
+     *  the access or fill event is created, and an access that waits on
+     *  a full MSHR table keeps its seq, so equal-due events pop in
+     *  creation order whatever the heap's shape.  Kept to 32 bytes: sift
+     *  cost is proportional to element size. */
     struct LocalEvent
     {
         sim::Cycle due;
         std::uint64_t addr;
         std::uint64_t seq;
-        /** MSHR-full retry memoization (see tick()): the mshrVersion_
-         *  observed when the retry was queued.  Ignored unless
-         *  isRetry. */
-        std::uint32_t mshrVersion;
         sim::CoreType type;
         enum class Kind : std::uint8_t { L2Access, Fill } kind;
         std::int8_t l1Index;
         std::int8_t coreSlot;
         bool write;
         bool instr;
-        bool isRetry;
+        /** An L2Access back from the wait queue (see l2Access). */
+        bool woken;
 
         bool
         operator>(const LocalEvent &o) const
@@ -170,7 +180,7 @@ class ClusterNode
             return due != o.due ? due > o.due : seq > o.seq;
         }
     };
-    static_assert(sizeof(LocalEvent) <= 40,
+    static_assert(sizeof(LocalEvent) <= 32,
                   "LocalEvent grew; the event heap is hot");
 
     // Demand + L1 ----------------------------------------------------------
@@ -178,6 +188,14 @@ class ClusterNode
                     const traffic::MemAccess &acc, sim::Cycle now);
     void l2Access(const LocalEvent &ev, sim::Cycle now);
     void completeFill(const LocalEvent &ev, sim::Cycle now);
+
+    // MSHR wait queue ------------------------------------------------------
+    sim::Cycle pollPeriod() const { return 2 * cfg_.l2AccessCycles; }
+    int mshrCapacity(sim::CoreType t) const;
+    void park(LocalEvent ev, sim::Cycle now);
+    sim::Cycle nextPoll(const LocalEvent &parked) const;
+    void wakeNext(int ti);
+    void wakeAddr(int ti, std::uint64_t addr);
 
     // Coherence ------------------------------------------------------------
     void handleFillResponse(const sim::Packet &pkt, sim::Cycle now);
@@ -214,21 +232,34 @@ class ClusterNode
     AddrMap<MshrEntry> mshr_[sim::kNumCoreTypes];
 
     /**
-     * Per-type MSHR generation counter, bumped whenever an MSHR entry is
-     * erased — the only event that can change a queued MSHR-full retry's
-     * outcome.  A retry exists only because the table was full; while it
-     * stays full no insert can execute, so capacity can't free and no
-     * same-address entry can appear without an erase first (fills erase
-     * before they install, so every L2 install bumps too).  A retry
-     * event whose stamp still matches is requeued in O(1) without
-     * re-running the L2 lookup: provably the same behaviour, since the
-     * full-MSHR path touches no stats and probes can only downgrade line
-     * states (they never turn a queued retry's miss into a hit).
+     * MSHR wait queue, per core type.  An access that finds its type's
+     * table full (and no entry for its address) parks here instead of
+     * polling the table every pollPeriod(): it keeps its LocalEvent,
+     * with `due` set to its first poll slot, and is woken back into
+     * events_ at its next poll slot only when that poll could succeed.
+     * The result is the same as polling, event for event (see DESIGN.md,
+     * "Event order"):
+     *  - an erase wakes the parked access with the earliest
+     *    (next poll slot, seq), so woken accesses ahead of every parked
+     *    one never fall short of the free entries;
+     *  - a woken access that hits or attaches instead of allocating
+     *    wakes the next one while entries are free;
+     *  - inserting an address wakes that address's parked accesses;
+     *  - a woken access that finds the table full again (and no entry
+     *    for its address) parks again, as polling would requeue it.
+     * Parked accesses are virtual polls, so quiescent() counts them.
      */
-    std::uint32_t mshrVersion_[sim::kNumCoreTypes] = {0, 0};
+    std::vector<LocalEvent> parked_[sim::kNumCoreTypes];
 
     sim::MinHeap<LocalEvent> events_;
     std::uint64_t eventSeq_ = 0; //!< last seq handed to a LocalEvent
+    /** The event loop's position: the cycle of the last tick() and the
+     *  seq of the event it is processing; kDrained once it has drained
+     *  that cycle.  nextPoll() reads it so that a parked access whose
+     *  slot is this cycle still polls now if its seq comes later. */
+    sim::Cycle posCycle_ = 0;
+    std::uint64_t posSeq_ = 0;
+    static constexpr std::uint64_t kDrained = ~std::uint64_t{0};
 
     ClusterStats stats_;
     std::uint64_t packetSeq_ = 0;

@@ -157,6 +157,7 @@ HeteroSystem::aggregateClusterStats() const
             total.l2Hits[t] += s.l2Hits[t];
             total.l2Misses[t] += s.l2Misses[t];
             total.writebacks[t] += s.writebacks[t];
+            total.mshrWaits[t] += s.mshrWaits[t];
         }
         total.probesReceived += s.probesReceived;
     }

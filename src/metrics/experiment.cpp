@@ -201,6 +201,18 @@ fillCommon(RunMetrics &m, const sim::NetworkStats &stats,
         stats.policyFallbackWindows() - warm.fallbackWindows;
 }
 
+/** Chip-wide MSHR-full waits per core type (cache.mshr_waits.*). */
+void
+publishCacheCounters(obs::MetricsRegistry &reg,
+                     const core::HeteroSystem &system)
+{
+    const cache::ClusterStats s = system.aggregateClusterStats();
+    reg.counter("cache.mshr_waits.cpu") +=
+        s.mshrWaits[static_cast<int>(sim::CoreType::CPU)];
+    reg.counter("cache.mshr_waits.gpu") +=
+        s.mshrWaits[static_cast<int>(sim::CoreType::GPU)];
+}
+
 } // namespace
 
 RunMetrics
@@ -259,6 +271,7 @@ runPearl(const traffic::BenchmarkPair &pair,
     if (opts.registry) {
         net.stats().publishTo(*opts.registry);
         net.faults().publishTo(*opts.registry);
+        publishCacheCounters(*opts.registry, system);
         // Per-router telemetry covers the final (possibly partial)
         // window — the window counters reset at every boundary.
         for (int r = 0; r < net.numNodes(); ++r)
@@ -315,8 +328,10 @@ runCmesh(const traffic::BenchmarkPair &pair,
     m.pairLabel = pair.label();
     fillCommon(m, net.stats(), warm, opts.measureCycles, dt,
                net.totalEnergyJ(dt));
-    if (opts.registry)
+    if (opts.registry) {
         net.stats().publishTo(*opts.registry);
+        publishCacheCounters(*opts.registry, system);
+    }
     if (opts.tracer) {
         // The electrical mesh has no fault plane; the zero summary
         // still stamps the "fault" category into the trace.

@@ -12,16 +12,19 @@
  * pop_back on pop) matches the standard adaptor exactly, so replacing a
  * `std::priority_queue<T, std::vector<T>, std::greater<T>>` with
  * `MinHeap<T>` yields the identical element order — including the order
- * of equal-priority elements, which the simulator's event loops observe.
- * That makes the swap metrics-neutral by construction.
+ * of equal-priority elements.  The node-side heaps (ClusterNode,
+ * L3Bank, MemoryNode, HeteroSystem's local hops) compare (due, seq), a
+ * total order, so their pop order does not depend on heap shape.  The
+ * network-side heaps still compare due only, and their equal-due ties
+ * pop in push_heap order (DESIGN.md, "Event order").
  *
  * A pop sifts about log2(size) elements, so its cost scales with
  * sizeof(T).  The heap algorithms move elements by comparison outcomes
  * alone, so moving a payload out of the element — into a side table the
  * element indexes — keeps the pop order as long as the comparator reads
- * the same fields.  ClusterNode::LocalEvent stays small for this reason,
- * and PearlNetwork's in-flight heap holds 16-byte keys over a packet
- * slab.
+ * the same fields.  ClusterNode::LocalEvent stays at 32 bytes for this
+ * reason, and PearlNetwork's in-flight heap holds 16-byte keys over a
+ * packet slab.
  */
 
 #ifndef PEARL_SIM_MIN_HEAP_HPP

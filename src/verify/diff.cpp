@@ -4,10 +4,12 @@
 #include <memory>
 #include <sstream>
 
+#include "cache/cluster.hpp"
 #include "core/network.hpp"
 #include "core/router.hpp"
 #include "photonic/laser.hpp"
 #include "verify/invariants.hpp"
+#include "verify/ref_cluster.hpp"
 #include "verify/ref_cmesh.hpp"
 #include "verify/ref_network.hpp"
 
@@ -391,6 +393,329 @@ runCmeshDiff(const CmeshDiffCase &c)
 
     out.injectedPackets = opt.stats().injectedPackets();
     out.deliveredPackets = opt.stats().deliveredPackets();
+    return out;
+}
+
+namespace {
+
+/** Records what a node emits. */
+struct PacketLog : sim::PacketSink
+{
+    void send(Packet &&pkt) override { packets.push_back(std::move(pkt)); }
+    std::vector<Packet> packets;
+};
+
+/** The seeded stand-in for the L3 banks a cluster talks to (see
+ *  runClusterDiff). */
+class FakeL3
+{
+  public:
+    FakeL3(const ClusterDiffCase &c, int cluster)
+        : c_(c), rng_(c.l3Seed), cluster_(cluster)
+    {}
+
+    /** Take one packet the cluster sent. */
+    void
+    absorb(const Packet &pkt, Cycle now)
+    {
+        const CoreType type = sim::coreTypeOf(pkt.msgClass);
+        if (pkt.op == sim::CoherenceOp::Writeback) {
+            forget(type, pkt.addr);
+            return;
+        }
+        if (pkt.op != sim::CoherenceOp::Read &&
+            pkt.op != sim::CoherenceOp::ReadExcl)
+            return; // probe replies
+        const bool exclusive = pkt.op == sim::CoherenceOp::ReadExcl ||
+                               rng_.chance(c_.exclusiveRate);
+        Packet fill = toCluster(type, exclusive ? sim::CoherenceOp::DataExcl
+                                                : sim::CoherenceOp::Data,
+                                pkt.addr, pkt.dst, now);
+        const Cycle latency = static_cast<Cycle>(
+            rng_.range(static_cast<std::int64_t>(c_.minLatency),
+                       static_cast<std::int64_t>(c_.maxLatency)));
+        schedule(now + latency, std::move(fill));
+        held_.push_back({type, pkt.addr, pkt.dst});
+        if (held_.size() > 64)
+            held_.erase(held_.begin());
+    }
+
+    /** Maybe probe one granted line this cycle. */
+    void
+    maybeProbe(Cycle now)
+    {
+        if (held_.empty() || !rng_.chance(c_.probeRate))
+            return;
+        const std::size_t i = rng_.below(held_.size());
+        const Held h = held_[i];
+        const bool inv = rng_.chance(0.5);
+        schedule(now, toCluster(h.type,
+                                inv ? sim::CoherenceOp::ProbeInv
+                                    : sim::CoherenceOp::ProbeShare,
+                                h.addr, h.bank, now));
+        if (inv)
+            held_.erase(held_.begin() + static_cast<std::ptrdiff_t>(i));
+    }
+
+    /** Packets due by `now` in the given delivery phase, in schedule
+     *  order. */
+    std::vector<Packet>
+    take(Cycle now, bool pre_tick)
+    {
+        std::vector<Packet> out;
+        for (std::size_t i = 0; i < pending_.size();) {
+            if (pending_[i].due <= now && pending_[i].preTick == pre_tick) {
+                out.push_back(std::move(pending_[i].pkt));
+                pending_.erase(pending_.begin() +
+                               static_cast<std::ptrdiff_t>(i));
+            } else {
+                ++i;
+            }
+        }
+        return out;
+    }
+
+  private:
+    struct Held
+    {
+        CoreType type;
+        std::uint64_t addr;
+        sim::NodeId bank;
+    };
+
+    struct Scheduled
+    {
+        Cycle due;
+        bool preTick;
+        Packet pkt;
+    };
+
+    Packet
+    toCluster(CoreType type, sim::CoherenceOp op, std::uint64_t addr,
+              sim::NodeId bank, Cycle now)
+    {
+        const bool probe = op == sim::CoherenceOp::ProbeShare ||
+                           op == sim::CoherenceOp::ProbeInv;
+        Packet pkt;
+        pkt.id = ++nextId_;
+        pkt.op = op;
+        if (type == CoreType::CPU)
+            pkt.msgClass = probe ? sim::MsgClass::ReqCpuL2Down
+                                 : sim::MsgClass::RespCpuL2Down;
+        else
+            pkt.msgClass = probe ? sim::MsgClass::ReqGpuL2Down
+                                 : sim::MsgClass::RespGpuL2Down;
+        pkt.dstUnit = sim::NodeUnit::Cluster;
+        pkt.src = bank;
+        pkt.dst = cluster_;
+        pkt.sizeBits =
+            sim::carriesData(op) ? sim::kResponseBits : sim::kRequestBits;
+        pkt.addr = addr;
+        pkt.cycleCreated = now;
+        return pkt;
+    }
+
+    void
+    schedule(Cycle due, Packet pkt)
+    {
+        pending_.push_back({due, rng_.chance(c_.preTickRate),
+                            std::move(pkt)});
+    }
+
+    void
+    forget(CoreType type, std::uint64_t addr)
+    {
+        for (std::size_t i = 0; i < held_.size(); ++i) {
+            if (held_[i].type == type && held_[i].addr == addr) {
+                held_.erase(held_.begin() +
+                            static_cast<std::ptrdiff_t>(i));
+                return;
+            }
+        }
+    }
+
+    const ClusterDiffCase &c_;
+    Rng rng_;
+    sim::NodeId cluster_;
+    std::uint64_t nextId_ = 0;
+    std::vector<Scheduled> pending_;
+    std::vector<Held> held_;
+};
+
+void
+compareEmitted(Divergence &d, std::vector<Packet> &opt,
+               std::vector<Packet> &ref)
+{
+    expectEq(d, "packets emitted", opt.size(), ref.size());
+    for (std::size_t i = 0; i < opt.size() && !d.hit; ++i) {
+        const Packet &o = opt[i];
+        const Packet &r = ref[i];
+        const std::string p = "emitted[" + std::to_string(i) + "].";
+        expectEq(d, (p + "id").c_str(), o.id, r.id);
+        expectEq(d, (p + "op").c_str(), static_cast<int>(o.op),
+                 static_cast<int>(r.op));
+        expectEq(d, (p + "msgClass").c_str(), static_cast<int>(o.msgClass),
+                 static_cast<int>(r.msgClass));
+        expectEq(d, (p + "dstUnit").c_str(), static_cast<int>(o.dstUnit),
+                 static_cast<int>(r.dstUnit));
+        expectEq(d, (p + "src").c_str(), o.src, r.src);
+        expectEq(d, (p + "dst").c_str(), o.dst, r.dst);
+        expectEq(d, (p + "sizeBits").c_str(), o.sizeBits, r.sizeBits);
+        expectEq(d, (p + "addr").c_str(), o.addr, r.addr);
+        expectEq(d, (p + "cycleCreated").c_str(), o.cycleCreated,
+                 r.cycleCreated);
+    }
+}
+
+void
+compareClusterState(Divergence &d, const cache::ClusterNode &opt,
+                    const RefCluster &ref,
+                    const sim::RouterTelemetry &opt_tel,
+                    const sim::RouterTelemetry &ref_tel)
+{
+    const cache::ClusterStats &o = opt.stats();
+    const cache::ClusterStats &r = ref.stats();
+    for (int t = 0; t < sim::kNumCoreTypes; ++t) {
+        const std::string p = t == 0 ? "cpu " : "gpu ";
+        expectEq(d, (p + "accesses").c_str(), o.accesses[t],
+                 r.accesses[t]);
+        expectEq(d, (p + "stalled").c_str(), o.stalled[t], r.stalled[t]);
+        expectEq(d, (p + "l1Hits").c_str(), o.l1Hits[t], r.l1Hits[t]);
+        expectEq(d, (p + "l1Misses").c_str(), o.l1Misses[t],
+                 r.l1Misses[t]);
+        expectEq(d, (p + "l2Hits").c_str(), o.l2Hits[t], r.l2Hits[t]);
+        expectEq(d, (p + "l2Misses").c_str(), o.l2Misses[t],
+                 r.l2Misses[t]);
+        expectEq(d, (p + "writebacks").c_str(), o.writebacks[t],
+                 r.writebacks[t]);
+        expectEq(d, (p + "mshrWaits").c_str(), o.mshrWaits[t],
+                 r.mshrWaits[t]);
+        const auto type = static_cast<CoreType>(t);
+        expectEq(d, (p + "mshrOccupancy").c_str(), opt.mshrOccupancy(type),
+                 ref.mshrOccupancy(type));
+    }
+    expectEq(d, "probesReceived", o.probesReceived, r.probesReceived);
+    expectEq(d, "telemetry requestsSent", opt_tel.requestsSent,
+             ref_tel.requestsSent);
+    expectEq(d, "telemetry responsesSent", opt_tel.responsesSent,
+             ref_tel.responsesSent);
+    expectEq(d, "telemetry incomingFromCores", opt_tel.incomingFromCores,
+             ref_tel.incomingFromCores);
+    expectEq(d, "telemetry packetsToCore", opt_tel.packetsToCore,
+             ref_tel.packetsToCore);
+    expectEq(d, "quiescent", opt.quiescent(), ref.quiescent());
+}
+
+traffic::BenchmarkProfile
+fuzzProfile(Rng &rng, CoreType type)
+{
+    traffic::BenchmarkProfile p;
+    p.name = p.abbrev = type == CoreType::CPU ? "fuzz-cpu" : "fuzz-gpu";
+    p.coreType = type;
+    p.accessRateOn = 0.05 + 0.5 * rng.uniform();
+    p.accessRateOff = p.accessRateOn * rng.uniform();
+    p.pOnToOff = 0.002 + 0.05 * rng.uniform();
+    p.pOffToOn = 0.002 + 0.05 * rng.uniform();
+    p.workingSetLines = static_cast<std::uint64_t>(rng.range(2, 48));
+    p.instrFraction = type == CoreType::CPU ? 0.3 * rng.uniform() : 0.0;
+    p.writeFraction = 0.6 * rng.uniform();
+    p.sharedFraction = 0.5 * rng.uniform();
+    p.streamFraction = rng.uniform();
+    return p;
+}
+
+} // namespace
+
+ClusterDiffCase
+makeClusterFuzzCase(std::uint64_t seed)
+{
+    Rng rng(seed);
+    ClusterDiffCase c;
+    c.seed = seed;
+    c.l3Seed = rng.next();
+    cache::HierarchyConfig &h = c.cfg;
+    h.cpuL2MshrEntries = static_cast<int>(rng.range(1, 2));
+    h.gpuL2MshrEntries = static_cast<int>(rng.range(1, 2));
+    h.l1Ways = static_cast<int>(rng.range(1, 2));
+    h.cpuL1ILines = static_cast<std::uint64_t>(h.l1Ways * rng.range(2, 6));
+    h.cpuL1DLines = static_cast<std::uint64_t>(h.l1Ways * rng.range(2, 6));
+    h.gpuL1Lines = static_cast<std::uint64_t>(h.l1Ways * rng.range(2, 6));
+    h.l2Ways = static_cast<int>(rng.range(1, 4));
+    h.cpuL2Lines = static_cast<std::uint64_t>(h.l2Ways * rng.range(2, 8));
+    h.gpuL2Lines = static_cast<std::uint64_t>(h.l2Ways * rng.range(2, 8));
+    h.l1ToL2Cycles = static_cast<std::uint64_t>(rng.range(1, 4));
+    h.l2AccessCycles = static_cast<std::uint64_t>(rng.range(3, 12));
+    h.cpuCoreMaxOutstanding = static_cast<int>(rng.range(1, 8));
+    h.gpuCoreMaxOutstanding = static_cast<int>(rng.range(1, 8));
+    h.sharedLines = static_cast<std::uint64_t>(rng.range(2, 16));
+    c.cpu = fuzzProfile(rng, CoreType::CPU);
+    c.gpu = fuzzProfile(rng, CoreType::GPU);
+    c.minLatency = static_cast<Cycle>(rng.range(1, 6));
+    c.maxLatency = c.minLatency + static_cast<Cycle>(rng.range(0, 60));
+    c.exclusiveRate = rng.uniform();
+    c.probeRate = 0.15 * rng.uniform();
+    c.preTickRate = 0.5 * rng.uniform();
+    return c;
+}
+
+DiffResult
+runClusterDiff(const ClusterDiffCase &c)
+{
+    constexpr int kCluster = 3;
+    const cache::HomeMap home;
+    cache::ClusterNode opt(kCluster, home, c.cfg, c.cpu, c.gpu,
+                           Rng(c.seed));
+    RefCluster ref(kCluster, home, c.cfg, c.cpu, c.gpu, Rng(c.seed));
+    PacketLog opt_out;
+    PacketLog ref_out;
+    sim::RouterTelemetry opt_tel;
+    sim::RouterTelemetry ref_tel;
+    opt.attach(&opt_out, &opt_tel);
+    ref.attach(&ref_out, &ref_tel);
+    FakeL3 l3(c, kCluster);
+
+    DiffResult out;
+    // Compares both nodes after one phase of a cycle, then hands what
+    // they emitted to the fake L3.
+    auto check = [&](Cycle now, const char *phase) {
+        Divergence d;
+        compareEmitted(d, opt_out.packets, ref_out.packets);
+        compareClusterState(d, opt, ref, opt_tel, ref_tel);
+        if (d.hit) {
+            out.diverged = true;
+            out.cycle = now;
+            out.description = std::string(phase) + ": " + d.what;
+            return false;
+        }
+        for (const Packet &pkt : opt_out.packets)
+            l3.absorb(pkt, now);
+        out.injectedPackets += opt_out.packets.size();
+        opt_out.packets.clear();
+        ref_out.packets.clear();
+        return true;
+    };
+    auto deliver = [&](Cycle now, bool pre_tick) {
+        for (const Packet &pkt : l3.take(now, pre_tick)) {
+            opt.deliver(pkt, now);
+            ref.deliver(pkt, now);
+            ++out.deliveredPackets;
+        }
+    };
+
+    for (Cycle now = 0; now < c.cycles; ++now) {
+        deliver(now, true);
+        if (!check(now, "before tick"))
+            return out;
+        opt.tick(now);
+        ref.tick(now);
+        if (!check(now, "tick"))
+            return out;
+        l3.maybeProbe(now);
+        deliver(now, false);
+        if (!check(now, "after tick"))
+            return out;
+    }
+    out.mshrWaits = opt.stats().mshrWaits[0] + opt.stats().mshrWaits[1];
     return out;
 }
 

@@ -14,6 +14,10 @@
  *
  * runCmeshDiff does the same for the electrical baseline: the optimized
  * electrical::CmeshNetwork against the naive verify::RefCmesh.
+ *
+ * runClusterDiff covers the cache side: cache::ClusterNode, whose
+ * MSHR-full accesses wait on a queue, against verify::RefCluster, which
+ * polls, both answered by one seeded fake L3.
  */
 
 #ifndef PEARL_VERIFY_DIFF_HPP
@@ -25,12 +29,14 @@
 #include <string>
 #include <vector>
 
+#include "cache/config.hpp"
 #include "common/rng.hpp"
 #include "core/arch_config.hpp"
 #include "core/dba.hpp"
 #include "core/power_policy.hpp"
 #include "electrical/cmesh.hpp"
 #include "sim/packet.hpp"
+#include "traffic/profile.hpp"
 
 namespace pearl {
 namespace verify {
@@ -86,6 +92,8 @@ struct DiffResult
     std::uint64_t injectedPackets = 0;
     std::uint64_t deliveredPackets = 0;
     std::uint64_t rxRetries = 0; //!< arrivals bounced off full rx buffers
+    /** Cluster diffs: accesses that waited on a full MSHR table. */
+    std::uint64_t mshrWaits = 0;
     bool ok() const { return !diverged; }
 };
 
@@ -113,6 +121,45 @@ struct CmeshDiffCase
  * both sides the ledger identity flitsInFlight() == countBufferedFlits().
  */
 DiffResult runCmeshDiff(const CmeshDiffCase &c);
+
+/** One cluster differential run: a hierarchy, the two demand profiles
+ *  and the fake L3's behaviour. */
+struct ClusterDiffCase
+{
+    cache::HierarchyConfig cfg;
+    traffic::BenchmarkProfile cpu;
+    traffic::BenchmarkProfile gpu;
+    std::uint64_t cycles = 2000;
+    std::uint64_t seed = 1;   //!< the cluster's demand streams
+    std::uint64_t l3Seed = 1; //!< the fake L3's latencies and probes
+    /** Fake L3 read latency, uniform in [minLatency, maxLatency]. */
+    sim::Cycle minLatency = 1;
+    sim::Cycle maxLatency = 40;
+    double exclusiveRate = 0.5; //!< plain reads granted exclusive
+    double probeRate = 0.05;    //!< per-cycle chance of a probe
+    double preTickRate = 0.3;   //!< answers delivered before the tick
+};
+
+/**
+ * A seeded cluster fuzz case: 1-2 MSHR entries per core type, a tiny L2,
+ * a long l2AccessCycles, a few outstanding accesses per core, tiny
+ * working and shared sets, and a fake L3 that may answer faster than
+ * the 2 * l2AccessCycles MSHR poll period.
+ */
+ClusterDiffCase makeClusterFuzzCase(std::uint64_t seed);
+
+/**
+ * Step a cache::ClusterNode and a verify::RefCluster in lockstep.  A
+ * seeded fake L3 answers each read after a random latency (a store
+ * miss always exclusively, a plain read exclusively at exclusiveRate),
+ * sends share and invalidate probes for lines it granted, and absorbs
+ * writebacks and probe replies.  Each answer is delivered before or
+ * after the tick of its cycle.  After each delivery phase and each tick
+ * the driver compares the packets both nodes emitted, field by field,
+ * their ClusterStats, local telemetry counters, mshrOccupancy() per
+ * core type and quiescent().
+ */
+DiffResult runClusterDiff(const ClusterDiffCase &c);
 
 } // namespace verify
 } // namespace pearl

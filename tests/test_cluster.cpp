@@ -271,6 +271,73 @@ TEST_F(ClusterTest, WritebacksOnCapacityEviction)
     EXPECT_GT(cluster_->stats().writebacks[0], 0u);
 }
 
+TEST_F(ClusterTest, MshrFullAccessesWaitAndWakeInSlotSeqOrder)
+{
+    // One CPU MSHR entry and a 4-cycle poll period (2 * l2AccessCycles).
+    // A takes the entry; B, C and D find it full and wait, polling at
+    // 6, 10, ... (B), 8, 12, ... (C) and 10, 14, ... (D).  Each answer
+    // frees the entry for the waiter whose next poll comes first, ties
+    // broken by seq: C at 8 before the older B, then B before D at 10.
+    cfg_.cpuL2MshrEntries = 1;
+    cfg_.l2AccessCycles = 2;
+    makeCluster(silentProfile(CoreType::CPU), silentProfile(CoreType::GPU));
+    const std::uint64_t a = 0x1000, b = 0x2000, c = 0x3000, d = 0x4000;
+    auto load = [](std::uint64_t line) {
+        traffic::MemAccess acc;
+        acc.lineAddr = line;
+        return acc;
+    };
+    auto answer = [&](std::uint64_t line) {
+        Packet fill;
+        fill.op = CoherenceOp::DataExcl;
+        fill.msgClass = MsgClass::RespCpuL2Down;
+        fill.dstUnit = NodeUnit::Cluster;
+        fill.src = 9;
+        fill.dst = 2;
+        fill.addr = line;
+        fill.sizeBits = sim::kResponseBits;
+        // After this cycle's tick, as HeteroSystem delivers.
+        cluster_->deliver(fill, now_ - 1);
+    };
+
+    cluster_->issue(CoreType::CPU, 0, load(a), now_); // seq 1, L2 at 1
+    runCycles(1);
+    cluster_->issue(CoreType::CPU, 0, load(b), now_); // seq 2, L2 at 2
+    runCycles(2);
+    cluster_->issue(CoreType::CPU, 0, load(c), now_); // seq 3, L2 at 4
+    runCycles(2);
+    cluster_->issue(CoreType::CPU, 0, load(d), now_); // seq 4, L2 at 6
+    runCycles(2); // ticked 0..6
+    EXPECT_EQ(cluster_->stats().mshrWaits[0], 3u);
+    EXPECT_EQ(cluster_->stats().l2Misses[0], 1u);
+    EXPECT_EQ(cluster_->mshrOccupancy(CoreType::CPU), 1u);
+    EXPECT_FALSE(cluster_->quiescent());
+
+    answer(a); // after tick 6: next polls C 8, B 10, D 10
+    runCycles(3); // ticked 7..9
+    answer(c); // after tick 9: B and D both poll at 10
+    runCycles(1);
+    answer(b); // after tick 10: D polls at 14
+    runCycles(4);
+    EXPECT_FALSE(cluster_->quiescent());
+    answer(d);
+    runCycles(4);
+
+    const auto reads = sink_.withOp(CoherenceOp::Read);
+    ASSERT_EQ(reads.size(), 4u);
+    const std::uint64_t want_addr[] = {a, c, b, d};
+    const Cycle want_cycle[] = {1, 8, 10, 14};
+    for (std::size_t i = 0; i < reads.size(); ++i) {
+        EXPECT_EQ(reads[i].addr, want_addr[i]) << "read " << i;
+        EXPECT_EQ(reads[i].cycleCreated, want_cycle[i]) << "read " << i;
+    }
+    // Waits are not misses: every access missed exactly once.
+    EXPECT_EQ(cluster_->stats().mshrWaits[0], 3u);
+    EXPECT_EQ(cluster_->stats().l2Misses[0], 4u);
+    EXPECT_EQ(cluster_->mshrOccupancy(CoreType::CPU), 0u);
+    EXPECT_TRUE(cluster_->quiescent());
+}
+
 TEST_F(ClusterTest, QuiescentWhenIdle)
 {
     makeCluster(silentProfile(CoreType::CPU), silentProfile(CoreType::GPU));

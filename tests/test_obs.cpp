@@ -465,6 +465,26 @@ TEST(Obs, RegistryReconcilesExactlyWithRunMetrics)
     EXPECT_TRUE(reg.gauges().count("router0.dba_cpu_share_mean"));
 }
 
+TEST(Obs, RegistryCountsChipWideMshrWaitsOnBothFabrics)
+{
+    // Two MSHR entries per core type keep FA+DCT's misses waiting; both
+    // fabrics publish the chip-wide sums as cache.mshr_waits.*.
+    traffic::BenchmarkSuite suite;
+    for (const auto fabric : {metrics::RunSpec::Fabric::Pearl,
+                              metrics::RunSpec::Fabric::Cmesh}) {
+        metrics::RunSpec spec = reactiveSpec(
+            {suite.find("FA"), suite.find("DCT")}, 0, 1500);
+        spec.fabric = fabric;
+        spec.options.system.hierarchy.cpuL2MshrEntries = 2;
+        spec.options.system.hierarchy.gpuL2MshrEntries = 2;
+        obs::MetricsRegistry reg;
+        spec.options.registry = &reg;
+        metrics::executeSpec(spec, 7);
+        EXPECT_GT(reg.counters().at("cache.mshr_waits.cpu"), 0u);
+        EXPECT_GT(reg.counters().at("cache.mshr_waits.gpu"), 0u);
+    }
+}
+
 // --------------------------------------------------------------------------
 // Integration: trace determinism and zero cost
 

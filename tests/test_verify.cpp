@@ -494,6 +494,47 @@ TEST(RefDiff, SilentChipReactiveLasersMatchReference)
     EXPECT_EQ(pearl.trimmingEnergyJ, ref.trimmingEnergyJ);
 }
 
+// Cluster: MSHR wait queue against the polling reference ------------------
+
+TEST(RefCluster, FuzzedTinyMshrCasesMatchPollingReference)
+{
+    // 1-2 MSHR entries, a tiny L2 and a long poll period keep most
+    // accesses waiting; a fake L3 that can answer inside one poll period
+    // makes entries free and refill between polls.
+    std::uint64_t waits = 0;
+    for (std::uint64_t i = 0; i < 48; ++i) {
+        ClusterDiffCase c = makeClusterFuzzCase(0xC1A5 + i);
+        c.cycles = 1500;
+        const DiffResult r = runClusterDiff(c);
+        ASSERT_TRUE(r.ok()) << "case seed " << c.seed << " cycle "
+                            << r.cycle << ": " << r.description;
+        EXPECT_GT(r.deliveredPackets, 0u) << "case seed " << c.seed;
+        waits += r.mshrWaits;
+    }
+    EXPECT_GT(waits, 10000u);
+}
+
+TEST(RefCluster, PaperHierarchyUnderMshrPressureMatchesPollingReference)
+{
+    // The Table I hierarchy with its 32/128-entry MSHRs, driven hard
+    // enough by FA's CPU profile and DCT's GPU profile that both tables
+    // fill, answered at L3-like latencies.
+    const traffic::BenchmarkSuite suite;
+    ClusterDiffCase c;
+    c.cpu = suite.find("FA");
+    c.gpu = suite.find("DCT");
+    c.cpu.accessRateOn = c.cpu.accessRateOff = 0.9;
+    c.gpu.accessRateOn = c.gpu.accessRateOff = 0.9;
+    c.cycles = 6000;
+    c.seed = 0xFADC;
+    c.l3Seed = 0x13;
+    c.minLatency = 20;
+    c.maxLatency = 400;
+    const DiffResult r = runClusterDiff(c);
+    ASSERT_TRUE(r.ok()) << "cycle " << r.cycle << ": " << r.description;
+    EXPECT_GT(r.mshrWaits, 1000u);
+}
+
 // Runtime invariant checker ------------------------------------------------
 
 TEST(Invariants, AuditsEveryStepSilently)
