@@ -4,9 +4,11 @@
 # the verification plane (differential suite + time-boxed fuzz smoke)
 # and the benchmark's self-test.
 #
-#   scripts/check.sh            # all five flavours
-#   scripts/check.sh default    # just one
-#                               # (default | asan | tsan | verify | bench)
+#   scripts/check.sh                  # all five flavours
+#   scripts/check.sh default asan     # just these, in this order
+#                                     # (default | asan | tsan | verify | bench)
+#
+# An unknown flavour is rejected before anything is built.
 #
 # Each test flavour uses its own build directory (build-check-<flavour>)
 # so repeated runs are incremental and the user's ./build is untouched.
@@ -40,7 +42,20 @@ set -eu
 cd "$(dirname "$0")/.."
 
 JOBS="${PEARL_CHECK_JOBS:-4}"
-FLAVOURS="${1:-default asan tsan verify bench}"
+if [ "$#" -eq 0 ]; then
+    set -- default asan tsan verify bench
+fi
+for f in "$@"; do
+    case "$f" in
+    default | asan | tsan | verify | bench) ;;
+    *)
+        echo "check.sh: unknown flavour '$f'" \
+             "(want default | asan | tsan | verify | bench)" >&2
+        exit 2
+        ;;
+    esac
+done
+FLAVOURS="$*"
 
 run_flavour() {
     flavour="$1"
@@ -55,11 +70,6 @@ run_flavour() {
              "at --tiny, untraced and traced)"
         python3 pearlbench/selftest.py
         return
-        ;;
-    *)
-        echo "check.sh: unknown flavour '$flavour'" \
-             "(want default | asan | tsan | verify | bench)" >&2
-        exit 2
         ;;
     esac
 
@@ -86,21 +96,21 @@ run_flavour() {
         PEARL_THREADS=4 \
         PEARL_FUZZ_CASES="${PEARL_FUZZ_CASES:-200}" \
         PEARL_FUZZ_SECONDS="${PEARL_FUZZ_SECONDS:-30}" \
-            ctest --test-dir "$dir" -L verify --output-on-failure
+            ctest --test-dir "$dir" -L verify --output-on-failure -j "$JOBS"
     elif [ "$flavour" = tsan ]; then
         # PEARL_THREADS=8 sizes every sweep job pool, so
         # ThreadSanitizer race-checks the concurrent sweep jobs across
         # the whole suite; single runs step on one thread.
         echo "==> [tsan] ctest -L tier1 (PEARL_THREADS=8)"
         PEARL_THREADS=8 \
-            ctest --test-dir "$dir" -L tier1 --output-on-failure
+            ctest --test-dir "$dir" -L tier1 --output-on-failure -j "$JOBS"
     else
         echo "==> [$flavour] ctest -L tier1"
-        ctest --test-dir "$dir" -L tier1 --output-on-failure
+        ctest --test-dir "$dir" -L tier1 --output-on-failure -j "$JOBS"
     fi
 }
 
-for f in $FLAVOURS; do
+for f in "$@"; do
     run_flavour "$f"
 done
 
