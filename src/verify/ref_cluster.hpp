@@ -72,13 +72,6 @@ class RefCluster
         return events_.empty() && mshr_[0].empty() && mshr_[1].empty();
     }
 
-    void
-    issue(sim::CoreType type, int core_slot, const traffic::MemAccess &acc,
-          sim::Cycle now)
-    {
-        coreAccess(type, core_slot, acc, now);
-    }
-
   private:
     struct L2Meta
     {
