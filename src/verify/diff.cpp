@@ -435,6 +435,8 @@ class FakeL3
             rng_.range(static_cast<std::int64_t>(c_.minLatency),
                        static_cast<std::int64_t>(c_.maxLatency)));
         schedule(now + latency, std::move(fill));
+        // Probe targets: the latest grants.  Clean evictions are silent,
+        // so older grants are likely gone from the tiny L2s anyway.
         held_.push_back({type, pkt.addr, pkt.dst});
         if (held_.size() > 64)
             held_.erase(held_.begin());

@@ -191,8 +191,10 @@ RefCluster::tick(Cycle now)
         if (ev.isRetry) {
             // Unchanged version: no erase since the retry was queued, so
             // the table is still full and this address still absent.
-            // Changed version but still full and absent: the lookup
-            // would again end on the full table.  Requeue either way.
+            // Changed version but still full and absent: requeue without
+            // the lookup too, which could only differ if this address's
+            // fill came and went since the last poll (DESIGN.md, "Event
+            // order").
             const int ti = static_cast<int>(ev.type);
             if (ev.mshrVersion == mshrVersion_[ti] ||
                 (static_cast<int>(mshr_[ti].size()) >=
