@@ -264,11 +264,7 @@ ClusterNode::wakeNext(int ti)
             best_slot = slot;
         }
     }
-    LocalEvent ev = parked[best];
-    parked[best] = parked.back();
-    parked.pop_back();
-    ev.due = best_slot;
-    events_.push(ev);
+    unpark(ti, best, best_slot);
 }
 
 void
@@ -276,16 +272,22 @@ ClusterNode::wakeAddr(int ti, std::uint64_t addr)
 {
     auto &parked = parked_[ti];
     for (std::size_t i = 0; i < parked.size();) {
-        if (parked[i].addr != addr) {
+        if (parked[i].addr == addr)
+            unpark(ti, i, nextPoll(parked[i]));
+        else
             ++i;
-            continue;
-        }
-        LocalEvent ev = parked[i];
-        parked[i] = parked.back();
-        parked.pop_back();
-        ev.due = nextPoll(ev);
-        events_.push(ev);
     }
+}
+
+void
+ClusterNode::unpark(int ti, std::size_t i, Cycle slot)
+{
+    auto &parked = parked_[ti];
+    LocalEvent ev = parked[i];
+    parked[i] = parked.back();
+    parked.pop_back();
+    ev.due = slot;
+    events_.push(ev);
 }
 
 void

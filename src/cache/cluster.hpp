@@ -196,6 +196,7 @@ class ClusterNode
     sim::Cycle nextPoll(const LocalEvent &parked) const;
     void wakeNext(int ti);
     void wakeAddr(int ti, std::uint64_t addr);
+    void unpark(int ti, std::size_t i, sim::Cycle slot);
 
     // Coherence ------------------------------------------------------------
     void handleFillResponse(const sim::Packet &pkt, sim::Cycle now);

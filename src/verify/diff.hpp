@@ -155,7 +155,7 @@ ClusterDiffCase makeClusterFuzzCase(std::uint64_t seed);
  * sends share and invalidate probes for lines it granted, and absorbs
  * writebacks and probe replies.  Each answer is delivered before or
  * after the tick of its cycle.  After each delivery phase and each tick
- * the driver compares the packets both nodes emitted, field by field,
+ * it compares the packets both nodes emitted, field by field,
  * their ClusterStats, local telemetry counters, mshrOccupancy() per
  * core type and quiescent().
  */
