@@ -94,7 +94,9 @@ class ClusterNode
         telemetry_ = telemetry;
     }
 
-    /** Advance one network cycle: demand generation + due local events. */
+    /** Advance one network cycle: demand generation + due local events.
+     *  Call it every cycle, in order: waiting accesses poll at slots
+     *  counted from the cycle they started waiting. */
     void tick(sim::Cycle now);
 
     /** Handle a packet the network delivered to this cluster's router. */
