@@ -7,17 +7,20 @@
  * state).  Addresses are cache-line granular throughout the simulator, so
  * the array indexes directly on line addresses.
  *
- * Sets materialise on first touch.  Construction allocates the line and
- * shadow-tag storage but writes none of it; a bitmap with one bit per
- * set records which sets exist.  victim() and victimWhere() construct a
- * set's `Line{}`s and zero its shadow tags the first time they reach
- * it, find() misses on a set that does not exist yet without reading
- * its storage, and reset() clears the bitmap.  A set therefore holds
+ * Sets materialise on first touch.  Construction takes one block for
+ * the lines and shadow tags from the process-wide StoragePool, which
+ * may be a block an earlier array left behind, and writes none of it; a
+ * bitmap with one bit per set records which sets exist.  victim() and
+ * victimWhere() construct a set's `Line{}`s and zero its shadow tags
+ * the first time they reach it, and find() misses on a set that does
+ * not exist yet without reading its storage.  A set therefore holds
  * exactly what an eagerly initialised array would hold before any
- * operation can observe it, so every result is the eager array's, while
- * a short run pays only for the sets it touches (DESIGN.md "Hot path").
- * Under AddressSanitizer the storage of every unmaterialised set is
- * poisoned, so reading a set that does not exist yet fails the run.
+ * operation can observe it, whatever the block held before, so every
+ * result is the eager array's, while a short run pays only for the sets
+ * it touches (DESIGN.md "Hot path").  Under AddressSanitizer the
+ * storage of every unmaterialised set is poisoned, and so is a block
+ * once its array is destroyed, so reading a set that does not exist yet
+ * or a line of a destroyed array fails the run.
  */
 
 #ifndef PEARL_CACHE_CACHE_ARRAY_HPP
@@ -31,12 +34,9 @@
 #include <type_traits>
 #include <vector>
 
-#if defined(__SANITIZE_ADDRESS__)
-#include <sanitizer/asan_interface.h>
-#endif
-
 #include "common/log.hpp"
 #include "cache/nmoesi.hpp"
+#include "cache/storage_pool.hpp"
 #include "cache/validate.hpp"
 
 namespace pearl {
@@ -53,16 +53,22 @@ class CacheArray
   public:
     struct Line
     {
-        // Field order packs the line into 24 bytes (u64s first, then the
-        // state byte next to the metadata) — the arrays dwarf the host
-        // LLC, so bytes per line are bytes per miss.
+        // Field order puts the u64s first and the state byte next to
+        // the metadata, so a line is 16 bytes plus the metadata rounded
+        // up to 8: 24 bytes for the L1s and L2s, 48 for the L3, whose
+        // 128-cluster SharerMask alone is 16 (pinned beside each array
+        // type).  The arrays dwarf the host LLC, so bytes per line are
+        // bytes per miss.
         std::uint64_t tag = 0;
         std::uint64_t lastUse = 0;
         CacheState state = CacheState::I;
         Meta meta{};
     };
-    // Storage is released without running destructors.
+    // Storage goes back to the pool without running destructors, and
+    // the shadow tags follow the lines in the same block.
     static_assert(std::is_trivially_destructible_v<Line>);
+    static_assert(alignof(Line) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__ &&
+                  sizeof(Line) % alignof(std::uint64_t) == 0);
 
     /**
      * @param total_lines capacity in lines (must be divisible by ways).
@@ -83,8 +89,11 @@ class CacheArray
         // keep the modulo path; the mapping is identical either way.
         pow2Sets_ = (numSets_ & (numSets_ - 1)) == 0;
         setMask_ = numSets_ - 1;
-        lines_ = allocate<Line>(total_lines);
-        tags_ = allocate<std::uint64_t>(total_lines);
+        const std::size_t bytes =
+            total_lines * (sizeof(Line) + sizeof(std::uint64_t));
+        lines_ = Block(static_cast<Line *>(StoragePool::shared().take(bytes)),
+                       GiveBack{bytes});
+        tags_ = reinterpret_cast<std::uint64_t *>(lines_.get() + total_lines);
         materialized_.assign((numSets_ + 63) / 64, 0);
     }
 
@@ -207,16 +216,6 @@ class CacheArray
         touch(line);
     }
 
-    /** Invalidate every line (between benchmark phases). */
-    void
-    reset()
-    {
-        std::fill(materialized_.begin(), materialized_.end(), 0);
-        poison(lines_.get(), capacityLines() * sizeof(Line));
-        poison(tags_.get(), capacityLines() * sizeof(std::uint64_t));
-        useClock_ = 0;
-    }
-
     /** Count valid lines (tests / occupancy introspection). */
     std::uint64_t
     validLines() const
@@ -238,7 +237,7 @@ class CacheArray
         return n;
     }
 
-    /** Sets constructed since construction or the last reset() (tests). */
+    /** Sets constructed so far (tests). */
     std::uint64_t
     materializedSets() const
     {
@@ -248,62 +247,25 @@ class CacheArray
         return n;
     }
 
+    /** Start of the array's pooled block (tests: a rebuilt array of the
+     *  same geometry gets its predecessor's block back). */
+    const void *storageBlock() const { return lines_.get(); }
+
   private:
-    /** Make `bytes` at `p` unreadable (AddressSanitizer builds only). */
-    static void
-    poison(const void *p, std::size_t bytes)
+    /** Gives the block back to the pool; the lines are never destroyed
+     *  (they are trivially destructible). */
+    struct GiveBack
     {
-#if defined(__SANITIZE_ADDRESS__)
-        ASAN_POISON_MEMORY_REGION(p, bytes);
-#else
-        (void)p;
-        (void)bytes;
-#endif
-    }
-
-    /** Make `bytes` at `p` readable again (AddressSanitizer builds only). */
-    static void
-    unpoison(const void *p, std::size_t bytes)
-    {
-#if defined(__SANITIZE_ADDRESS__)
-        ASAN_UNPOISON_MEMORY_REGION(p, bytes);
-#else
-        (void)p;
-        (void)bytes;
-#endif
-    }
-
-    /**
-     * Deleter for storage of `count` Ts obtained from std::allocator.
-     * The objects are never destroyed (they are trivially destructible),
-     * and the block is unpoisoned before it goes back to the allocator.
-     */
-    template <typename T>
-    struct Release
-    {
-        std::size_t count = 0;
+        std::size_t bytes = 0;
 
         void
-        operator()(T *p) const
+        operator()(Line *block) const
         {
-            unpoison(p, count * sizeof(T));
-            std::allocator<T>{}.deallocate(p, count);
+            StoragePool::shared().give(block, bytes);
         }
     };
 
-    template <typename T>
-    using Storage = std::unique_ptr<T[], Release<T>>;
-
-    /** Uninitialised, poisoned storage for `count` Ts. */
-    template <typename T>
-    static Storage<T>
-    allocate(std::size_t count)
-    {
-        Storage<T> storage(std::allocator<T>{}.allocate(count),
-                           Release<T>{count});
-        poison(storage.get(), count * sizeof(T));
-        return storage;
-    }
+    using Block = std::unique_ptr<Line[], GiveBack>;
 
     std::uint64_t
     setOf(std::uint64_t line_addr) const
@@ -328,9 +290,9 @@ class CacheArray
         const std::uint64_t bit = std::uint64_t{1} << (set & 63);
         if (!(word & bit)) {
             word |= bit;
-            std::uint64_t *const tags = tags_.get() + set * waysU();
-            unpoison(base, waysU() * sizeof(Line));
-            unpoison(tags, waysU() * sizeof(std::uint64_t));
+            std::uint64_t *const tags = tags_ + set * waysU();
+            unpoisonStorage(base, waysU() * sizeof(Line));
+            unpoisonStorage(tags, waysU() * sizeof(std::uint64_t));
             std::uninitialized_value_construct_n(base, ways_);
             std::fill_n(tags, ways_, std::uint64_t{0});
         }
@@ -341,10 +303,12 @@ class CacheArray
     std::uint64_t numSets_;
     std::uint64_t setMask_ = 0;
     bool pow2Sets_ = false;
-    Storage<Line> lines_;
+    /** The pooled block: capacityLines() lines, then the shadow tags. */
+    Block lines_;
     /** Shadow of each line's tag, written only by install(); see find().
-     *  Entries for invalid lines are stale, never cleared. */
-    Storage<std::uint64_t> tags_;
+     *  Entries for invalid lines are stale, never cleared.  Points into
+     *  lines_'s block. */
+    std::uint64_t *tags_ = nullptr;
     /** One bit per set: set `s` exists iff bit `s % 64` of word `s / 64`. */
     std::vector<std::uint64_t> materialized_;
     std::uint64_t useClock_ = 0;

@@ -138,6 +138,8 @@ class ClusterNode
 
     using L1Array = CacheArray<NoMeta>;
     using L2Array = CacheArray<L2Meta>;
+    static_assert(sizeof(L1Array::Line) == 24 && sizeof(L2Array::Line) == 24,
+                  "L1/L2 lines grew; bytes per line are bytes per miss");
 
     /** A core request waiting on an outstanding miss. */
     struct Waiter

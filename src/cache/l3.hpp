@@ -116,6 +116,9 @@ class L3Bank
     };
 
     using L3Array = CacheArray<DirMeta>;
+    // 16 bytes of line, 16 of SharerMask, owner and dirty, padded to 8.
+    static_assert(sizeof(L3Array::Line) == 48,
+                  "L3 lines grew; bytes per line are bytes per miss");
 
     /** A queued coherence request from a cluster. */
     struct PendingReq

@@ -2,12 +2,14 @@
  * @file
  * Tests for the generic set-associative cache array, including a
  * lockstep differential test against the eagerly initialised array the
- * simulator used before sets materialised on first touch.
+ * simulator used before sets materialised on first touch, over fresh
+ * and recycled storage.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <type_traits>
 #include <vector>
 
@@ -133,12 +135,16 @@ TEST(CacheArray, SetIsolation)
 
 TEST(CacheArray, ResetInvalidatesEverything)
 {
-    CacheArray<> arr(8, 2);
-    auto &v = arr.victim(1);
-    arr.install(v, 1, CacheState::M);
-    arr.reset();
-    EXPECT_EQ(arr.find(1), nullptr);
-    EXPECT_EQ(arr.validLines(), 0u);
+    // A rebuilt array of the same geometry is the reset: it gets the
+    // old array's block back, valid line included, and holds nothing.
+    std::optional<CacheArray<>> arr(std::in_place, 8, 2);
+    auto &v = arr->victim(1);
+    arr->install(v, 1, CacheState::M);
+    const void *const block = arr->storageBlock();
+    arr.emplace(8, 2);
+    EXPECT_EQ(arr->storageBlock(), block);
+    EXPECT_EQ(arr->find(1), nullptr);
+    EXPECT_EQ(arr->validLines(), 0u);
 }
 
 TEST(CacheArray, InvalidLinesNotFound)
@@ -153,38 +159,41 @@ TEST(CacheArray, InvalidLinesNotFound)
 TEST(CacheArray, ConstructionFindAndResetMaterialiseNoSet)
 {
     // Pins the lazy layout: only victim() and victimWhere() construct a
-    // set, so a return to eager initialisation fails here.
-    CacheArray<> arr(1024, 8); // 128 sets
-    EXPECT_EQ(arr.materializedSets(), 0u);
+    // set, so a return to eager initialisation fails here.  The reset is
+    // a rebuild over the recycled block.
+    std::optional<CacheArray<>> arr(std::in_place, 1024, 8); // 128 sets
+    EXPECT_EQ(arr->materializedSets(), 0u);
     for (std::uint64_t addr = 0; addr < 4096; addr += 3)
-        EXPECT_EQ(arr.find(addr), nullptr);
-    EXPECT_EQ(arr.find(~std::uint64_t{0}), nullptr);
-    EXPECT_EQ(arr.materializedSets(), 0u);
-    EXPECT_EQ(arr.validLines(), 0u);
+        EXPECT_EQ(arr->find(addr), nullptr);
+    EXPECT_EQ(arr->find(~std::uint64_t{0}), nullptr);
+    EXPECT_EQ(arr->materializedSets(), 0u);
+    EXPECT_EQ(arr->validLines(), 0u);
 
-    arr.install(arr.victim(5), 5, CacheState::S);
-    EXPECT_EQ(arr.materializedSets(), 1u);
-    arr.victimWhere(6, [](std::uint64_t) { return true; });
-    EXPECT_EQ(arr.materializedSets(), 2u);
-    arr.victim(5 + 128); // same set as 5
-    EXPECT_EQ(arr.materializedSets(), 2u);
-    EXPECT_NE(arr.find(5), nullptr);
-    EXPECT_EQ(arr.materializedSets(), 2u);
+    arr->install(arr->victim(5), 5, CacheState::S);
+    EXPECT_EQ(arr->materializedSets(), 1u);
+    arr->victimWhere(6, [](std::uint64_t) { return true; });
+    EXPECT_EQ(arr->materializedSets(), 2u);
+    arr->victim(5 + 128); // same set as 5
+    EXPECT_EQ(arr->materializedSets(), 2u);
+    EXPECT_NE(arr->find(5), nullptr);
+    EXPECT_EQ(arr->materializedSets(), 2u);
 
-    arr.reset();
-    EXPECT_EQ(arr.materializedSets(), 0u);
-    EXPECT_EQ(arr.find(5), nullptr);
-    EXPECT_EQ(arr.materializedSets(), 0u);
-    EXPECT_EQ(arr.capacityLines(), 1024u);
+    const void *const block = arr->storageBlock();
+    arr.emplace(1024, 8);
+    EXPECT_EQ(arr->storageBlock(), block);
+    EXPECT_EQ(arr->materializedSets(), 0u);
+    EXPECT_EQ(arr->find(5), nullptr);
+    EXPECT_EQ(arr->materializedSets(), 0u);
+    EXPECT_EQ(arr->capacityLines(), 1024u);
 }
 
 // Differential test against the eager array ------------------------------
 
 /**
  * The cache array as it was before sets materialised on first touch:
- * every line and shadow tag written at construction and on reset().
- * Kept as the lockstep reference: its operations are copied unchanged,
- * only comments and accessors the test does not use are dropped.
+ * every line and shadow tag written at construction.  Kept as the
+ * lockstep reference: its operations are copied unchanged, only
+ * comments and members the test does not use are dropped.
  */
 template <typename Meta = NoMeta>
 class EagerCacheArray
@@ -287,15 +296,6 @@ class EagerCacheArray
         touch(line);
     }
 
-    void
-    reset()
-    {
-        for (auto &line : lines_)
-            line = Line{};
-        tags_.assign(tags_.size(), 0);
-        useClock_ = 0;
-    }
-
     std::uint64_t
     validLines() const
     {
@@ -367,30 +367,70 @@ sameMeta(const Meta &a, const Meta &b)
         return a == b;
 }
 
+/** Install a valid line with metadata in every way of every set. */
+template <typename Meta>
+void
+fillEverySet(CacheArray<Meta> &arr, std::uint64_t seed)
+{
+    Rng rng(seed);
+    for (std::uint64_t set = 0; set < arr.numSets(); ++set) {
+        for (int w = 0; w < arr.ways(); ++w) {
+            const std::uint64_t addr =
+                set + static_cast<std::uint64_t>(w) * arr.numSets();
+            auto &line = arr.victim(addr);
+            arr.install(line, addr, CacheState::M);
+            scribble(line.meta, rng.next());
+        }
+    }
+    ASSERT_EQ(arr.validLines(), arr.capacityLines());
+}
+
 /**
  * Run `ops` random operations on a lazy and an eager array of the same
  * geometry in lockstep, as ClusterNode and L3Bank drive them: lookups,
  * victim selection and install, busy-aware victims, LRU touches,
  * invalidation and metadata writes through returned pointers, resets
  * and occupancy counts.  Every returned line must be the same way and
- * hold the same tag, state, LRU stamp and metadata.
+ * hold the same tag, state, LRU stamp and metadata.  A reset destroys
+ * both arrays and builds them again; the lazy one gets its block back.
+ * With `recycled`, the lazy array starts on the block of an array that
+ * had every way of every set valid.
  */
 template <typename Meta>
 void
 runLockstep(std::uint64_t total_lines, int ways, std::uint64_t seed,
-            int ops)
+            int ops, bool recycled)
 {
-    SCOPED_TRACE(testing::Message() << total_lines << " lines, " << ways
-                                    << " ways, seed " << seed);
+    SCOPED_TRACE(testing::Message()
+                 << total_lines << " lines, " << ways << " ways, seed "
+                 << seed << (recycled ? ", recycled block" : ""));
     using LazyLine = typename CacheArray<Meta>::Line;
     using EagerLine = typename EagerCacheArray<Meta>::Line;
-    CacheArray<Meta> lazy(total_lines, ways);
-    EagerCacheArray<Meta> eager(total_lines, ways);
+    std::optional<CacheArray<Meta>> lazy;
+    std::optional<EagerCacheArray<Meta>> eager;
+    const void *stale_block = nullptr;
+    if (recycled) {
+        CacheArray<Meta> filled(total_lines, ways);
+        fillEverySet(filled, ~seed);
+        ASSERT_FALSE(testing::Test::HasFatalFailure());
+        stale_block = filled.storageBlock();
+    }
 
     // Both arrays keep their lines in one block, so a line's index is its
     // offset from way 0 of set 0, which a fresh array's victim(0) is.
-    const LazyLine *const lazy0 = &lazy.victim(0);
-    const EagerLine *const eager0 = &eager.victim(0);
+    const LazyLine *lazy0 = nullptr;
+    const EagerLine *eager0 = nullptr;
+    const auto rebuild = [&] {
+        lazy.emplace(total_lines, ways);
+        eager.emplace(total_lines, ways);
+        lazy0 = &lazy->victim(0);
+        eager0 = &eager->victim(0);
+    };
+    rebuild();
+    if (recycled) {
+        ASSERT_EQ(lazy->storageBlock(), stale_block);
+    }
+
     const auto same = [&](const LazyLine *a,
                           const EagerLine *b) -> testing::AssertionResult {
         if (!a || !b) {
@@ -433,15 +473,15 @@ runLockstep(std::uint64_t total_lines, int ways, std::uint64_t seed,
         const std::uint64_t addr = draw_addr();
         const std::uint64_t kind = rng.below(1000);
         if (kind < 250) {
-            ASSERT_TRUE(same(lazy.find(addr), eager.find(addr)));
+            ASSERT_TRUE(same(lazy->find(addr), eager->find(addr)));
         } else if (kind < 500) {
-            LazyLine &a = lazy.victim(addr);
-            EagerLine &b = eager.victim(addr);
+            LazyLine &a = lazy->victim(addr);
+            EagerLine &b = eager->victim(addr);
             ASSERT_TRUE(same(&a, &b));
             const CacheState state = draw_state();
-            lazy.install(a, addr, state);
-            eager.install(b, addr, state);
-            ASSERT_TRUE(same(lazy.find(addr), eager.find(addr)));
+            lazy->install(a, addr, state);
+            eager->install(b, addr, state);
+            ASSERT_TRUE(same(lazy->find(addr), eager->find(addr)));
         } else if (kind < 650) {
             // Busy tags: none, some or (the plain-LRU fallback) all.
             const std::uint64_t salt = rng.next();
@@ -449,29 +489,29 @@ runLockstep(std::uint64_t total_lines, int ways, std::uint64_t seed,
             const auto busy = [&](std::uint64_t tag) {
                 return Rng(tag ^ salt).below(4) < busy_in_4;
             };
-            LazyLine &a = lazy.victimWhere(addr, busy);
-            EagerLine &b = eager.victimWhere(addr, busy);
+            LazyLine &a = lazy->victimWhere(addr, busy);
+            EagerLine &b = eager->victimWhere(addr, busy);
             ASSERT_TRUE(same(&a, &b));
             const CacheState state = draw_state();
-            lazy.install(a, addr, state);
-            eager.install(b, addr, state);
+            lazy->install(a, addr, state);
+            eager->install(b, addr, state);
         } else if (kind < 750) {
-            LazyLine *a = lazy.find(addr);
-            EagerLine *b = eager.find(addr);
+            LazyLine *a = lazy->find(addr);
+            EagerLine *b = eager->find(addr);
             ASSERT_TRUE(same(a, b));
             if (a) {
-                lazy.touch(*a);
-                eager.touch(*b);
+                lazy->touch(*a);
+                eager->touch(*b);
                 ASSERT_TRUE(same(a, b));
             }
         } else if (kind < 850) {
             // Invalidate through a returned pointer, leaving the shadow
             // tag stale, as evictions and invalidation probes do.
-            LazyLine *a = lazy.find(addr);
-            EagerLine *b = eager.find(addr);
+            LazyLine *a = lazy->find(addr);
+            EagerLine *b = eager->find(addr);
             if (kind < 800 && !a && !b) {
-                a = &lazy.victim(addr);
-                b = &eager.victim(addr);
+                a = &lazy->victim(addr);
+                b = &eager->victim(addr);
             }
             ASSERT_TRUE(same(a, b));
             if (a) {
@@ -479,8 +519,8 @@ runLockstep(std::uint64_t total_lines, int ways, std::uint64_t seed,
                 b->state = CacheState::I;
             }
         } else if (kind < 950) {
-            LazyLine *a = lazy.find(addr);
-            EagerLine *b = eager.find(addr);
+            LazyLine *a = lazy->find(addr);
+            EagerLine *b = eager->find(addr);
             ASSERT_TRUE(same(a, b));
             if (a) {
                 const std::uint64_t r = rng.next();
@@ -489,22 +529,24 @@ runLockstep(std::uint64_t total_lines, int ways, std::uint64_t seed,
                 ASSERT_TRUE(same(a, b));
             }
         } else if (kind < 999) {
-            ASSERT_EQ(lazy.validLines(), eager.validLines());
+            ASSERT_EQ(lazy->validLines(), eager->validLines());
         } else if (rng.below(4) == 0) {
-            lazy.reset();
-            eager.reset();
-            ASSERT_EQ(lazy.materializedSets(), 0u);
+            const void *const block = lazy->storageBlock();
+            rebuild();
+            ASSERT_EQ(lazy->storageBlock(), block);
+            ASSERT_EQ(lazy->materializedSets(), 1u); // victim(0)'s set
         }
     }
 
     for (std::uint64_t addr = 0; addr < 4 * total_lines; ++addr)
-        ASSERT_TRUE(same(lazy.find(addr), eager.find(addr))) << addr;
-    EXPECT_EQ(lazy.validLines(), eager.validLines());
-    EXPECT_LE(lazy.materializedSets(), lazy.numSets());
-    lazy.reset();
-    eager.reset();
-    EXPECT_EQ(lazy.validLines(), 0u);
-    EXPECT_EQ(eager.validLines(), 0u);
+        ASSERT_TRUE(same(lazy->find(addr), eager->find(addr))) << addr;
+    EXPECT_EQ(lazy->validLines(), eager->validLines());
+    EXPECT_LE(lazy->materializedSets(), lazy->numSets());
+    const void *const block = lazy->storageBlock();
+    rebuild();
+    EXPECT_EQ(lazy->storageBlock(), block);
+    EXPECT_EQ(lazy->validLines(), 0u);
+    EXPECT_EQ(eager->validLines(), 0u);
 }
 
 /** Geometries with power-of-two and odd set counts at 1/2/8/16 ways. */
@@ -521,10 +563,10 @@ constexpr int kLockstepOps = 12000;
 
 template <typename Meta>
 void
-runEveryGeometry(std::uint64_t seed)
+runEveryGeometry(std::uint64_t seed, bool recycled = false)
 {
     for (const Geometry &g : kGeometries) {
-        runLockstep<Meta>(g.lines, g.ways, seed++, kLockstepOps);
+        runLockstep<Meta>(g.lines, g.ways, seed++, kLockstepOps, recycled);
         if (testing::Test::HasFatalFailure())
             return;
     }
@@ -543,6 +585,25 @@ TEST(CacheArrayLockstep, MatchesEagerArrayWithL2Meta)
 TEST(CacheArrayLockstep, MatchesEagerArrayWithDirMeta)
 {
     runEveryGeometry<DirLikeMeta>(300);
+}
+
+// A recycled block holds the last array's lines: every way of every set
+// valid, with metadata.  The new array must still match a fresh eager
+// one, so a set must be built in full before anything reads it.
+
+TEST(CacheArrayLockstep, RecycledBlockMatchesEagerArrayWithoutMeta)
+{
+    runEveryGeometry<NoMeta>(400, true);
+}
+
+TEST(CacheArrayLockstep, RecycledBlockMatchesEagerArrayWithL2Meta)
+{
+    runEveryGeometry<L2LikeMeta>(500, true);
+}
+
+TEST(CacheArrayLockstep, RecycledBlockMatchesEagerArrayWithDirMeta)
+{
+    runEveryGeometry<DirLikeMeta>(600, true);
 }
 
 } // namespace
