@@ -152,8 +152,10 @@ csvRow(const std::vector<std::string> &key_cells, const RunMetrics &m)
             line += ",";
         line += cell;
     }
-    for (const MetricField &f : metricFields(m))
-        line += "," + formatMetricValue(f);
+    for (const MetricField &f : metricFields(m)) {
+        line += ',';
+        line += formatMetricValue(f);
+    }
     return line;
 }
 

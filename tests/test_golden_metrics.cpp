@@ -12,7 +12,7 @@
  *
  * Regenerate the golden files after an intentional behaviour change:
  *   PEARL_UPDATE_GOLDEN=1 ./test_golden_metrics
- * and commit the updated tests/golden/*.csv.
+ * and commit the updated CSVs under tests/golden/.
  */
 
 #include <gtest/gtest.h>
