@@ -191,26 +191,27 @@ mlLabel(const traffic::BenchmarkSuite &suite)
                  "test NRMSE (policy states)"});
     for (auto label : {ml::LabelKind::InjectedPackets,
                        ml::LabelKind::BufferUtilization}) {
-        // Train under random states.
-        core::RandomPolicy random_policy(Rng(42), false);
-        ml::Dataset train;
-        std::uint64_t seed = 10;
-        for (const auto &pair : train_pairs) {
-            train.append(
-                pipeline.collect(pair, random_policy, ++seed, label));
-        }
+        // Train under random states, seeds 11..16, the pairs run
+        // concurrently through one random stream.
+        const std::uint64_t first_seed = 10;
+        const ml::Dataset train = pipeline.collectRandom(
+            train_pairs, first_seed, core::RandomPolicy(Rng(42), false),
+            label);
         ml::RidgeRegression model;
         model.fit(train, 1.0);
         const double train_nrmse =
             ml::nrmseFit(train.labels, model.predictAll(train));
 
         // Test under a *fixed-state* policy: a distribution shift the
-        // wavelength-dependent label suffers from.
-        core::StaticPolicy low(photonic::WlState::WL16);
-        ml::Dataset test;
-        for (const auto &pair : test_pairs) {
-            test.append(pipeline.collect(pair, low, ++seed, label));
-        }
+        // wavelength-dependent label suffers from.  The test pairs take
+        // the seeds after the training pairs'.
+        const ml::Dataset test = pipeline.collectAll(
+            test_pairs, first_seed + train_pairs.size(),
+            [](std::size_t) {
+                return std::make_unique<core::StaticPolicy>(
+                    photonic::WlState::WL16);
+            },
+            label);
         const double test_nrmse =
             ml::nrmseFit(test.labels, model.predictAll(test));
 

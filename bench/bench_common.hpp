@@ -11,7 +11,8 @@
  *   PEARL_BENCH_PAIRS    test pairs to use, 0 = all   (default 0)
  *   PEARL_BENCH_TRAIN    training cycles per pair     (default 30000)
  *   PEARL_BENCH_TRAIN_PAIRS  training pairs, 0 = all  (default 0)
- *   PEARL_THREADS        sweep job worker threads; 1 = serial
+ *   PEARL_THREADS        job worker threads for sweeps and training-
+ *                        data collection; 1 = serial
  *                        (default: hardware concurrency)
  *   PEARL_TRACE          per-window event tracing     (default 0)
  *   PEARL_TRACE_PATH     trace file stem (".jsonl" -> JSONL backend,
@@ -32,6 +33,7 @@
 #ifndef PEARL_BENCH_COMMON_HPP
 #define PEARL_BENCH_COMMON_HPP
 
+#include <chrono>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
@@ -44,6 +46,7 @@
 #include <vector>
 
 #include "common/env.hpp"
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "metrics/experiment.hpp"
@@ -76,6 +79,20 @@ cpuSeconds()
     getrusage(RUSAGE_SELF, &ru);
     return double(ru.ru_utime.tv_sec) + double(ru.ru_utime.tv_usec) * 1e-6 +
            double(ru.ru_stime.tv_sec) + double(ru.ru_stime.tv_usec) * 1e-6;
+}
+
+/** " in <s> s on <n> threads" for the [ml] lines: the wall time since
+ *  `start` and the job-loop budget the collections ran on. */
+inline std::string
+wallOnThreads(std::chrono::steady_clock::time_point start)
+{
+    const double wall = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+    const unsigned threads = resolveThreads(0);
+    return " in " + TextTable::num(wall, 2) + " s on " +
+           std::to_string(threads) + " thread" +
+           (threads == 1 ? "" : "s");
 }
 
 // JSON of bench_ext_scaling (BENCH_scaling.json).
@@ -375,15 +392,17 @@ trainedModel(const traffic::BenchmarkSuite &suite, std::uint64_t rw)
 
     std::cout << "[ml] training ridge model for RW" << rw
               << " (cache miss; this runs the 36-pair pipeline)\n";
+    const auto start = std::chrono::steady_clock::now();
     ml::TrainingPipeline pipeline(suite, cfg);
     result = pipeline.run();
+    const std::string timing = wallOnThreads(start);
     std::ofstream out(path);
     result.model.save(out);
     std::cout << "[ml] trained: lambda " << result.bestLambda
               << ", validation NRMSE "
               << TextTable::num(result.validationNrmse, 3) << ", "
-              << result.trainSamples << " samples -> cached to " << path
-              << "\n";
+              << result.trainSamples << " samples" << timing
+              << " -> cached to " << path << "\n";
     return result;
 }
 

@@ -76,13 +76,14 @@ main(int argc, char **argv)
     w.print(std::cout);
 
     std::cout << "\n5. Held-out evaluation on 4 test pairs:\n";
-    core::StaticPolicy base_policy(photonic::WlState::WL64);
-    ml::Dataset test;
     auto test_pairs = suite.testPairs();
     test_pairs.resize(4);
-    std::uint64_t seed = 40;
-    for (const auto &pair : test_pairs)
-        test.append(pipeline.collect(pair, base_policy, ++seed));
+    // Seeds 41..44, the pairs collected concurrently.
+    const ml::Dataset test =
+        pipeline.collectAll(test_pairs, 40, [](std::size_t) {
+            return std::make_unique<core::StaticPolicy>(
+                photonic::WlState::WL64);
+        });
     const auto eval = pipeline.evaluate(result.model, test);
     std::cout << "   test NRMSE = " << TextTable::num(eval.nrmse, 3)
               << ", state accuracy = " << TextTable::pct(eval.stateAccuracy)

@@ -219,7 +219,8 @@ envRegistry()
          "restore finished jobs from the journal instead of re-running "
          "them"},
         {"PEARL_THREADS", "u64", "hardware threads",
-         "job worker threads for sweeps; single runs use one thread"},
+         "job worker threads for sweeps and training-data collection; "
+         "single runs use one thread"},
         // Benchmarks (bench/*).
         {"PEARL_BENCH_CYCLES", "u64", "60000",
          "measured cycles per bench run"},

@@ -82,12 +82,9 @@ PearlNetwork::PearlNetwork(const PearlConfig &cfg,
     }
     windowOffsets_.resize(static_cast<std::size_t>(cfg_.numNodes()), 0);
     if (cfg_.reservationWindow > 0) {
-        for (int r = 0; r < cfg_.numNodes(); ++r) {
+        for (int r = 0; r < cfg_.numNodes(); ++r)
             windowOffsets_[static_cast<std::size_t>(r)] =
-                (static_cast<std::uint64_t>(cfg_.windowOffsetPerRouter) *
-                 static_cast<std::uint64_t>(r)) %
-                cfg_.reservationWindow;
-        }
+                windowOffset(cfg_, r);
     }
     dynEnergyPerBitJ_ = routerPower_.dynamicEnergyPerBitJ();
     trimPowerW_.resize(routers_.size());
@@ -99,6 +96,34 @@ PearlNetwork::PearlNetwork(const PearlConfig &cfg,
                     static_cast<std::size_t>(s)], tx_rings, cfg_.rxRings);
         }
     }
+}
+
+std::uint64_t
+PearlNetwork::windowOffset(const PearlConfig &cfg, int router)
+{
+    return (static_cast<std::uint64_t>(cfg.windowOffsetPerRouter) *
+            static_cast<std::uint64_t>(router)) %
+           cfg.reservationWindow;
+}
+
+std::uint64_t
+PearlNetwork::windowDecisions(const PearlConfig &cfg, Cycle cycles)
+{
+    const std::uint64_t rw = cfg.reservationWindow;
+    if (rw == 0 || cycles < 2)
+        return 0;
+    // Stage 5 runs at cycles 0 .. cycles-1 and skips cycle 0, so router
+    // r decides at phase, phase + rw, ... in [1, last] (rw, 2 rw, ...
+    // when its phase is 0).
+    const std::uint64_t last = cycles - 1;
+    std::uint64_t decisions = 0;
+    for (int r = 0; r < cfg.numNodes(); ++r) {
+        const std::uint64_t phase = windowOffset(cfg, r);
+        const std::uint64_t first = phase == 0 ? rw : phase;
+        if (first <= last)
+            decisions += (last - first) / rw + 1;
+    }
+    return decisions;
 }
 
 bool
@@ -293,8 +318,9 @@ PearlNetwork::step()
 
     // 5. Reservation-window boundaries (staggered per router).  Router
     // r's window ends at every cycle c > 0 with
-    // c % rw == (windowOffsetPerRouter * r) % rw; the offsets are
-    // precomputed, so one shared `cycle_ % rw` serves every router.
+    // c % rw == windowOffset(cfg_, r), the rule windowDecisions()
+    // counts; the offsets are precomputed, so one shared `cycle_ % rw`
+    // serves every router.
     const std::uint64_t rw = cfg_.reservationWindow;
     const std::uint64_t now_mod = rw ? cycle_ % rw : 0;
     for (int r = 0; r < cfg_.numNodes(); ++r) {

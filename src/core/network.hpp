@@ -113,6 +113,22 @@ class PearlNetwork : public sim::Network
                  const photonic::PowerModel &power, const DbaConfig &dba,
                  PowerPolicy *policy);
 
+    /**
+     * Router `router`'s window-end phase, (windowOffsetPerRouter *
+     * router) mod RW: its window ends at every cycle c > 0 with
+     * c % RW equal to it.  Stage 5 and windowDecisions() both use it.
+     */
+    static std::uint64_t windowOffset(const PearlConfig &cfg, int router);
+
+    /**
+     * Policy decisions (`nextState` calls) a new network makes over
+     * `cycles` steps: one per router per window end in cycles
+     * 1 .. cycles-1.  The config fixes it, never the traffic, so a
+     * random-state collection's draws are known before it runs.
+     */
+    static std::uint64_t windowDecisions(const PearlConfig &cfg,
+                                         sim::Cycle cycles);
+
     /** Install a collector for closed reservation windows (ML pipeline). */
     void setWindowCollector(WindowCollector collector)
     {
@@ -317,8 +333,7 @@ class PearlNetwork : public sim::Network
      *  energy accumulation is bit-identical. */
     double dynEnergyPerBitJ_ = 0.0;
     std::vector<std::array<double, photonic::kNumWlStates>> trimPowerW_;
-    /** Per-router staggered window offset: (windowOffsetPerRouter * r)
-     *  mod reservationWindow, precomputed for the boundary check. */
+    /** Per-router windowOffset(), precomputed for the boundary check. */
     std::vector<std::uint64_t> windowOffsets_;
 
     // Per-step scratch, hoisted out of step()/drainRetxQueue() so the

@@ -178,15 +178,32 @@ class RandomPolicy : public PowerPolicy
     nextState(const WindowObservation &) override
     {
         const int lo = include8Wl_ ? 0 : 1;
+        ++draws_;
         return photonic::stateFromIndex(
             static_cast<int>(rng_.range(lo, photonic::kNumWlStates - 1)));
     }
+
+    /**
+     * Advance the stream as `n` decisions would.  Exact, because each
+     * decision takes one value: Rng::below() has no rejection loop.
+     */
+    void
+    skip(std::uint64_t n)
+    {
+        for (std::uint64_t i = 0; i < n; ++i)
+            rng_.next();
+        draws_ += n;
+    }
+
+    /** Values taken from the stream so far, by decisions and skip(). */
+    std::uint64_t draws() const { return draws_; }
 
     const char *name() const override { return "random"; }
 
   private:
     Rng rng_;
     bool include8Wl_;
+    std::uint64_t draws_ = 0;
 };
 
 } // namespace core

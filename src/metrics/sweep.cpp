@@ -6,12 +6,12 @@
 #include <fstream>
 #include <mutex>
 #include <stdexcept>
-#include <thread>
 #include <unordered_map>
 
 #include "cache/validate.hpp"
 #include "common/env.hpp"
 #include "common/log.hpp"
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "core/validate.hpp"
 #include "electrical/validate.hpp"
@@ -251,21 +251,6 @@ SweepResult::metricsOrThrow() const
     return out;
 }
 
-unsigned
-SweepRunner::resolveThreads(unsigned requested)
-{
-    // The ceiling is far above any real host; it only bounds the damage
-    // of a mistyped PEARL_THREADS.
-    constexpr std::uint64_t kMaxThreads = 256;
-    std::uint64_t n = requested;
-    if (n == 0)
-        n = envU64("PEARL_THREADS", 0);
-    if (n == 0)
-        n = std::thread::hardware_concurrency();
-    return static_cast<unsigned>(
-        std::clamp<std::uint64_t>(n, 1, kMaxThreads));
-}
-
 SweepResult
 SweepRunner::run(const std::vector<RunSpec> &jobs) const
 {
@@ -290,108 +275,91 @@ SweepRunner::run(const std::vector<RunSpec> &jobs) const
         journal.open(opts_.journalPath, /*fresh=*/!opts_.resume);
     }
 
-    std::atomic<std::size_t> next{0};
     std::atomic<bool> cancelled{false};
 
-    // Each worker claims job indices from the shared counter and writes
-    // only its own result slot, so the slots need no lock; joining the
-    // workers publishes everything to the caller.
-    auto worker = [&] {
-        for (;;) {
-            const std::size_t i =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= n)
-                return;
-            const RunSpec &job = jobs[i];
-            SweepJobResult &slot = result.jobs[i];
-            slot.metrics.configName = job.configName;
-            slot.metrics.pairLabel =
-                job.label.empty() ? job.pair.label() : job.label;
-            slot.seed = job.explicitSeed
-                            ? *job.explicitSeed
-                            : deriveSeed(opts_.baseSeed, i);
+    // Each job writes only its own result slot, so the slots need no
+    // lock; the job loop's join publishes everything to the caller.
+    const auto run_job = [&](std::size_t i) {
+        const RunSpec &job = jobs[i];
+        SweepJobResult &slot = result.jobs[i];
+        slot.metrics.configName = job.configName;
+        slot.metrics.pairLabel =
+            job.label.empty() ? job.pair.label() : job.label;
+        slot.seed = job.explicitSeed
+                        ? *job.explicitSeed
+                        : deriveSeed(opts_.baseSeed, i);
 
-            // Resume: a journal row with matching identity replays the
-            // original metrics bit-exactly (max_digits10 round-trip) —
-            // the job never runs.
-            if (auto it = restored.find(i); it != restored.end()) {
-                const SweepJournal::Entry &e = it->second;
-                if (e.seed == slot.seed &&
-                    e.configName == slot.metrics.configName &&
-                    e.pairLabel == slot.metrics.pairLabel &&
-                    parseMetricCells(e.cells, slot.metrics)) {
-                    slot.ok = true;
-                    slot.resumed = true;
-                    continue;
-                }
-                warn("sweep journal entry for job ", i,
-                     " does not match the grid (stale journal?); "
-                     "re-running");
-            }
-
-            if (opts_.cancelOnError &&
-                cancelled.load(std::memory_order_acquire)) {
-                slot.skipped = true;
-                slot.errorCode = ErrorCode::InvalidState;
-                slot.error = "skipped: sweep cancelled by an earlier "
-                             "failure";
-                continue;
-            }
-
-            // Observability: each descriptor-path job gets a private
-            // tracer writing its own file, so trace content does not
-            // depend on the thread count and needs no locking.  The
-            // phase split lands in the result slot either way.
-            RunSpec traced;
-            const RunSpec *to_run = &job;
-            if (!job.custom) {
-                traced = job;
-                traced.options.phases = &slot.phases;
-                to_run = &traced;
-            }
-            std::unique_ptr<obs::Tracer> tracer;
-            if (opts_.trace.enabled && !job.custom) {
-                tracer = obs::makeTracer(obs::jobTracePath(
-                    opts_.trace, i, slot.metrics.configName,
-                    slot.metrics.pairLabel));
-                traced.options.tracer = tracer.get();
-            }
-
-            const Clock::time_point start = Clock::now();
-            try {
-                slot.metrics = executeSpec(*to_run, slot.seed);
+        // Resume: a journal row with matching identity replays the
+        // original metrics bit-exactly (max_digits10 round-trip) —
+        // the job never runs.
+        if (auto it = restored.find(i); it != restored.end()) {
+            const SweepJournal::Entry &e = it->second;
+            if (e.seed == slot.seed &&
+                e.configName == slot.metrics.configName &&
+                e.pairLabel == slot.metrics.pairLabel &&
+                parseMetricCells(e.cells, slot.metrics)) {
                 slot.ok = true;
-            } catch (const ConfigError &e) {
-                slot.errorCode = e.code();
-                slot.error = e.what();
-            } catch (const std::exception &e) {
-                slot.errorCode = ErrorCode::JobFailed;
-                slot.error = e.what();
-            } catch (...) {
-                slot.errorCode = ErrorCode::JobFailed;
-                slot.error = "unknown exception";
+                slot.resumed = true;
+                return;
             }
-            slot.wallSeconds = secondsSince(start);
-            if (slot.ok) {
-                if (journal.isOpen())
-                    journal.record(i, slot);
-            } else {
-                cancelled.store(true, std::memory_order_release);
-            }
+            warn("sweep journal entry for job ", i,
+                 " does not match the grid (stale journal?); "
+                 "re-running");
+        }
+
+        if (opts_.cancelOnError &&
+            cancelled.load(std::memory_order_acquire)) {
+            slot.skipped = true;
+            slot.errorCode = ErrorCode::InvalidState;
+            slot.error = "skipped: sweep cancelled by an earlier "
+                         "failure";
+            return;
+        }
+
+        // Observability: each descriptor-path job gets a private
+        // tracer writing its own file, so trace content does not
+        // depend on the thread count and needs no locking.  The
+        // phase split lands in the result slot either way.
+        RunSpec traced;
+        const RunSpec *to_run = &job;
+        if (!job.custom) {
+            traced = job;
+            traced.options.phases = &slot.phases;
+            to_run = &traced;
+        }
+        std::unique_ptr<obs::Tracer> tracer;
+        if (opts_.trace.enabled && !job.custom) {
+            tracer = obs::makeTracer(obs::jobTracePath(
+                opts_.trace, i, slot.metrics.configName,
+                slot.metrics.pairLabel));
+            traced.options.tracer = tracer.get();
+        }
+
+        const Clock::time_point start = Clock::now();
+        try {
+            slot.metrics = executeSpec(*to_run, slot.seed);
+            slot.ok = true;
+        } catch (const ConfigError &e) {
+            slot.errorCode = e.code();
+            slot.error = e.what();
+        } catch (const std::exception &e) {
+            slot.errorCode = ErrorCode::JobFailed;
+            slot.error = e.what();
+        } catch (...) {
+            slot.errorCode = ErrorCode::JobFailed;
+            slot.error = "unknown exception";
+        }
+        slot.wallSeconds = secondsSince(start);
+        if (slot.ok) {
+            if (journal.isOpen())
+                journal.record(i, slot);
+        } else {
+            cancelled.store(true, std::memory_order_release);
         }
     };
 
     const Clock::time_point sweep_start = Clock::now();
-    if (threads <= 1) {
-        worker(); // serial path: no job threads spawned at all
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(threads);
-        for (unsigned t = 0; t < threads; ++t)
-            pool.emplace_back(worker);
-        for (std::thread &t : pool)
-            t.join();
-    }
+    forEachIndex(n, threads, run_job);
     result.summary.wallSeconds = secondsSince(sweep_start);
 
     for (const SweepJobResult &j : result.jobs) {

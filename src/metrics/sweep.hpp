@@ -16,10 +16,11 @@
  *    worker, so jobs share nothing mutable.
  *
  * Job threads: an explicit `SweepOptions::threads` wins, else
- * `PEARL_THREADS`, else `hardware_concurrency()`; `1` forces the serial
- * path (no worker threads are spawned at all).  This job pool is the
- * only parallelism in the simulator: each job steps its simulation on
- * the worker thread that claimed it.
+ * `PEARL_THREADS`, else `hardware_concurrency()` (`resolveThreads`);
+ * `1` forces the serial path (no worker threads are spawned at all).
+ * The jobs run on the job loop of `common/parallel.hpp`, which the ML
+ * training pipeline shares; each job steps its simulation on the
+ * thread that claimed it.
  *
  * Fault tolerance (DESIGN.md "Resilience"):
  *
@@ -134,8 +135,8 @@ struct SweepOptions
     /**
      * Defaults + the PEARL_SWEEP_JOURNAL / PEARL_SWEEP_RESUME /
      * PEARL_TRACE* environment knobs (strict warn-and-fallback
-     * parsing).  Thread count is resolved separately (resolveThreads),
-     * preserving existing precedence.
+     * parsing).  Thread count is resolved separately
+     * (pearl::resolveThreads), preserving existing precedence.
      */
     static SweepOptions fromEnv();
 };
@@ -225,7 +226,7 @@ Validation validate(const RunSpec &spec);
  */
 RunMetrics executeSpec(const RunSpec &spec, std::uint64_t seed);
 
-/** Thread-pool executor for sweep grids. */
+/** Job-loop executor for sweep grids. */
 class SweepRunner
 {
   public:
@@ -233,12 +234,6 @@ class SweepRunner
 
     /** Run all jobs; results come back in submission order. */
     SweepResult run(const std::vector<RunSpec> &jobs) const;
-
-    /**
-     * Effective job-worker count: `requested` if nonzero, else
-     * PEARL_THREADS, else hardware_concurrency(); clamped to [1, 256].
-     */
-    static unsigned resolveThreads(unsigned requested);
 
     const SweepOptions &options() const { return opts_; }
 

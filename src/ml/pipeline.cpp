@@ -1,6 +1,7 @@
 #include "ml/pipeline.hpp"
 
 #include "common/log.hpp"
+#include "common/parallel.hpp"
 #include "core/network.hpp"
 #include "photonic/power_model.hpp"
 
@@ -8,6 +9,57 @@ namespace pearl {
 namespace ml {
 
 using traffic::BenchmarkPair;
+
+namespace {
+
+/** job(k) for every k in [0, n) on the job loop; the datasets come
+ *  back in index order. */
+template <typename Job>
+std::vector<Dataset>
+collectEach(std::size_t n, const Job &job)
+{
+    std::vector<Dataset> slots(n);
+    forEachIndex(n, resolveThreads(0),
+                 [&](std::size_t k) { slots[k] = job(k); });
+    return slots;
+}
+
+/** slots[begin, end) appended in order, moved out of the slots. */
+Dataset
+appended(std::vector<Dataset> &slots, std::size_t begin, std::size_t end)
+{
+    Dataset all;
+    for (std::size_t k = begin; k < end; ++k)
+        all.append(std::move(slots[k]));
+    return all;
+}
+
+/**
+ * Collection k of a random-state batch: a copy of `stream` advanced
+ * past the k collections before it.  Every collection makes the same
+ * windowDecisions() draws, so this is where one shared copy would
+ * stand after collecting them one after another; the assert catches a
+ * window schedule that no longer matches the count.
+ */
+Dataset
+collectRandomAt(const TrainingPipeline &pipe, const BenchmarkPair &pair,
+                std::uint64_t seed, const core::RandomPolicy &stream,
+                std::size_t k, LabelKind label)
+{
+    const PipelineConfig &cfg = pipe.config();
+    const std::uint64_t per_pair =
+        core::PearlNetwork::windowDecisions(cfg.pearl, cfg.simCycles);
+    core::RandomPolicy policy = stream;
+    policy.skip(k * per_pair);
+    Dataset data = pipe.collect(pair, policy, seed, label);
+    const std::uint64_t end = stream.draws() + (k + 1) * per_pair;
+    PEARL_ASSERT(policy.draws() == end, "random-state collection ", k,
+                 " ended at draw ", policy.draws(), ", not ", end,
+                 ": windowDecisions() no longer matches stage 5");
+    return data;
+}
+
+} // namespace
 
 TrainingPipeline::TrainingPipeline(const traffic::BenchmarkSuite &suite,
                                    PipelineConfig cfg)
@@ -40,13 +92,33 @@ TrainingPipeline::collect(const BenchmarkPair &pair,
 
 Dataset
 TrainingPipeline::collectAll(const std::vector<BenchmarkPair> &pairs,
-                             core::PowerPolicy &policy) const
+                             std::uint64_t first_seed,
+                             const PolicyFactory &make_policy,
+                             LabelKind label) const
 {
-    Dataset all;
-    std::uint64_t seed = cfg_.seed;
-    for (const auto &pair : pairs)
-        all.append(collect(pair, policy, ++seed));
-    return all;
+    std::vector<Dataset> slots =
+        collectEach(pairs.size(), [&](std::size_t i) {
+            const std::unique_ptr<core::PowerPolicy> policy =
+                make_policy(i);
+            PEARL_ASSERT(policy, "collectAll: the factory returned no "
+                                 "policy for pair ", i);
+            return collect(pairs[i], *policy, first_seed + 1 + i, label);
+        });
+    return appended(slots, 0, slots.size());
+}
+
+Dataset
+TrainingPipeline::collectRandom(const std::vector<BenchmarkPair> &pairs,
+                                std::uint64_t first_seed,
+                                const core::RandomPolicy &stream,
+                                LabelKind label) const
+{
+    std::vector<Dataset> slots =
+        collectEach(pairs.size(), [&](std::size_t i) {
+            return collectRandomAt(*this, pairs[i], first_seed + 1 + i,
+                                   stream, i, label);
+        });
+    return appended(slots, 0, slots.size());
 }
 
 EvalResult
@@ -128,11 +200,31 @@ TrainingPipeline::run()
     const auto val_pairs =
         truncated(suite_.validationPairs(), cfg_.maxValPairs);
 
-    // Pass 1: random wavelength states (8WL excluded, Section IV-B).
+    // Each pass collects the training pairs, then the validation pairs,
+    // as one batch; pair i of either list runs with seed seed + 1 + i.
+    struct Collection
+    {
+        const BenchmarkPair *pair;
+        std::uint64_t seed;
+    };
+    std::vector<Collection> batch;
+    for (const auto *pairs : {&train_pairs, &val_pairs}) {
+        for (std::size_t i = 0; i < pairs->size(); ++i)
+            batch.push_back({&(*pairs)[i], cfg_.seed + 1 + i});
+    }
+    const std::size_t n_train = train_pairs.size();
+
+    // Pass 1: random wavelength states (8WL excluded, Section IV-B),
+    // drawn from one stream across the whole batch.
     Rng rng(cfg_.seed);
-    core::RandomPolicy random_policy(rng.fork(), /*include8_wl=*/false);
-    Dataset train = collectAll(train_pairs, random_policy);
-    Dataset val = collectAll(val_pairs, random_policy);
+    const core::RandomPolicy stream(rng.fork(), /*include8_wl=*/false);
+    std::vector<Dataset> slots =
+        collectEach(batch.size(), [&](std::size_t k) {
+            return collectRandomAt(*this, *batch[k].pair, batch[k].seed,
+                                   stream, k, LabelKind::InjectedPackets);
+        });
+    Dataset train = appended(slots, 0, n_train);
+    Dataset val = appended(slots, n_train, slots.size());
     PEARL_ASSERT(!train.empty() && !val.empty(),
                  "data collection produced no windows; "
                  "increase simCycles or shrink the reservation window");
@@ -141,12 +233,16 @@ TrainingPipeline::run()
 
     if (cfg_.secondPass) {
         // Pass 2: collect under the first model's policy so training
-        // matches the deployment distribution, then refit.
+        // matches the deployment distribution, then refit.  Each job
+        // has its own policy over the shared, read-only model.
         MlPolicyConfig pol = cfg_.policy;
         pol.enable8Wl = false;
-        MlPowerPolicy ml_policy(&model, pol);
-        Dataset train2 = collectAll(train_pairs, ml_policy);
-        Dataset val2 = collectAll(val_pairs, ml_policy);
+        slots = collectEach(batch.size(), [&](std::size_t k) {
+            MlPowerPolicy policy(&model, pol);
+            return collect(*batch[k].pair, policy, batch[k].seed);
+        });
+        Dataset train2 = appended(slots, 0, n_train);
+        Dataset val2 = appended(slots, n_train, slots.size());
         auto [model2, val2_nrmse] =
             fitWithGrid(train2, val2, cfg_.lambdaGrid);
         model = std::move(model2);

@@ -17,6 +17,8 @@
 #define PEARL_ML_PIPELINE_HPP
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <vector>
 
 #include "core/arch_config.hpp"
@@ -70,7 +72,19 @@ struct EvalResult
     std::size_t samples = 0;
 };
 
-/** Orchestrates data collection, fitting and evaluation. */
+/**
+ * Builds the private policy of pair i of a collectAll() batch.  It is
+ * called from job threads, so it may capture only immutable state.
+ */
+using PolicyFactory =
+    std::function<std::unique_ptr<core::PowerPolicy>(std::size_t)>;
+
+/**
+ * Orchestrates data collection, fitting and evaluation.  Every pass
+ * collects its pairs concurrently on the job loop (`common/parallel.hpp`,
+ * PEARL_THREADS wide) and appends the datasets in pair order, so the
+ * trained model is byte-identical at any thread count.
+ */
 class TrainingPipeline
 {
   public:
@@ -88,9 +102,27 @@ class TrainingPipeline
                     core::PowerPolicy &policy, std::uint64_t seed,
                     LabelKind label = LabelKind::InjectedPackets) const;
 
-    /** Collect a dataset over several pairs. */
+    /**
+     * Collect every pair concurrently: pair i runs with seed
+     * first_seed + 1 + i under its own policy make_policy(i), and the
+     * datasets are appended in pair order.
+     */
     Dataset collectAll(const std::vector<traffic::BenchmarkPair> &pairs,
-                       core::PowerPolicy &policy) const;
+                       std::uint64_t first_seed,
+                       const PolicyFactory &make_policy,
+                       LabelKind label = LabelKind::InjectedPackets) const;
+
+    /**
+     * collectAll() under random wavelength states: the dataset equals
+     * one copy of `stream` collecting the pairs one after another.
+     * Pair i starts from `stream` advanced by i times
+     * core::PearlNetwork::windowDecisions(pearl, simCycles) draws, and
+     * must end where pair i + 1 starts (checked).
+     */
+    Dataset collectRandom(const std::vector<traffic::BenchmarkPair> &pairs,
+                          std::uint64_t first_seed,
+                          const core::RandomPolicy &stream,
+                          LabelKind label = LabelKind::InjectedPackets) const;
 
     /** Evaluate a model on a dataset with Equation 7 state selection. */
     EvalResult evaluate(const RidgeRegression &model,

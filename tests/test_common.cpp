@@ -1,11 +1,14 @@
 /**
  * @file
- * Tests for the common utilities: RNG, statistics, tables, units.
+ * Tests for the common utilities: RNG, statistics, tables, units and
+ * the job loop.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cctype>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -13,6 +16,7 @@
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -20,6 +24,7 @@
 
 #include "common/env.hpp"
 #include "common/log.hpp"
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/reservoir.hpp"
@@ -578,6 +583,56 @@ TEST(Reservoir, TailSensitivity)
         r.add(rng.chance(0.03) ? 1000.0 : 10.0);
     EXPECT_NEAR(r.median(), 10.0, 1e-9);
     EXPECT_GT(r.p99(), 500.0);
+}
+
+TEST(JobLoop, RunsEachIndexExactlyOnce)
+{
+    for (unsigned threads = 1; threads <= 8; ++threads) {
+        for (std::size_t n : {0u, 1u, 2u, 3u, 7u, 8u, 9u, 100u}) {
+            SCOPED_TRACE(std::to_string(threads) + " threads, " +
+                         std::to_string(n) + " jobs");
+            std::vector<std::atomic<int>> runs(n);
+            forEachIndex(n, threads, [&](std::size_t i) {
+                runs[i].fetch_add(1, std::memory_order_relaxed);
+            });
+            for (std::size_t i = 0; i < n; ++i)
+                EXPECT_EQ(runs[i].load(), 1) << "index " << i;
+        }
+    }
+}
+
+TEST(JobLoop, OneThreadRunsInlineInIndexOrder)
+{
+    std::vector<std::size_t> order;
+    const std::thread::id caller = std::this_thread::get_id();
+    forEachIndex(5, 1, [&](std::size_t i) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        order.push_back(i);
+    });
+    EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+}
+
+TEST(JobLoop, RethrowsTheFirstExceptionAfterTheJoin)
+{
+    for (unsigned threads : {1u, 2u, 4u, 8u}) {
+        SCOPED_TRACE(std::to_string(threads) + " threads");
+        std::atomic<int> started{0}, finished{0};
+        try {
+            forEachIndex(16, threads, [&](std::size_t i) {
+                started.fetch_add(1);
+                if (i == 0)
+                    throw std::runtime_error("job 0 failed");
+                std::this_thread::sleep_for(std::chrono::milliseconds(5));
+                finished.fetch_add(1);
+            });
+            ADD_FAILURE() << "the job's exception was swallowed";
+        } catch (const std::runtime_error &e) {
+            EXPECT_STREQ(e.what(), "job 0 failed");
+            // Every job that started has returned: the workers joined
+            // before the exception reached the caller.
+            EXPECT_EQ(finished.load() + 1, started.load());
+        }
+    }
 }
 
 } // namespace

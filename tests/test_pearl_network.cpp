@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/network.hpp"
+#include "core/topology.hpp"
 #include "photonic/power_model.hpp"
 
 namespace pearl {
@@ -218,6 +221,55 @@ TEST_F(PearlNetworkTest, L3RouterHasWaveguideGroup)
     EXPECT_EQ(net_->router(cfg_.l3Node).waveguides(),
               cfg_.l3WaveguideGroup);
     EXPECT_EQ(net_->router(0).waveguides(), 1);
+}
+
+/** Counts its decisions; always answers 64 WL. */
+class CountingPolicy : public PowerPolicy
+{
+  public:
+    WlState
+    nextState(const WindowObservation &) override
+    {
+        ++calls;
+        return WlState::WL64;
+    }
+    const char *name() const override { return "counting"; }
+
+    std::uint64_t calls = 0;
+};
+
+// windowDecisions() is what the concurrent ML pass-1 collections skip
+// ahead by, so it must count stage 5's policy calls exactly: on 17-,
+// 33- and 129-node chips, with RW dividing the run or not, RW above
+// the run, staggers of 0, 10 and 37, and runs of 0 and 1 cycles.
+TEST(WindowDecisions, EqualsPolicyCallsOfABareRun)
+{
+    const PowerModel power;
+    for (int clusters : {16, 32, 128}) {
+        TopologySpec spec;
+        spec.clusters = clusters;
+        const PearlConfig base = spec.pearlConfig();
+        for (std::uint64_t rw : {1u, 7u, 100u, 250u, 333u, 700u, 1500u}) {
+            for (int offset : {0, 10, 37}) {
+                for (Cycle cycles : {0u, 1u, 2u, 99u, 100u, 101u, 1000u}) {
+                    SCOPED_TRACE(std::to_string(base.numNodes()) +
+                                 " nodes, RW " + std::to_string(rw) +
+                                 ", offset " + std::to_string(offset) +
+                                 ", " + std::to_string(cycles) +
+                                 " cycles");
+                    PearlConfig cfg = base;
+                    cfg.reservationWindow = rw;
+                    cfg.windowOffsetPerRouter = offset;
+                    CountingPolicy policy;
+                    PearlNetwork net(cfg, power, DbaConfig{}, &policy);
+                    for (Cycle c = 0; c < cycles; ++c)
+                        net.step();
+                    EXPECT_EQ(PearlNetwork::windowDecisions(cfg, cycles),
+                              policy.calls);
+                }
+            }
+        }
+    }
 }
 
 } // namespace

@@ -6,6 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdlib>
+#include <optional>
+#include <string>
+#include <utility>
+
 #include "ml/pipeline.hpp"
 
 namespace pearl {
@@ -78,6 +84,156 @@ TEST(Pipeline, SecondPassRefits)
     TrainingPipeline pipe(suite, cfg);
     const auto result = pipe.run();
     EXPECT_TRUE(result.model.trained());
+}
+
+/** Fit over the lambda grid and keep the best validation NRMSE, as
+ *  run() does. */
+std::pair<RidgeRegression, double>
+fitBest(const Dataset &train, const Dataset &val,
+        const std::vector<double> &grid)
+{
+    RidgeRegression best;
+    double best_nrmse = -1e300;
+    for (double lambda : grid) {
+        RidgeRegression model;
+        model.fit(train, lambda);
+        const double score = nrmseFit(val.labels, model.predictAll(val));
+        if (score > best_nrmse) {
+            best_nrmse = score;
+            best = std::move(model);
+        }
+    }
+    return {std::move(best), best_nrmse};
+}
+
+/**
+ * run()'s procedure, one pair after another through the public
+ * collect(), with one RandomPolicy drawing every pass-1 state and one
+ * MlPowerPolicy deciding every pass-2 window.
+ */
+PipelineResult
+serialReference(const traffic::BenchmarkSuite &suite,
+                const PipelineConfig &cfg)
+{
+    const TrainingPipeline pipe(suite, cfg);
+    auto train_pairs = suite.trainingPairs();
+    train_pairs.resize(static_cast<std::size_t>(cfg.maxTrainPairs));
+    auto val_pairs = suite.validationPairs();
+    val_pairs.resize(static_cast<std::size_t>(cfg.maxValPairs));
+    const auto collect_all = [&](const auto &pairs,
+                                 core::PowerPolicy &policy) {
+        Dataset all;
+        std::uint64_t seed = cfg.seed;
+        for (const auto &pair : pairs)
+            all.append(pipe.collect(pair, policy, ++seed));
+        return all;
+    };
+
+    Rng rng(cfg.seed);
+    core::RandomPolicy random(rng.fork(), /*include8_wl=*/false);
+    Dataset train = collect_all(train_pairs, random);
+    Dataset val = collect_all(val_pairs, random);
+    auto [model, nrmse] = fitBest(train, val, cfg.lambdaGrid);
+
+    MlPolicyConfig pol = cfg.policy;
+    pol.enable8Wl = false;
+    MlPowerPolicy ml_policy(&model, pol);
+    train = collect_all(train_pairs, ml_policy);
+    val = collect_all(val_pairs, ml_policy);
+    auto [model2, nrmse2] = fitBest(train, val, cfg.lambdaGrid);
+
+    PipelineResult result;
+    result.model = std::move(model2);
+    result.bestLambda = result.model.lambda();
+    result.validationNrmse = nrmse2;
+    result.trainSamples = train.size();
+    result.valSamples = val.size();
+    return result;
+}
+
+std::uint64_t
+bitsOf(double x)
+{
+    return std::bit_cast<std::uint64_t>(x);
+}
+
+void
+expectBitIdentical(const PipelineResult &got, const PipelineResult &want)
+{
+    EXPECT_EQ(got.trainSamples, want.trainSamples);
+    EXPECT_EQ(got.valSamples, want.valSamples);
+    EXPECT_EQ(bitsOf(got.bestLambda), bitsOf(want.bestLambda));
+    EXPECT_EQ(bitsOf(got.validationNrmse), bitsOf(want.validationNrmse));
+    EXPECT_EQ(bitsOf(got.model.intercept()),
+              bitsOf(want.model.intercept()));
+    ASSERT_EQ(got.model.weights().size(), want.model.weights().size());
+    for (std::size_t j = 0; j < want.model.weights().size(); ++j)
+        EXPECT_EQ(bitsOf(got.model.weights()[j]),
+                  bitsOf(want.model.weights()[j]))
+            << "weight " << j;
+}
+
+/** Sets PEARL_THREADS for one scope and restores it after. */
+class ScopedThreads
+{
+  public:
+    explicit ScopedThreads(unsigned threads)
+    {
+        if (const char *v = std::getenv("PEARL_THREADS"))
+            saved_ = v;
+        setenv("PEARL_THREADS", std::to_string(threads).c_str(), 1);
+    }
+    ~ScopedThreads()
+    {
+        if (saved_)
+            setenv("PEARL_THREADS", saved_->c_str(), 1);
+        else
+            unsetenv("PEARL_THREADS");
+    }
+    ScopedThreads(const ScopedThreads &) = delete;
+    ScopedThreads &operator=(const ScopedThreads &) = delete;
+
+  private:
+    std::optional<std::string> saved_;
+};
+
+// Both passes collect their pairs concurrently, pass 1 from one random
+// stream that each job skips ahead in.  The trained model must equal
+// the serial shared-stream procedure's bit for bit at any thread count,
+// whatever the window schedule: RW dividing the run or not, RW above
+// half the run, and window staggers of 0, 10 and 37 cycles (37 r wraps
+// past RW 250 from router 7 on).
+TEST(Pipeline, ConcurrentRunMatchesSharedStreamReference)
+{
+    struct Case
+    {
+        std::uint64_t rw;
+        std::uint64_t cycles;
+        int offset;
+    };
+    const traffic::BenchmarkSuite suite;
+    for (const Case c : {Case{250, 4000, 10}, Case{700, 3000, 10},
+                         Case{1600, 3000, 10}, Case{250, 2500, 0},
+                         Case{700, 3000, 37}, Case{250, 3000, 37}}) {
+        PipelineConfig cfg = smallConfig();
+        cfg.reservationWindow = c.rw;
+        cfg.simCycles = c.cycles;
+        cfg.pearl.windowOffsetPerRouter = c.offset;
+        cfg.maxTrainPairs = 2;
+        cfg.maxValPairs = 1;
+        cfg.secondPass = true;
+        SCOPED_TRACE("RW " + std::to_string(c.rw) + ", " +
+                     std::to_string(c.cycles) + " cycles, offset " +
+                     std::to_string(c.offset));
+
+        const PipelineResult want = serialReference(suite, cfg);
+        ASSERT_TRUE(want.model.trained());
+        for (unsigned threads : {1u, 2u, 4u, 8u}) {
+            SCOPED_TRACE(std::to_string(threads) + " threads");
+            const ScopedThreads scoped(threads);
+            expectBitIdentical(TrainingPipeline(suite, cfg).run(), want);
+        }
+    }
 }
 
 } // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "core/power_policy.hpp"
 
@@ -99,6 +100,29 @@ TEST(RandomPolicy, DeterministicPerSeed)
     RandomPolicy a(Rng(9)), b(Rng(9));
     for (int i = 0; i < 100; ++i)
         EXPECT_EQ(a.nextState(obsWithBeta(0)), b.nextState(obsWithBeta(0)));
+}
+
+// The concurrent ML pass-1 collections start each pair's stream with
+// skip(): it must land exactly where that many decisions would.
+TEST(RandomPolicy, SkipMatchesDrawing)
+{
+    for (bool include8 : {false, true}) {
+        for (std::uint64_t n : {0u, 1u, 2u, 17u, 1000u, 5083u}) {
+            SCOPED_TRACE("n " + std::to_string(n) +
+                         (include8 ? ", 8WL" : ""));
+            RandomPolicy skipped(Rng(31), include8);
+            RandomPolicy drawn(Rng(31), include8);
+            skipped.skip(n);
+            for (std::uint64_t i = 0; i < n; ++i)
+                drawn.nextState(obsWithBeta(0.0));
+            EXPECT_EQ(skipped.draws(), n);
+            EXPECT_EQ(drawn.draws(), n);
+            for (int i = 0; i < 8; ++i)
+                EXPECT_EQ(skipped.nextState(obsWithBeta(0.0)),
+                          drawn.nextState(obsWithBeta(0.0)));
+            EXPECT_EQ(skipped.draws(), n + 8);
+        }
+    }
 }
 
 } // namespace

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "metrics/sweep.hpp"
 #include "traffic/suite.hpp"
@@ -351,29 +352,29 @@ TEST_F(SweepTest, ResolveThreadsPrecedence)
 {
     // Fixture cleared PEARL_THREADS: explicit request wins, and an
     // unconstrained request falls back to the hardware count (>= 1).
-    EXPECT_EQ(SweepRunner::resolveThreads(4), 4u);
-    EXPECT_GE(SweepRunner::resolveThreads(0), 1u);
+    EXPECT_EQ(resolveThreads(4), 4u);
+    EXPECT_GE(resolveThreads(0), 1u);
 
     // An explicit nonzero request beats PEARL_THREADS...
     setenv("PEARL_THREADS", "3", 1);
-    EXPECT_EQ(SweepRunner::resolveThreads(4), 4u);
+    EXPECT_EQ(resolveThreads(4), 4u);
 
     // ...which beats the hardware fallback.
-    EXPECT_EQ(SweepRunner::resolveThreads(0), 3u);
+    EXPECT_EQ(resolveThreads(0), 3u);
 
     // Zero means "unset" and garbage is ignored with a warning; both
     // fall through to the hardware fallback / explicit request.
     setenv("PEARL_THREADS", "0", 1);
-    EXPECT_GE(SweepRunner::resolveThreads(0), 1u);
-    EXPECT_EQ(SweepRunner::resolveThreads(4), 4u);
+    EXPECT_GE(resolveThreads(0), 1u);
+    EXPECT_EQ(resolveThreads(4), 4u);
     setenv("PEARL_THREADS", "abc", 1);
-    EXPECT_GE(SweepRunner::resolveThreads(0), 1u);
-    EXPECT_EQ(SweepRunner::resolveThreads(4), 4u);
+    EXPECT_GE(resolveThreads(0), 1u);
+    EXPECT_EQ(resolveThreads(4), 4u);
 
     // Counts are clamped to [1, 256].
     setenv("PEARL_THREADS", "100000", 1);
-    EXPECT_EQ(SweepRunner::resolveThreads(0), 256u);
-    EXPECT_EQ(SweepRunner::resolveThreads(1000), 256u);
+    EXPECT_EQ(resolveThreads(0), 256u);
+    EXPECT_EQ(resolveThreads(1000), 256u);
 }
 
 TEST_F(SweepTest, EmptySweepIsANoop)
