@@ -207,7 +207,7 @@ mlLabel(const traffic::BenchmarkSuite &suite)
         // the seeds after the training pairs'.
         const ml::Dataset test = pipeline.collectAll(
             test_pairs, first_seed + train_pairs.size(),
-            [](std::size_t) {
+            [] {
                 return std::make_unique<core::StaticPolicy>(
                     photonic::WlState::WL16);
             },

@@ -636,7 +636,7 @@ nrmse(const traffic::BenchmarkSuite &suite,
         ml::MlPolicyConfig pol;
         pol.enable8Wl = false;
         const ml::RidgeRegression *model = &trained.model;
-        const auto ml_policy = [model, pol](std::size_t) {
+        const auto ml_policy = [model, pol] {
             return std::make_unique<ml::MlPowerPolicy>(model, pol);
         };
         const auto test_pairs = bench::testPairs(suite);

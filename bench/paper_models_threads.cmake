@@ -1,8 +1,10 @@
 # Runs BENCH (bench_paper) at PEARL_THREADS=1 and at PEARL_THREADS=4,
 # each in its own empty directory under WORK_DIR, so both train its
-# four models.  Training collects its pairs concurrently, so the model
-# files must not depend on the thread count: fails unless both runs
-# write the same four files, byte for byte.
+# four models.  Training and the NRMSE table collect their pairs
+# concurrently, so neither may depend on the thread count: fails unless
+# both runs write the same four model files, byte for byte, and print
+# the same stdout, ignoring blank lines and the [ml], [sweep] and warn:
+# lines (as paper_cold_warm.cmake does).
 #   cmake -DBENCH=<path> -DWORK_DIR=<dir> -P paper_models_threads.cmake
 file(REMOVE_RECURSE "${WORK_DIR}")
 foreach(threads 1 4)
@@ -19,7 +21,17 @@ foreach(threads 1 4)
     endif()
     file(GLOB models_${threads} RELATIVE "${dir}" "${dir}/*.model")
     list(SORT models_${threads})
+    string(REGEX REPLACE "\n(\\[ml\\]|\\[sweep\\]|warn: )[^\n]*" ""
+           lines "\n${out}")
+    string(REGEX REPLACE "\n\n+" "\n" lines_${threads} "${lines}")
 endforeach()
+if(NOT lines_1 MATCHES "\nRW500 " OR NOT lines_1 MATCHES "\nRW2000 ")
+    message(FATAL_ERROR "no NRMSE rows in the output")
+endif()
+if(NOT lines_1 STREQUAL lines_4)
+    message(FATAL_ERROR "PEARL_THREADS=1 and =4 runs print different "
+        "output:\n1 thread:${lines_1}\n4 threads:${lines_4}")
+endif()
 list(LENGTH models_1 count)
 if(NOT count EQUAL 4)
     message(FATAL_ERROR "expected 4 model files, got: ${models_1}")

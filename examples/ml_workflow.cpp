@@ -80,7 +80,7 @@ main(int argc, char **argv)
     test_pairs.resize(4);
     // Seeds 41..44, the pairs collected concurrently.
     const ml::Dataset test =
-        pipeline.collectAll(test_pairs, 40, [](std::size_t) {
+        pipeline.collectAll(test_pairs, 40, [] {
             return std::make_unique<core::StaticPolicy>(
                 photonic::WlState::WL64);
         });

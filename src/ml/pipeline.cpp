@@ -1,5 +1,7 @@
 #include "ml/pipeline.hpp"
 
+#include <variant>
+
 #include "common/log.hpp"
 #include "common/parallel.hpp"
 #include "core/network.hpp"
@@ -12,51 +14,82 @@ using traffic::BenchmarkPair;
 
 namespace {
 
-/** job(k) for every k in [0, n) on the job loop; the datasets come
- *  back in index order. */
-template <typename Job>
-std::vector<Dataset>
-collectEach(std::size_t n, const Job &job)
+/** One collection of a batch: a pair and the system seed it runs with. */
+struct Collection
 {
-    std::vector<Dataset> slots(n);
-    forEachIndex(n, resolveThreads(0),
-                 [&](std::size_t k) { slots[k] = job(k); });
-    return slots;
-}
+    const BenchmarkPair *pair;
+    std::uint64_t seed;
+};
 
-/** slots[begin, end) appended in order, moved out of the slots. */
-Dataset
-appended(std::vector<Dataset> &slots, std::size_t begin, std::size_t end)
+/** pairs[i] with seed first_seed + 1 + i, added to the end of `batch`. */
+void
+addPairs(std::vector<Collection> &batch,
+         const std::vector<BenchmarkPair> &pairs, std::uint64_t first_seed)
 {
-    Dataset all;
-    for (std::size_t k = begin; k < end; ++k)
-        all.append(std::move(slots[k]));
-    return all;
+    for (std::size_t i = 0; i < pairs.size(); ++i)
+        batch.push_back({&pairs[i], first_seed + 1 + i});
 }
 
 /**
- * Collection k of a random-state batch: a copy of `stream` advanced
- * past the k collections before it.  Every collection makes the same
- * windowDecisions() draws, so this is where one shared copy would
- * stand after collecting them one after another; the assert catches a
- * window schedule that no longer matches the count.
+ * Where a batch's policies come from: one random stream that the
+ * collections draw from in batch order, or a fresh policy per
+ * collection.
  */
-Dataset
-collectRandomAt(const TrainingPipeline &pipe, const BenchmarkPair &pair,
-                std::uint64_t seed, const core::RandomPolicy &stream,
-                std::size_t k, LabelKind label)
+using PolicySource =
+    std::variant<core::RandomPolicy,
+                 std::function<std::unique_ptr<core::PowerPolicy>()>>;
+
+/**
+ * Every collection of `batch` on the job loop, one job each; the
+ * datasets come back in batch order.  Under a random stream, collection
+ * k runs on a copy of the stream advanced past the k collections before
+ * it.  Every collection makes the same windowDecisions() draws, so that
+ * is where one shared copy would stand after collecting them one after
+ * another; the assert catches a window schedule that no longer matches
+ * the count.
+ */
+std::vector<Dataset>
+collectBatch(const TrainingPipeline &pipe,
+             const std::vector<Collection> &batch,
+             const PolicySource &source, LabelKind label)
 {
-    const PipelineConfig &cfg = pipe.config();
-    const std::uint64_t per_pair =
-        core::PearlNetwork::windowDecisions(cfg.pearl, cfg.simCycles);
-    core::RandomPolicy policy = stream;
-    policy.skip(k * per_pair);
-    Dataset data = pipe.collect(pair, policy, seed, label);
-    const std::uint64_t end = stream.draws() + (k + 1) * per_pair;
-    PEARL_ASSERT(policy.draws() == end, "random-state collection ", k,
-                 " ended at draw ", policy.draws(), ", not ", end,
-                 ": windowDecisions() no longer matches stage 5");
-    return data;
+    std::vector<Dataset> slots(batch.size());
+    forEachIndex(batch.size(), resolveThreads(0), [&](std::size_t k) {
+        const Collection &c = batch[k];
+        const auto *stream = std::get_if<core::RandomPolicy>(&source);
+        if (stream) {
+            const PipelineConfig &cfg = pipe.config();
+            const std::uint64_t per_pair =
+                core::PearlNetwork::windowDecisions(cfg.pearl,
+                                                    cfg.simCycles);
+            core::RandomPolicy policy = *stream;
+            policy.skip(k * per_pair);
+            slots[k] = pipe.collect(*c.pair, policy, c.seed, label);
+            const std::uint64_t end = stream->draws() + (k + 1) * per_pair;
+            PEARL_ASSERT(policy.draws() == end, "random-state collection ",
+                         k, " ended at draw ", policy.draws(), ", not ",
+                         end, ": windowDecisions() no longer matches "
+                              "stage 5");
+        } else {
+            const std::unique_ptr<core::PowerPolicy> policy =
+                std::get<1>(source)();
+            PEARL_ASSERT(policy, "the policy maker returned no policy "
+                                 "for collection ", k);
+            slots[k] = pipe.collect(*c.pair, *policy, c.seed, label);
+        }
+    });
+    return slots;
+}
+
+/** slots[begin, end) appended in order. */
+Dataset
+appended(const std::vector<Dataset> &slots, std::size_t begin,
+         std::size_t end)
+{
+    Dataset all;
+    for (std::size_t k = begin; k < end; ++k)
+        all.append(slots[k]);
+    return all;
 }
 
 } // namespace
@@ -91,20 +124,15 @@ TrainingPipeline::collect(const BenchmarkPair &pair,
 }
 
 Dataset
-TrainingPipeline::collectAll(const std::vector<BenchmarkPair> &pairs,
-                             std::uint64_t first_seed,
-                             const PolicyFactory &make_policy,
-                             LabelKind label) const
+TrainingPipeline::collectAll(
+    const std::vector<BenchmarkPair> &pairs, std::uint64_t first_seed,
+    const std::function<std::unique_ptr<core::PowerPolicy>()> &make_policy,
+    LabelKind label) const
 {
-    std::vector<Dataset> slots =
-        collectEach(pairs.size(), [&](std::size_t i) {
-            const std::unique_ptr<core::PowerPolicy> policy =
-                make_policy(i);
-            PEARL_ASSERT(policy, "collectAll: the factory returned no "
-                                 "policy for pair ", i);
-            return collect(pairs[i], *policy, first_seed + 1 + i, label);
-        });
-    return appended(slots, 0, slots.size());
+    std::vector<Collection> batch;
+    addPairs(batch, pairs, first_seed);
+    return appended(collectBatch(*this, batch, make_policy, label), 0,
+                    batch.size());
 }
 
 Dataset
@@ -113,12 +141,10 @@ TrainingPipeline::collectRandom(const std::vector<BenchmarkPair> &pairs,
                                 const core::RandomPolicy &stream,
                                 LabelKind label) const
 {
-    std::vector<Dataset> slots =
-        collectEach(pairs.size(), [&](std::size_t i) {
-            return collectRandomAt(*this, pairs[i], first_seed + 1 + i,
-                                   stream, i, label);
-        });
-    return appended(slots, 0, slots.size());
+    std::vector<Collection> batch;
+    addPairs(batch, pairs, first_seed);
+    return appended(collectBatch(*this, batch, stream, label), 0,
+                    batch.size());
 }
 
 EvalResult
@@ -202,27 +228,17 @@ TrainingPipeline::run()
 
     // Each pass collects the training pairs, then the validation pairs,
     // as one batch; pair i of either list runs with seed seed + 1 + i.
-    struct Collection
-    {
-        const BenchmarkPair *pair;
-        std::uint64_t seed;
-    };
     std::vector<Collection> batch;
-    for (const auto *pairs : {&train_pairs, &val_pairs}) {
-        for (std::size_t i = 0; i < pairs->size(); ++i)
-            batch.push_back({&(*pairs)[i], cfg_.seed + 1 + i});
-    }
+    addPairs(batch, train_pairs, cfg_.seed);
+    addPairs(batch, val_pairs, cfg_.seed);
     const std::size_t n_train = train_pairs.size();
 
     // Pass 1: random wavelength states (8WL excluded, Section IV-B),
     // drawn from one stream across the whole batch.
     Rng rng(cfg_.seed);
-    const core::RandomPolicy stream(rng.fork(), /*include8_wl=*/false);
-    std::vector<Dataset> slots =
-        collectEach(batch.size(), [&](std::size_t k) {
-            return collectRandomAt(*this, *batch[k].pair, batch[k].seed,
-                                   stream, k, LabelKind::InjectedPackets);
-        });
+    std::vector<Dataset> slots = collectBatch(
+        *this, batch, core::RandomPolicy(rng.fork(), /*include8_wl=*/false),
+        LabelKind::InjectedPackets);
     Dataset train = appended(slots, 0, n_train);
     Dataset val = appended(slots, n_train, slots.size());
     PEARL_ASSERT(!train.empty() && !val.empty(),
@@ -237,10 +253,13 @@ TrainingPipeline::run()
         // has its own policy over the shared, read-only model.
         MlPolicyConfig pol = cfg_.policy;
         pol.enable8Wl = false;
-        slots = collectEach(batch.size(), [&](std::size_t k) {
-            MlPowerPolicy policy(&model, pol);
-            return collect(*batch[k].pair, policy, batch[k].seed);
-        });
+        const RidgeRegression *first = &model;
+        slots = collectBatch(
+            *this, batch,
+            [first, pol] {
+                return std::make_unique<MlPowerPolicy>(first, pol);
+            },
+            LabelKind::InjectedPackets);
         Dataset train2 = appended(slots, 0, n_train);
         Dataset val2 = appended(slots, n_train, slots.size());
         auto [model2, val2_nrmse] =

@@ -73,13 +73,6 @@ struct EvalResult
 };
 
 /**
- * Builds the private policy of pair i of a collectAll() batch.  It is
- * called from job threads, so it may capture only immutable state.
- */
-using PolicyFactory =
-    std::function<std::unique_ptr<core::PowerPolicy>(std::size_t)>;
-
-/**
  * Orchestrates data collection, fitting and evaluation.  Every pass
  * collects its pairs concurrently on the job loop (`common/parallel.hpp`,
  * PEARL_THREADS wide) and appends the datasets in pair order, so the
@@ -104,13 +97,16 @@ class TrainingPipeline
 
     /**
      * Collect every pair concurrently: pair i runs with seed
-     * first_seed + 1 + i under its own policy make_policy(i), and the
-     * datasets are appended in pair order.
+     * first_seed + 1 + i under its own policy from make_policy(), and
+     * the datasets are appended in pair order.  make_policy is called
+     * from job threads, so it may capture only immutable state.
      */
-    Dataset collectAll(const std::vector<traffic::BenchmarkPair> &pairs,
-                       std::uint64_t first_seed,
-                       const PolicyFactory &make_policy,
-                       LabelKind label = LabelKind::InjectedPackets) const;
+    Dataset collectAll(
+        const std::vector<traffic::BenchmarkPair> &pairs,
+        std::uint64_t first_seed,
+        const std::function<std::unique_ptr<core::PowerPolicy>()>
+            &make_policy,
+        LabelKind label = LabelKind::InjectedPackets) const;
 
     /**
      * collectAll() under random wavelength states: the dataset equals

@@ -14,7 +14,6 @@
 #define PEARL_ML_RIDGE_HPP
 
 #include <istream>
-#include <iterator>
 #include <ostream>
 #include <vector>
 
@@ -45,17 +44,6 @@ struct Dataset
     {
         features.insert(features.end(), other.features.begin(),
                         other.features.end());
-        labels.insert(labels.end(), other.labels.begin(),
-                      other.labels.end());
-    }
-
-    /** Append all samples of `other`, moving its feature rows. */
-    void
-    append(Dataset &&other)
-    {
-        features.insert(features.end(),
-                        std::make_move_iterator(other.features.begin()),
-                        std::make_move_iterator(other.features.end()));
         labels.insert(labels.end(), other.labels.begin(),
                       other.labels.end());
     }

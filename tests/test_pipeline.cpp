@@ -236,6 +236,69 @@ TEST(Pipeline, ConcurrentRunMatchesSharedStreamReference)
     }
 }
 
+void
+expectSameData(const Dataset &got, const Dataset &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    ASSERT_EQ(got.features.size(), want.features.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(bitsOf(got.labels[i]), bitsOf(want.labels[i]))
+            << "sample " << i;
+        ASSERT_EQ(got.features[i].size(), want.features[i].size());
+        for (std::size_t j = 0; j < want.features[i].size(); ++j)
+            EXPECT_EQ(bitsOf(got.features[i][j]),
+                      bitsOf(want.features[i][j]))
+                << "sample " << i << ", feature " << j;
+    }
+}
+
+// The public batch entry points: collectRandom() must give the dataset
+// of one stream collecting the pairs one after another, from a stream
+// that has already drawn, and collectAll() that of a serial loop with
+// the same seeds, at any thread count.
+TEST(Pipeline, ConcurrentCollectionsMatchSerialCollect)
+{
+    const traffic::BenchmarkSuite suite;
+    PipelineConfig cfg = smallConfig();
+    cfg.reservationWindow = 700;
+    cfg.simCycles = 2500;
+    const TrainingPipeline pipe(suite, cfg);
+    auto pairs = suite.trainingPairs();
+    pairs.resize(3);
+    const std::uint64_t first_seed = 10;
+
+    core::RandomPolicy stream(Rng(42), /*include8_wl=*/false);
+    stream.skip(5);
+    Dataset want_random, want_static;
+    {
+        core::RandomPolicy shared = stream;
+        core::StaticPolicy wl32(photonic::WlState::WL32);
+        std::uint64_t seed = first_seed;
+        for (const auto &pair : pairs) {
+            ++seed;
+            want_random.append(pipe.collect(
+                pair, shared, seed, LabelKind::BufferUtilization));
+            want_static.append(pipe.collect(pair, wl32, seed));
+        }
+    }
+    ASSERT_FALSE(want_random.empty());
+
+    for (unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE(std::to_string(threads) + " threads");
+        const ScopedThreads scoped(threads);
+        expectSameData(pipe.collectRandom(pairs, first_seed, stream,
+                                          LabelKind::BufferUtilization),
+                       want_random);
+        expectSameData(pipe.collectAll(pairs, first_seed,
+                                       [] {
+                                           return std::make_unique<
+                                               core::StaticPolicy>(
+                                               photonic::WlState::WL32);
+                                       }),
+                       want_static);
+    }
+}
+
 } // namespace
 } // namespace ml
 } // namespace pearl
