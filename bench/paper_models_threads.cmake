@@ -1,17 +1,20 @@
 # Runs BENCH (bench_paper) at PEARL_THREADS=1 and at PEARL_THREADS=4,
 # each in its own empty directory under WORK_DIR, so both train its
-# four models.  Training and the NRMSE table collect their pairs
-# concurrently, so neither may depend on the thread count: fails unless
-# both runs write the same four model files, byte for byte, and print
-# the same stdout, ignoring blank lines and the [ml], [sweep] and warn:
-# lines (as paper_cold_warm.cmake does).
+# four models.  Training, the figure grid and the NRMSE table run their
+# jobs concurrently, so none may depend on the thread count: fails
+# unless both runs write the same four model files and the same
+# PEARL_METRICS_DUMP file (the header and one row per grid job: 22 at
+# PEARL_BENCH_PAIRS=1), byte for byte, and print the same stdout,
+# ignoring blank lines and the [ml], [sweep] and warn: lines (as
+# paper_cold_warm.cmake does).
 #   cmake -DBENCH=<path> -DWORK_DIR=<dir> -P paper_models_threads.cmake
 file(REMOVE_RECURSE "${WORK_DIR}")
 foreach(threads 1 4)
     set(dir "${WORK_DIR}/threads${threads}")
     file(MAKE_DIRECTORY "${dir}")
     execute_process(
-        COMMAND "${CMAKE_COMMAND}" -E env PEARL_THREADS=${threads} "${BENCH}"
+        COMMAND "${CMAKE_COMMAND}" -E env PEARL_THREADS=${threads}
+                PEARL_METRICS_DUMP=metrics.csv "${BENCH}"
         WORKING_DIRECTORY "${dir}"
         OUTPUT_VARIABLE out ERROR_VARIABLE err
         RESULT_VARIABLE rc)
@@ -52,3 +55,18 @@ foreach(model IN LISTS models_1)
     endif()
     message("${model}: identical at 1 and 4 threads")
 endforeach()
+file(STRINGS "${WORK_DIR}/threads1/metrics.csv" dump_lines)
+list(LENGTH dump_lines count)
+if(NOT count EQUAL 23)
+    message(FATAL_ERROR
+        "expected the header and 22 rows in metrics.csv, got ${count} lines")
+endif()
+execute_process(
+    COMMAND "${CMAKE_COMMAND}" -E compare_files
+            "${WORK_DIR}/threads1/metrics.csv" "${WORK_DIR}/threads4/metrics.csv"
+    RESULT_VARIABLE differ)
+if(differ)
+    message(FATAL_ERROR
+        "metrics.csv differs between PEARL_THREADS=1 and =4")
+endif()
+message("metrics.csv: identical at 1 and 4 threads")

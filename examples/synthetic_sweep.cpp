@@ -85,7 +85,7 @@ main(int argc, char **argv)
             job.label = TextTable::num(load, 2);
             job.explicitSeed = base_cfg.seed;
             job.custom = [kind, load, base_cfg, &power, sat_slot](
-                             const metrics::RunSpec &j,
+                             const metrics::RunSpec &,
                              std::uint64_t seed) {
                 traffic::SyntheticConfig cfg = base_cfg;
                 cfg.flitsPerSourcePerCycle = load;
@@ -105,9 +105,7 @@ main(int argc, char **argv)
                                                       kCyclesPerPoint);
                 }
                 *sat_slot = point.saturated ? 1 : 0;
-                metrics::RunMetrics m = toMetrics(point);
-                m.configName = j.configName;
-                return m;
+                return toMetrics(point);
             };
             jobs.push_back(std::move(job));
         }

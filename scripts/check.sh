@@ -15,9 +15,9 @@
 # Every test flavour builds the library, the tests, bench/ and
 # examples/, so tier-1 includes the bench smokes (bench_trace_smoke,
 # which runs every table and figure of bench_paper,
-# bench_paper_cold_warm, bench_ablations_smoke, bench_ext_scaling_smoke)
-# and one smoke per example, and the tsan flavour race-checks their
-# sweeps.
+# bench_paper_cold_warm, bench_paper_models_threads,
+# bench_ablations_smoke, bench_ext_scaling_smoke) and one smoke per
+# example, and the tsan flavour race-checks their sweeps.
 # Exits non-zero on the first failing flavour.
 #
 # The bench flavour runs pearlbench/selftest.py: it builds pearlbench

@@ -213,11 +213,6 @@ envRegistry()
          "trace output path; extension picks the sink (.jsonl or "
          "Chrome .json)"},
         // Sweep engine.
-        {"PEARL_SWEEP_JOURNAL", "string", "unset",
-         "crash-safe checkpoint journal: finished jobs append here"},
-        {"PEARL_SWEEP_RESUME", "bool", "0",
-         "restore finished jobs from the journal instead of re-running "
-         "them"},
         {"PEARL_THREADS", "u64", "hardware threads",
          "job worker threads for sweeps and training-data collection; "
          "single runs use one thread"},

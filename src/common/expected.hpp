@@ -30,11 +30,10 @@ enum class ErrorCode
     InvalidConfig,   //!< a configuration struct fails validation
     InvalidArgument, //!< a bad value passed to an API entry point
     InvalidState,    //!< an operation is illegal in the current state
-    IoError,         //!< file / journal read or write failure
     JobFailed,       //!< a sweep job raised an unclassified exception
 };
 
-/** Stable string form of an ErrorCode (logs, journal, job results). */
+/** Stable string form of an ErrorCode (logs, job results). */
 inline const char *
 toString(ErrorCode code)
 {
@@ -43,7 +42,6 @@ toString(ErrorCode code)
     case ErrorCode::InvalidConfig: return "invalid_config";
     case ErrorCode::InvalidArgument: return "invalid_argument";
     case ErrorCode::InvalidState: return "invalid_state";
-    case ErrorCode::IoError: return "io_error";
     case ErrorCode::JobFailed: return "job_failed";
     }
     return "unknown";

@@ -3,119 +3,47 @@
 #include <iomanip>
 #include <limits>
 #include <sstream>
-
-#include "common/env.hpp"
+#include <utility>
 
 namespace pearl {
 namespace metrics {
 
-namespace {
-
-/**
- * The one canonical field list.  Both directions — rendering
- * (metricFields) and journal restore (parseMetricCells) — walk this
- * visitor, so the schema cannot diverge between them.  `f` must expose
- * integer(name, u64&) and real(name, double&) overload points.
- */
-template <typename F>
-void
-visitMetricFields(RunMetrics &m, F &&f)
-{
-    f.integer("cycles", m.cycles);
-    f.integer("deliveredPackets", m.deliveredPackets);
-    f.integer("deliveredFlits", m.deliveredFlits);
-    f.integer("deliveredBits", m.deliveredBits);
-    f.integer("cpuPackets", m.cpuPackets);
-    f.integer("gpuPackets", m.gpuPackets);
-    f.real("throughputFlitsPerCycle", m.throughputFlitsPerCycle);
-    f.real("throughputGbps", m.throughputGbps);
-    f.real("avgLatencyCycles", m.avgLatencyCycles);
-    f.real("cpuLatencyCycles", m.cpuLatencyCycles);
-    f.real("gpuLatencyCycles", m.gpuLatencyCycles);
-    f.real("totalEnergyJ", m.totalEnergyJ);
-    f.real("energyPerBitPj", m.energyPerBitPj);
-    f.real("laserPowerW", m.laserPowerW);
-    f.integer("corruptedPackets", m.corruptedPackets);
-    f.integer("reservationDrops", m.reservationDrops);
-    f.integer("retransmittedPackets", m.retransmittedPackets);
-    f.integer("ackTimeouts", m.ackTimeouts);
-    f.integer("droppedPackets", m.droppedPackets);
-    f.integer("thermalUnlockedCycles", m.thermalUnlockedCycles);
-    for (std::size_t s = 0; s < m.residency.size(); ++s)
-        f.real("residency" + std::to_string(s), m.residency[s]);
-    f.integer("policyFallbackEntries", m.policyFallbackEntries);
-    f.integer("policyFallbackExits", m.policyFallbackExits);
-    f.integer("policyFallbackWindows", m.policyFallbackWindows);
-}
-
-/** Visitor collecting (name, value) descriptors for rendering. */
-struct CollectFields
-{
-    std::vector<MetricField> fields;
-
-    void
-    integer(const char *name, std::uint64_t &v)
-    {
-        fields.push_back({name, true, v, 0.0});
-    }
-
-    void
-    real(const std::string &name, double &v)
-    {
-        fields.push_back({name, false, 0, v});
-    }
-};
-
-/** Visitor assigning parsed cells back into a RunMetrics. */
-struct AssignFields
-{
-    const std::vector<std::string> &cells;
-    std::size_t next = 0;
-    bool ok = true;
-
-    void
-    integer(const char *, std::uint64_t &v)
-    {
-        if (!ok || next >= cells.size() ||
-            !parseU64(cells[next], v))
-            ok = false;
-        ++next;
-    }
-
-    void
-    real(const std::string &, double &v)
-    {
-        if (!ok || next >= cells.size() ||
-            !parseDouble(cells[next], v))
-            ok = false;
-        ++next;
-    }
-};
-
-} // namespace
-
 std::vector<MetricField>
 metricFields(const RunMetrics &m)
 {
-    CollectFields collect;
-    // The visitor takes mutable refs (shared with the parser); rendering
-    // only reads them.
-    visitMetricFields(const_cast<RunMetrics &>(m), collect);
-    return std::move(collect.fields);
-}
-
-bool
-parseMetricCells(const std::vector<std::string> &cells, RunMetrics &out)
-{
-    RunMetrics parsed;
-    AssignFields assign{cells};
-    visitMetricFields(parsed, assign);
-    if (!assign.ok || assign.next != cells.size())
-        return false;
-    parsed.configName = out.configName;
-    parsed.pairLabel = out.pairLabel;
-    out = parsed;
-    return true;
+    std::vector<MetricField> fields;
+    const auto integer = [&fields](const char *name, std::uint64_t v) {
+        fields.push_back({name, true, v, 0.0});
+    };
+    const auto real = [&fields](std::string name, double v) {
+        fields.push_back({std::move(name), false, 0, v});
+    };
+    integer("cycles", m.cycles);
+    integer("deliveredPackets", m.deliveredPackets);
+    integer("deliveredFlits", m.deliveredFlits);
+    integer("deliveredBits", m.deliveredBits);
+    integer("cpuPackets", m.cpuPackets);
+    integer("gpuPackets", m.gpuPackets);
+    real("throughputFlitsPerCycle", m.throughputFlitsPerCycle);
+    real("throughputGbps", m.throughputGbps);
+    real("avgLatencyCycles", m.avgLatencyCycles);
+    real("cpuLatencyCycles", m.cpuLatencyCycles);
+    real("gpuLatencyCycles", m.gpuLatencyCycles);
+    real("totalEnergyJ", m.totalEnergyJ);
+    real("energyPerBitPj", m.energyPerBitPj);
+    real("laserPowerW", m.laserPowerW);
+    integer("corruptedPackets", m.corruptedPackets);
+    integer("reservationDrops", m.reservationDrops);
+    integer("retransmittedPackets", m.retransmittedPackets);
+    integer("ackTimeouts", m.ackTimeouts);
+    integer("droppedPackets", m.droppedPackets);
+    integer("thermalUnlockedCycles", m.thermalUnlockedCycles);
+    for (std::size_t s = 0; s < m.residency.size(); ++s)
+        real("residency" + std::to_string(s), m.residency[s]);
+    integer("policyFallbackEntries", m.policyFallbackEntries);
+    integer("policyFallbackExits", m.policyFallbackExits);
+    integer("policyFallbackWindows", m.policyFallbackWindows);
+    return fields;
 }
 
 std::string
@@ -157,17 +85,6 @@ csvRow(const std::vector<std::string> &key_cells, const RunMetrics &m)
         line += formatMetricValue(f);
     }
     return line;
-}
-
-std::vector<std::string>
-splitCsvLine(const std::string &line)
-{
-    std::vector<std::string> cells;
-    std::stringstream ss(line);
-    std::string cell;
-    while (std::getline(ss, cell, ','))
-        cells.push_back(cell);
-    return cells;
 }
 
 } // namespace metrics

@@ -6,6 +6,7 @@
  * nowhere else — the golden-metrics regression suite, the benches and
  * the Runner's PEARL_METRICS_DUMP output all share this module, so the
  * checked-in golden files and bench output can never silently diverge.
+ * The module only writes rows; nothing in the library reads them back.
  *
  * Format contract (matches the checked-in goldens under tests/golden
  * byte for byte): integers print via std::to_string, doubles via the default
@@ -48,21 +49,6 @@ std::string csvHeader(const std::vector<std::string> &key_columns);
 /** One data row matching csvHeader(keys-of-`key_cells`).  No newline. */
 std::string csvRow(const std::vector<std::string> &key_cells,
                    const RunMetrics &m);
-
-/** Split one CSV line on commas (no quoting — labels never contain
- *  commas). */
-std::vector<std::string> splitCsvLine(const std::string &line);
-
-/**
- * Parse the metric cells of one canonical row (everything after the key
- * columns) back into `out` — the exact inverse of csvRow's field
- * rendering.  Doubles round-trip bit-exactly (max_digits10).  Used by
- * the sweep journal to restore completed jobs on resume.
- * @return false on a column-count or number-format mismatch (stale or
- *         corrupt journal rows are skipped, never trusted).
- */
-bool parseMetricCells(const std::vector<std::string> &cells,
-                      RunMetrics &out);
 
 } // namespace metrics
 } // namespace pearl

@@ -13,7 +13,7 @@ RunnerOptions
 RunnerOptions::fromEnv()
 {
     RunnerOptions opts;
-    opts.sweep = SweepOptions::fromEnv();
+    opts.sweep.trace = obs::TraceOptions::fromEnv();
     opts.metricsDumpPath = envStr("PEARL_METRICS_DUMP", "");
     return opts;
 }

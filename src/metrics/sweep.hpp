@@ -1,6 +1,7 @@
 /**
  * @file
- * Parallel sweep engine with deterministic replay and fault tolerance.
+ * Parallel sweep engine with deterministic replay and structured job
+ * failures.
  *
  * Every figure/table bench and example runs a (configuration x
  * benchmark-pair) grid of independent `metrics::runExperiment`-style
@@ -22,7 +23,7 @@
  * training pipeline shares; each job steps its simulation on the
  * thread that claimed it.
  *
- * Fault tolerance (DESIGN.md "Resilience"):
+ * Job failures (DESIGN.md "Resilience"):
  *
  *  - every spec is *validated* before it runs; a malformed config
  *    becomes a structured per-job failure (ErrorCode::InvalidConfig)
@@ -30,13 +31,7 @@
  *  - a throwing job is captured as a structured failure in its result
  *    slot; `cancelOnError = false` lets the rest of the grid finish.
  *    A job is a function of (spec, seed), so a failed job is not
- *    replayed: the same seed would fail the same way;
- *  - `journalPath` streams every completed job's RunMetrics row to an
- *    append-only journal (flushed per job, so a crash loses at most the
- *    in-flight jobs), and `resume = true` restores finished jobs from
- *    that journal instead of re-running them.  Restored metrics are
- *    byte-identical to the original run's (the journal stores the
- *    canonical CSV row, whose max_digits10 doubles round-trip exactly).
+ *    replayed: the same seed would fail the same way.
  */
 
 #ifndef PEARL_METRICS_SWEEP_HPP
@@ -84,7 +79,9 @@ struct RunSpec
 
     /**
      * Custom runner: replaces the descriptor path entirely.  Receives
-     * the spec and its effective seed and returns the metrics.  Throwing
+     * the spec and its effective seed and returns the metrics, into
+     * which executeSpec stamps `configName` and a non-empty `label`,
+     * as on the descriptor path.  Throwing
      * marks the job failed (and cancels the sweep when
      * `SweepOptions::cancelOnError` is set).  Custom runs manage their
      * own observability sinks; the sweep engine only auto-attaches
@@ -111,34 +108,12 @@ struct SweepOptions
     /** Skip jobs that have not started once any job fails. */
     bool cancelOnError = true;
     /**
-     * Crash-safe checkpointing: when non-empty, every completed job's
-     * canonical RunMetrics CSV row is appended (and flushed) to this
-     * file.  PEARL_SWEEP_JOURNAL sets it through fromEnv().
-     */
-    std::string journalPath;
-    /**
-     * Resume from an existing journal at `journalPath`: jobs whose
-     * (index, config, pair, seed) row is present are restored without
-     * re-running — the final metrics (and any CSV written from them)
-     * are byte-identical to an uninterrupted run.  PEARL_SWEEP_RESUME
-     * sets it through fromEnv().
-     */
-    bool resume = false;
-    /**
      * Observability plane: when `trace.enabled`, every descriptor-path
      * job gets its own Tracer writing to `jobTracePath(trace, i, ...)`
      * — one file per job, so trace bytes are independent of the thread
      * count.  Disabled (the default) costs nothing.
      */
     obs::TraceOptions trace;
-
-    /**
-     * Defaults + the PEARL_SWEEP_JOURNAL / PEARL_SWEEP_RESUME /
-     * PEARL_TRACE* environment knobs (strict warn-and-fallback
-     * parsing).  Thread count is resolved separately
-     * (pearl::resolveThreads), preserving existing precedence.
-     */
-    static SweepOptions fromEnv();
 };
 
 /** Outcome of one job. */
@@ -150,7 +125,6 @@ struct SweepJobResult
     PhaseTimings phases;        //!< build/warmup/run/collect split
     bool ok = false;
     bool skipped = false;       //!< cancelled before it started
-    bool resumed = false;       //!< restored from the journal, not run
     ErrorCode errorCode = ErrorCode::None; //!< failure class when !ok
     std::string error;          //!< failure reason when !ok
 };
@@ -161,7 +135,6 @@ struct SweepSummary
     std::size_t jobs = 0;
     std::size_t failed = 0;
     std::size_t skipped = 0;
-    std::size_t resumed = 0;   //!< jobs restored from the journal
     unsigned threads = 1;
     double wallSeconds = 0.0;          //!< whole-sweep wall time
     double aggregateJobSeconds = 0.0;  //!< sum of per-job wall times
@@ -234,8 +207,6 @@ class SweepRunner
 
     /** Run all jobs; results come back in submission order. */
     SweepResult run(const std::vector<RunSpec> &jobs) const;
-
-    const SweepOptions &options() const { return opts_; }
 
   private:
     SweepOptions opts_;

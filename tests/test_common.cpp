@@ -7,13 +7,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cctype>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iomanip>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -204,6 +208,27 @@ TEST(Env, ParseDoubleAcceptsNumbers)
     EXPECT_DOUBLE_EQ(v, 1e-3);
     EXPECT_TRUE(parseDouble("42 ", v)); // trailing blanks tolerated
     EXPECT_DOUBLE_EQ(v, 42.0);
+    EXPECT_TRUE(parseDouble("inf", v));
+    EXPECT_TRUE(std::isinf(v));
+    EXPECT_TRUE(parseDouble("nan", v));
+    EXPECT_TRUE(std::isnan(v));
+    EXPECT_TRUE(parseDouble("-0", v));
+    EXPECT_TRUE(std::signbit(v));
+
+    // Subnormals, printed at max_digits10 as the metrics CSV prints
+    // doubles, parse back bit for bit: strtod reports ERANGE on gradual
+    // underflow, and only overflow is a genuine range failure.
+    using lim = std::numeric_limits<double>;
+    for (double d : {lim::denorm_min(), 437.0 * lim::denorm_min(),
+                     std::nextafter(lim::min(), 0.0),
+                     -lim::denorm_min()}) {
+        std::ostringstream text;
+        text << std::setprecision(lim::max_digits10) << d;
+        ASSERT_TRUE(parseDouble(text.str(), v)) << text.str();
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(v),
+                  std::bit_cast<std::uint64_t>(d))
+            << text.str();
+    }
 }
 
 TEST(Env, ParseDoubleRejectsGarbage)
@@ -213,6 +238,7 @@ TEST(Env, ParseDoubleRejectsGarbage)
     EXPECT_FALSE(parseDouble("abc", v));
     EXPECT_FALSE(parseDouble("1.5x", v));
     EXPECT_FALSE(parseDouble("1e999", v)); // overflow
+    EXPECT_FALSE(parseDouble("-1e999", v));
 }
 
 TEST(Env, ParseBoolAcceptsTheUsualSpellings)

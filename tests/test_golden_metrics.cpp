@@ -19,6 +19,7 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -139,6 +140,19 @@ writeGolden(const GoldenConfig &cfg,
     out << csvHeader({"pair"}) << "\n";
     for (const RunMetrics &m : runs)
         out << csvRow({m.pairLabel}, m) << "\n";
+}
+
+/** Split one CSV line on commas (no quoting: labels never contain
+ *  commas). */
+std::vector<std::string>
+splitCsvLine(const std::string &line)
+{
+    std::vector<std::string> cells;
+    std::stringstream ss(line);
+    std::string cell;
+    while (std::getline(ss, cell, ','))
+        cells.push_back(cell);
+    return cells;
 }
 
 void

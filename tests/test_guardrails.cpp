@@ -463,35 +463,6 @@ TEST(Guardrails, BrokenModelEngagesFallbackAndTraces)
     std::remove(trace_path.c_str());
 }
 
-TEST(Guardrails, FallbackCountersSurviveJournalResume)
-{
-    // The fallback counters are journal columns: a job restored from
-    // the sweep journal reports the counters of the run that wrote it.
-    const std::string journal =
-        ::testing::TempDir() + "/guardrail_journal.csv";
-    std::remove(journal.c_str());
-    const std::vector<metrics::RunSpec> jobs = {brokenModelSpec()};
-    metrics::SweepOptions so;
-    so.threads = 1;
-    so.journalPath = journal;
-    const metrics::SweepResult ran = metrics::SweepRunner(so).run(jobs);
-    ASSERT_TRUE(ran.allOk());
-    const metrics::RunMetrics &a = ran.jobs[0].metrics;
-    EXPECT_GT(a.policyFallbackEntries, 0u);
-    EXPECT_GT(a.policyFallbackWindows, 0u);
-
-    so.resume = true;
-    const metrics::SweepResult resumed =
-        metrics::SweepRunner(so).run(jobs);
-    ASSERT_TRUE(resumed.allOk());
-    ASSERT_TRUE(resumed.jobs[0].resumed);
-    const metrics::RunMetrics &b = resumed.jobs[0].metrics;
-    EXPECT_EQ(b.policyFallbackEntries, a.policyFallbackEntries);
-    EXPECT_EQ(b.policyFallbackExits, a.policyFallbackExits);
-    EXPECT_EQ(b.policyFallbackWindows, a.policyFallbackWindows);
-    std::remove(journal.c_str());
-}
-
 } // namespace
 } // namespace ml
 } // namespace pearl
