@@ -214,10 +214,14 @@ TEST(Env, ParseDoubleAcceptsNumbers)
     EXPECT_TRUE(std::isnan(v));
     EXPECT_TRUE(parseDouble("-0", v));
     EXPECT_TRUE(std::signbit(v));
+}
 
+TEST(CsvRoundTrip, ParseDoubleAcceptsSubnormalsBitExactly)
+{
     // Subnormals, printed at max_digits10 as the metrics CSV prints
     // doubles, parse back bit for bit: strtod reports ERANGE on gradual
     // underflow, and only overflow is a genuine range failure.
+    double v = 0.0;
     using lim = std::numeric_limits<double>;
     for (double d : {lim::denorm_min(), 437.0 * lim::denorm_min(),
                      std::nextafter(lim::min(), 0.0),
