@@ -167,8 +167,9 @@ writeBenchJson(const std::string &path, std::vector<JsonMember> header,
 
 /**
  * Reread a bench JSON file and check that its brackets balance, it
- * names `bench` and has results, and every `live_key` value in it is
- * positive.  The bench smoke tests assert exactly this.
+ * names `bench`, the host's CPU count and the build type, and has
+ * results, and every `live_key` value in it is positive.  The bench
+ * smoke tests assert exactly this.
  */
 inline void
 validateBenchJson(const std::string &path, const std::string &bench,
@@ -181,7 +182,8 @@ validateBenchJson(const std::string &path, const std::string &bench,
     buf << in.rdbuf();
     const std::string text = buf.str();
     for (const std::string &key :
-         {jsonMember({"bench", jsonStr(bench)}), jsonStr("results")}) {
+         {jsonMember({"bench", jsonStr(bench)}), jsonStr("host_cpus"),
+          jsonStr("build_type"), jsonStr("results")}) {
         if (text.find(key) == std::string::npos)
             fatal(path, ": missing ", key);
     }
@@ -284,8 +286,11 @@ class Grid
         }
         summary_ = result.summary;
         runs_.clear();
-        for (const auto &j : result.jobs)
-            runs_.push_back(j.metrics);
+        configSeconds_.assign(specs_.size() / pairs_.size(), 0.0);
+        for (std::size_t i = 0; i < result.jobs.size(); ++i) {
+            runs_.push_back(result.jobs[i].metrics);
+            configSeconds_[i / pairs_.size()] += result.jobs[i].wallSeconds;
+        }
     }
 
     /** After run(): configuration `config`'s runs, named `name`, and
@@ -308,7 +313,8 @@ class Grid
     }
 
     /** After run(): the [sweep] footer, with jobs, threads, wall vs
-     *  aggregate time, speedup and the per-phase split. */
+     *  aggregate time, speedup, the per-phase split and each
+     *  configuration's summed job seconds, in grid order. */
     void
     printFooter() const
     {
@@ -329,6 +335,17 @@ class Grid
                       << " s, collect "
                       << TextTable::num(p.collectSeconds, 2) << " s\n";
         }
+        for (std::size_t c = 0; c < configSeconds_.size(); ++c) {
+            const double share =
+                s.aggregateJobSeconds > 0.0
+                    ? 100.0 * configSeconds_[c] / s.aggregateJobSeconds
+                    : 0.0;
+            std::cout << "[sweep] config '"
+                      << specs_[c * pairs_.size()].configName
+                      << "': " << TextTable::num(configSeconds_[c], 2)
+                      << " s over " << pairs_.size() << " jobs, "
+                      << TextTable::num(share, 1) << " % of aggregate\n";
+        }
     }
 
   private:
@@ -346,6 +363,8 @@ class Grid
     metrics::RunOptions opts_;
     std::vector<metrics::RunSpec> specs_;
     std::vector<metrics::RunMetrics> runs_;
+    /** Summed job wall seconds per configuration, from run(). */
+    std::vector<double> configSeconds_;
     metrics::SweepSummary summary_;
 };
 

@@ -1,5 +1,7 @@
 #include "cache/cluster.hpp"
 
+#include <algorithm>
+
 #include "common/log.hpp"
 
 namespace pearl {
@@ -64,8 +66,8 @@ ClusterNode::ClusterNode(int id, const HomeMap &home,
                          const HierarchyConfig &cfg,
                          const traffic::BenchmarkProfile &cpu_prof,
                          const traffic::BenchmarkProfile &gpu_prof, Rng rng,
-                         const traffic::GlobalPhase *cpu_phase,
-                         const traffic::GlobalPhase *gpu_phase)
+                         traffic::GlobalPhase *cpu_phase,
+                         traffic::GlobalPhase *gpu_phase)
     : id_(id), home_(home), cfg_(cfg),
       cpuL2_(cfg.cpuL2Lines, cfg.l2Ways), gpuL2_(cfg.gpuL2Lines, cfg.l2Ways)
 {
@@ -74,14 +76,16 @@ ClusterNode::ClusterNode(int id, const HomeMap &home,
 
     // Global core ids keep private address regions disjoint across the
     // whole chip.
+    cores_.reserve(static_cast<std::size_t>(cpu_cores + gpu_cus));
     for (int c = 0; c < cpu_cores; ++c) {
-        cpuCores_.emplace_back(cpu_prof, id * 64 + c, rng.fork(),
-                               cpu_phase, cfg.sharedLines);
+        cores_.emplace_back(cpu_prof, id * 64 + c, rng.fork(), cpu_phase,
+                            cfg.sharedLines);
     }
     for (int g = 0; g < gpu_cus; ++g) {
-        gpuCores_.emplace_back(gpu_prof, id * 64 + 32 + g, rng.fork(),
-                               gpu_phase, cfg.sharedLines);
+        cores_.emplace_back(gpu_prof, id * 64 + 32 + g, rng.fork(),
+                            gpu_phase, cfg.sharedLines);
     }
+    stops_.assign(cores_.size(), traffic::CoreDemandGenerator::Stop{0, false});
 
     outstanding_[static_cast<int>(CoreType::CPU)].assign(cpu_cores, 0);
     outstanding_[static_cast<int>(CoreType::GPU)].assign(gpu_cus, 0);
@@ -177,31 +181,46 @@ ClusterNode::sendNetwork(MsgClass cls, CoherenceOp op, std::uint64_t addr,
 }
 
 void
-ClusterNode::tick(Cycle now)
+ClusterNode::tickActive(Cycle now)
 {
-    // Batch the issue draws before acting on them: the six xoshiro
-    // streams are independent, so running the draws back to back lets
-    // the out-of-order core overlap their serial state-update chains.
-    // Per-generator draw order (and thus every stream) is unchanged,
-    // and accesses are still serviced in core-index order.
-    std::uint32_t fired = 0;
-    for (std::size_t c = 0; c < cpuCores_.size(); ++c)
-        fired |= static_cast<std::uint32_t>(cpuCores_[c].draw()) << c;
-    for (std::size_t g = 0; g < gpuCores_.size(); ++g)
-        fired |= static_cast<std::uint32_t>(gpuCores_[g].draw()) << (16 + g);
-    if (fired) [[unlikely]] {
-        for (std::size_t c = 0; c < cpuCores_.size(); ++c) {
-            if (fired & (1u << c)) {
-                const traffic::MemAccess acc = cpuCores_[c].generate();
-                coreAccess(CoreType::CPU, static_cast<int>(c), acc, now);
-            }
+    if (!scanned_) {
+        scanned_ = true;
+        wake_ = ~Cycle{0};
+        for (std::size_t i = 0; i < cores_.size(); ++i) {
+            stops_[i] = cores_[i].scan(now);
+            wake_ = std::min(wake_, stops_[i].cycle);
         }
-        for (std::size_t g = 0; g < gpuCores_.size(); ++g) {
-            if (fired & (1u << (16 + g))) {
-                const traffic::MemAccess acc = gpuCores_[g].generate();
-                coreAccess(CoreType::GPU, static_cast<int>(g), acc, now);
+    }
+    PEARL_ASSERT(wake_ >= now);
+
+    if (wake_ == now) {
+        // The cores stopped here act in core-index order, CPU then GPU:
+        // an issuing core generates its access and makes it, then every
+        // stopped core scans on.  Each core draws only from its own
+        // stream and the phases, which no access feeds back into, so
+        // scanning one core before the next core's access changes no
+        // stream and no access.
+        const auto cpu_cores =
+            static_cast<std::size_t>(cfg_.cpuCoresPerCluster);
+        Cycle wake = ~Cycle{0};
+        for (std::size_t i = 0; i < cores_.size(); ++i) {
+            traffic::CoreDemandGenerator::Stop &stop = stops_[i];
+            if (stop.cycle == now) {
+                if (stop.issues) {
+                    const traffic::MemAccess acc = cores_[i].generate();
+                    if (i < cpu_cores)
+                        coreAccess(CoreType::CPU, static_cast<int>(i), acc,
+                                   now);
+                    else
+                        coreAccess(CoreType::GPU,
+                                   static_cast<int>(i - cpu_cores), acc,
+                                   now);
+                }
+                stop = cores_[i].scan(now + 1);
             }
+            wake = std::min(wake, stop.cycle);
         }
+        wake_ = wake;
     }
 
     posCycle_ = now;

@@ -8,6 +8,10 @@
  * memory accesses flow L1 -> L2 -> (network) -> L3.  Local L1<->L2 packets
  * cross only the router crossbar and are recorded in the router telemetry
  * (they are features of the ML model) without occupying the optical link.
+ *
+ * Each core's issue cycles are fixed by its own stream and the chip-wide
+ * phase, so the node scans each core ahead to its next issue and a tick
+ * works only when a core issues or a local event is due (see tick()).
  */
 
 #ifndef PEARL_CACHE_CLUSTER_HPP
@@ -21,6 +25,7 @@
 #include "cache/config.hpp"
 #include "cache/home_map.hpp"
 #include "cache/nmoesi.hpp"
+#include "common/log.hpp"
 #include "common/rng.hpp"
 #include "sim/min_heap.hpp"
 #include "sim/packet.hpp"
@@ -78,13 +83,15 @@ class ClusterNode
      * @param cpu_prof benchmark profile for the CPU cores.
      * @param gpu_prof benchmark profile for the GPU compute units.
      * @param rng      forked stream owned by this cluster.
-     * @param cpu_phase / gpu_phase optional chip-wide program phases.
+     * @param cpu_phase / gpu_phase optional chip-wide program phases,
+     *                 read ahead through GlobalPhase::at() with cycles
+     *                 keyed on the `now` the ticks pass.
      */
     ClusterNode(int id, const HomeMap &home, const HierarchyConfig &cfg,
                 const traffic::BenchmarkProfile &cpu_prof,
                 const traffic::BenchmarkProfile &gpu_prof, Rng rng,
-                const traffic::GlobalPhase *cpu_phase = nullptr,
-                const traffic::GlobalPhase *gpu_phase = nullptr);
+                traffic::GlobalPhase *cpu_phase = nullptr,
+                traffic::GlobalPhase *gpu_phase = nullptr);
 
     /** Wire the packet sink (network) and telemetry before running. */
     void
@@ -94,10 +101,26 @@ class ClusterNode
         telemetry_ = telemetry;
     }
 
-    /** Advance one network cycle: demand generation + due local events.
-     *  Call it every cycle, in order: waiting accesses poll at slots
-     *  counted from the cycle they started waiting. */
-    void tick(sim::Cycle now);
+    /**
+     * Advance one network cycle: demand generation + due local events.
+     * Call it every cycle, in order: waiting accesses poll at slots
+     * counted from the cycle they started waiting, so nextPoll() reads
+     * the loop position even an idle tick records.  Most ticks find no
+     * core issuing (no scan stops at `now`) and no event due, and do
+     * only that.
+     */
+    void
+    tick(sim::Cycle now)
+    {
+        PEARL_ASSERT(now == posCycle_ + 1 || !scanned_,
+                     "ClusterNode::tick skipped or repeated a cycle");
+        if (now < wake_ && (events_.empty() || events_.top().due > now)) {
+            posCycle_ = now;
+            posSeq_ = kDrained;
+            return;
+        }
+        tickActive(now);
+    }
 
     /** Handle a packet the network delivered to this cluster's router. */
     void deliver(const sim::Packet &pkt, sim::Cycle now);
@@ -188,6 +211,7 @@ class ClusterNode
                   "LocalEvent grew; the event heap is hot");
 
     // Demand + L1 ----------------------------------------------------------
+    void tickActive(sim::Cycle now);
     void coreAccess(sim::CoreType type, int core_slot,
                     const traffic::MemAccess &acc, sim::Cycle now);
     void l2Access(const LocalEvent &ev, sim::Cycle now);
@@ -225,8 +249,17 @@ class ClusterNode
     sim::PacketSink *sink_ = nullptr;
     sim::RouterTelemetry *telemetry_ = nullptr;
 
-    std::vector<traffic::CoreDemandGenerator> cpuCores_;
-    std::vector<traffic::CoreDemandGenerator> gpuCores_;
+    /** Demand generators: the CPU cores, then the GPU CUs. */
+    std::vector<traffic::CoreDemandGenerator> cores_;
+    /** Each core's last scan stop.  A core draws nothing the node acts
+     *  on before its stop: the stop is its next issue, or the end of a
+     *  scan horizon, where it scans on. */
+    std::vector<traffic::CoreDemandGenerator::Stop> stops_;
+    /** The earliest stop; ticks before it run no core. */
+    sim::Cycle wake_ = 0;
+    /** The first tick has scanned every core.  Scans start there, so a
+     *  node that is built but never ticked takes no draw. */
+    bool scanned_ = false;
     std::vector<int> outstanding_[sim::kNumCoreTypes];
 
     // L1 layout: [0..1] CPU L1I, [2..3] CPU L1D, [4..7] GPU L1.

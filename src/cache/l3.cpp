@@ -88,7 +88,7 @@ L3Bank::sendToMemory(CoherenceOp op, std::uint64_t addr, Cycle now)
 }
 
 void
-L3Bank::tick(Cycle now)
+L3Bank::runDue(Cycle now)
 {
     while (!events_.empty() && events_.top().due <= now) {
         const TimedEvent ev = events_.top();

@@ -90,8 +90,14 @@ class L3Bank
         telemetry_ = telemetry;
     }
 
-    /** Advance one cycle: run due L3 array accesses. */
-    void tick(sim::Cycle now);
+    /** Advance one cycle: run due L3 array accesses.  Most cycles have
+     *  none, and the check is all they cost. */
+    void
+    tick(sim::Cycle now)
+    {
+        if (!events_.empty() && events_.top().due <= now)
+            runDue(now);
+    }
 
     /** Handle a packet addressed to this bank. */
     void deliver(const sim::Packet &pkt, sim::Cycle now);
@@ -165,6 +171,7 @@ class L3Bank
         }
     };
 
+    void runDue(sim::Cycle now);
     void startLookup(std::uint64_t addr, sim::Cycle now);
     void runLookup(std::uint64_t addr, sim::Cycle now);
     void serviceHead(std::uint64_t addr, L3Array::Line &line,

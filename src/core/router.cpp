@@ -59,17 +59,6 @@ PearlRouter::reinject(const Packet &pkt, Cycle now)
     return true;
 }
 
-void
-PearlRouter::accumulateOccupancy()
-{
-    telemetry_.cpuCoreBufOccupancy += inject_.occupancy(CoreType::CPU);
-    telemetry_.gpuCoreBufOccupancy += inject_.occupancy(CoreType::GPU);
-    telemetry_.otherRouterCpuBufOccupancy += rx_.occupancy(CoreType::CPU);
-    telemetry_.otherRouterGpuBufOccupancy += rx_.occupancy(CoreType::GPU);
-    betaWindowSum_ += inject_.totalOccupancy();
-    ++windowCycles_;
-}
-
 int
 PearlRouter::transmitClass(CoreType type, double share, int capacity_bits,
                            std::vector<TxCompletion> &done)
@@ -167,7 +156,7 @@ PearlRouter::transmitClass(CoreType type, double share, int capacity_bits,
 }
 
 int
-PearlRouter::transmitCycle(Cycle now, std::vector<TxCompletion> &done)
+PearlRouter::transmitQueued(Cycle now, std::vector<TxCompletion> &done)
 {
     if (!laser_.stable(now))
         return 0; // lasers still stabilising after an upward switch
@@ -242,7 +231,7 @@ PearlRouter::rxEnqueue(const Packet &pkt)
 }
 
 void
-PearlRouter::ejectCycle(Cycle now, std::vector<Packet> &delivered)
+PearlRouter::ejectQueued(Cycle now, std::vector<Packet> &delivered)
 {
     int budget = cfg_.ejectFlitsPerCycle;
     // Round-robin between the class buffers so neither starves ejection.
@@ -265,7 +254,6 @@ PearlRouter::ejectCycle(Cycle now, std::vector<Packet> &delivered)
             }
         }
     }
-    ejectRr_ = (ejectRr_ + 1) % sim::kNumCoreTypes;
 }
 
 double

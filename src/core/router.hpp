@@ -173,7 +173,29 @@ class PearlRouter
      * to `done`.
      * @return bits transmitted this cycle (for energy accounting).
      */
-    int transmitCycle(sim::Cycle now, std::vector<TxCompletion> &done);
+    int
+    transmitCycle(sim::Cycle now, std::vector<TxCompletion> &done)
+    {
+        if (!inject_.empty())
+            return transmitQueued(now, done);
+        // Both inject buffers empty: exactly what transmitQueued() does
+        // then.  Nothing while the lasers stabilise or under FCFS (no
+        // channel is active without a queued packet); otherwise the DBA
+        // splits the two zero occupancies and both channels drop their
+        // credit and back-to-back state.
+        if (!laser_.stable(now) ||
+            dba_.config().mode == DbaConfig::Mode::Fcfs)
+            return 0;
+        const Allocation alloc = dba_.allocate(0.0, 0.0);
+        telemetry_.dbaCpuShareSum += alloc.cpuShare;
+        telemetry_.dbaGpuShareSum += alloc.gpuShare;
+        ++telemetry_.dbaCycles;
+        for (TxChannel &ch : tx_) {
+            ch.creditBits = 0;
+            ch.backToBack = false;
+        }
+        return 0;
+    }
 
     /** Enqueue an arriving packet into the receive buffer.
      *  @return false when the receive buffer is full (retry next cycle). */
@@ -181,10 +203,27 @@ class PearlRouter
 
     /** Drain receive buffers at the ejection bandwidth; fully ejected
      *  packets are appended to `delivered` with delivery time `now`. */
-    void ejectCycle(sim::Cycle now, std::vector<sim::Packet> &delivered);
+    void
+    ejectCycle(sim::Cycle now, std::vector<sim::Packet> &delivered)
+    {
+        if (!rx_.empty())
+            ejectQueued(now, delivered);
+        ejectRr_ = (ejectRr_ + 1) % sim::kNumCoreTypes;
+    }
 
     /** Accumulate the per-cycle occupancy telemetry (call once/cycle). */
-    void accumulateOccupancy();
+    void
+    accumulateOccupancy()
+    {
+        telemetry_.cpuCoreBufOccupancy += inject_.occupancy(sim::CoreType::CPU);
+        telemetry_.gpuCoreBufOccupancy += inject_.occupancy(sim::CoreType::GPU);
+        telemetry_.otherRouterCpuBufOccupancy +=
+            rx_.occupancy(sim::CoreType::CPU);
+        telemetry_.otherRouterGpuBufOccupancy +=
+            rx_.occupancy(sim::CoreType::GPU);
+        betaWindowSum_ += inject_.totalOccupancy();
+        ++windowCycles_;
+    }
 
     /**
      * Fault-capped wavelength ceiling.  Transmit capacity is computed
@@ -260,8 +299,10 @@ class PearlRouter
         bool holdsExpressSlot = false; //!< inter-group slot held
     };
 
+    int transmitQueued(sim::Cycle now, std::vector<TxCompletion> &done);
     int transmitClass(sim::CoreType type, double share, int capacity_bits,
                       std::vector<TxCompletion> &done);
+    void ejectQueued(sim::Cycle now, std::vector<sim::Packet> &delivered);
 
     int id_;
     PearlConfig cfg_;

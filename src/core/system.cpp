@@ -25,10 +25,16 @@ HeteroSystem::HeteroSystem(sim::Network &network,
                  "more L3 banks than cluster routers to host them");
     PEARL_ASSERT(network.numNodes() >= clusters + 1,
                  "network too small for the cluster count");
+    // The phases and every core's scan are keyed on the network cycle,
+    // which is the cycle count of this system's own loop only from 0.
+    PEARL_ASSERT(network.cycle() == 0,
+                 "HeteroSystem needs a network that has not stepped");
     Rng rng(cfg.seed);
 
     // Chip-wide program phases: every CPU core shares one, every GPU CU
-    // shares the other (kernel launches and barriers are global).
+    // shares the other (kernel launches and barriers are global).  The
+    // clusters read them ahead (GlobalPhase::at), so the loop never
+    // ticks them.
     cpuPhase_ = std::make_unique<traffic::GlobalPhase>(pair.cpu, rng.fork());
     gpuPhase_ = std::make_unique<traffic::GlobalPhase>(pair.gpu, rng.fork());
 
@@ -101,10 +107,6 @@ void
 HeteroSystem::stepOnce()
 {
     const Cycle now = network_.cycle();
-
-    // 0. Advance the chip-wide program phases.
-    cpuPhase_->tick();
-    gpuPhase_->tick();
 
     // 1. Node models generate demand and process due internal events.
     for (auto &cluster : clusters_)

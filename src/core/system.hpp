@@ -61,7 +61,8 @@ class HeteroSystem : public sim::PacketSink
 {
   public:
     /**
-     * @param network   the interconnect under test (not owned).
+     * @param network   the interconnect under test (not owned), not
+     *                  yet stepped.
      * @param pair      CPU benchmark + GPU benchmark to run.
      * @param cfg       system configuration.
      * @param telemetry optional per-node telemetry lookup (PEARL only).

@@ -41,12 +41,10 @@ class FlitBuffer
     /** Slots still free. */
     int freeSlots() const { return capacity_ - occupied_; }
 
-    /** Occupancy fraction in [0, 1] — the beta of Equations 1-2. */
-    double
-    occupancy() const
-    {
-        return static_cast<double>(occupied_) / static_cast<double>(capacity_);
-    }
+    /** Occupancy fraction in [0, 1] — the beta of Equations 1-2.  The
+     *  routers read it several times a cycle, so push(), pop() and
+     *  clear() recompute it and every read returns the same bits. */
+    double occupancy() const { return occupancy_; }
 
     bool empty() const { return queue_.empty(); }
     std::size_t packetCount() const { return queue_.size(); }
@@ -70,6 +68,7 @@ class FlitBuffer
             return false;
         queue_.push_back(pkt);
         occupied_ += flits;
+        updateOccupancy();
         return true;
     }
 
@@ -97,6 +96,7 @@ class FlitBuffer
         queue_.pop_front();
         occupied_ -= pkt.numFlits();
         PEARL_ASSERT(occupied_ >= 0);
+        updateOccupancy();
         return pkt;
     }
 
@@ -106,11 +106,20 @@ class FlitBuffer
     {
         queue_.clear();
         occupied_ = 0;
+        updateOccupancy();
     }
 
   private:
+    void
+    updateOccupancy()
+    {
+        occupancy_ =
+            static_cast<double>(occupied_) / static_cast<double>(capacity_);
+    }
+
     int capacity_;
     int occupied_ = 0;
+    double occupancy_ = 0.0;
     RingQueue<Packet> queue_;
 };
 

@@ -25,6 +25,10 @@
  * the same fields.  ClusterNode::LocalEvent stays at 32 bytes for this
  * reason, and PearlNetwork's in-flight heap holds 16-byte keys over a
  * packet slab.
+ *
+ * top() is a plain read of the first element, so ClusterNode::tick and
+ * L3Bank::tick test `top().due` every cycle, inline, and skip the cycles
+ * with nothing due; only a due event costs a pop.
  */
 
 #ifndef PEARL_SIM_MIN_HEAP_HPP

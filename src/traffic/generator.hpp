@@ -13,9 +13,12 @@
 #ifndef PEARL_TRAFFIC_GENERATOR_HPP
 #define PEARL_TRAFFIC_GENERATOR_HPP
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <vector>
 
+#include "common/log.hpp"
 #include "common/rng.hpp"
 #include "traffic/profile.hpp"
 
@@ -61,6 +64,16 @@ struct AddressSpace
  * *together*.  This global ON/OFF Markov process (parameters from the
  * benchmark profile) modulates every core's rate; the per-core Bernoulli
  * draw adds local jitter on top.
+ *
+ * The process takes one transition draw per cycle on its own stream,
+ * and nothing a core or the memory system does feeds back into it, so
+ * its state at every cycle is fixed by the seed.  at() reads it ahead
+ * of time: it takes the transition draws in cycle order, exactly the
+ * draws tick() takes, and keeps the cycles at which the state flipped.
+ * tick() and on() step the same process one cycle at a time; they are
+ * the reference that verify::RefCluster and the traffic tests check
+ * at() against.  One instance is either ticked or read through at(),
+ * never both.
  */
 class GlobalPhase
 {
@@ -70,6 +83,7 @@ class GlobalPhase
     {
         const double denom = pOnToOff_ + pOffToOn_;
         on_ = rng_.chance(denom > 0.0 ? pOffToOn_ / denom : 1.0);
+        initialOn_ = on_;
     }
 
     /** Construct from a profile's burst parameters. */
@@ -77,9 +91,57 @@ class GlobalPhase
         : GlobalPhase(profile.pOnToOff, profile.pOffToOn, rng)
     {}
 
-    /** Advance one cycle (call exactly once per network cycle). */
+    /** How far at() draws past the asked cycle when no flip comes
+     *  sooner. */
+    static constexpr std::uint64_t kLookAhead = 4096;
+
+    /** The phase over a run of cycles that share one state. */
+    struct Run
+    {
+        bool on;
+        /** First cycle past the run that at() has not placed in it:
+         *  the next flip, or the end of the drawn cycles. */
+        std::uint64_t end;
+    };
+
+    /**
+     * The state at cycle `c`, and where that run ends.  The state at
+     * cycle c is the state after c + 1 tick()s: HeteroSystem's cycle
+     * loop ticked the phase before the clusters read it.  When no flip
+     * after c is drawn yet, draws ahead until one is, or to
+     * c + kLookAhead.
+     */
+    Run
+    at(std::uint64_t c)
+    {
+        if (flips_.empty() || flips_.back() <= c)
+            drawAhead(c);
+        const auto next = std::upper_bound(flips_.begin(), flips_.end(), c);
+        const bool odd = ((next - flips_.begin()) & 1) != 0;
+        return {initialOn_ != odd, next != flips_.end() ? *next : drawn_};
+    }
+
+    /** Reference path: advance one cycle (call exactly once per network
+     *  cycle, before reading on()). */
     void
     tick()
+    {
+        PEARL_ASSERT(!lookedAhead_, "GlobalPhase: tick() after at()");
+        transition();
+    }
+
+    /** Reference path: the state after the last tick(). */
+    bool
+    on() const
+    {
+        PEARL_ASSERT(!lookedAhead_, "GlobalPhase: on() after at()");
+        return on_;
+    }
+
+  private:
+    /** One cycle's transition draw. */
+    void
+    transition()
     {
         if (on_) {
             if (rng_.chanceT(tOnToOff_))
@@ -90,9 +152,25 @@ class GlobalPhase
         }
     }
 
-    bool on() const { return on_; }
+    /** Draw cycles from drawn_ on: past c, then on to the first flip
+     *  after c or to c + kLookAhead, whichever comes first. */
+    void
+    drawAhead(std::uint64_t c)
+    {
+        lookedAhead_ = true;
+        const std::uint64_t stop = c + kLookAhead;
+        while (drawn_ < stop) {
+            const bool was = on_;
+            transition();
+            const std::uint64_t cycle = drawn_++;
+            if (on_ != was) {
+                flips_.push_back(cycle);
+                if (cycle > c)
+                    return;
+            }
+        }
+    }
 
-  private:
     double pOnToOff_;
     double pOffToOn_;
     // chanceThreshold() images of the probabilities: the per-cycle
@@ -100,7 +178,15 @@ class GlobalPhase
     std::uint64_t tOnToOff_ = Rng::chanceThreshold(pOnToOff_);
     std::uint64_t tOffToOn_ = Rng::chanceThreshold(pOffToOn_);
     Rng rng_;
+    /** The state after the last transition draw taken. */
     bool on_;
+    /** The state before cycle 0's draw. */
+    bool initialOn_;
+    bool lookedAhead_ = false;
+    /** Cycles whose transition draw at() has taken: 0 .. drawn_ - 1. */
+    std::uint64_t drawn_ = 0;
+    /** The drawn cycles whose draw flipped the state, ascending. */
+    std::vector<std::uint64_t> flips_;
 };
 
 /** Markov-modulated demand generator for one core. */
@@ -120,7 +206,7 @@ class alignas(64) CoreDemandGenerator
      *                       contention stays constant across chip sizes.
      */
     CoreDemandGenerator(const BenchmarkProfile &profile, int global_core_id,
-                        Rng rng, const GlobalPhase *phase = nullptr,
+                        Rng rng, GlobalPhase *phase = nullptr,
                         std::uint64_t shared_lines =
                             AddressSpace::kSharedLines)
         : rng_(rng), tRateOn_(Rng::chanceThreshold(profile.accessRateOn)),
@@ -134,39 +220,74 @@ class alignas(64) CoreDemandGenerator
         on_ = rng_.chance(profile_.onFraction());
     }
 
+    /** Where scan() stopped: the cycle of the last draw it took, and
+     *  whether the core issues an access at that cycle. */
+    struct Stop
+    {
+        std::uint64_t cycle;
+        bool issues;
+    };
+
+    /** Cycles one scan() covers at most, so a core that never issues
+     *  (a zero rate, or a phase that stays off) stops once per horizon
+     *  instead of scanning forever. */
+    static constexpr std::uint64_t kScanHorizon = 4096;
+
     /**
-     * The per-cycle issue draw: burst-phase transition (private mode)
-     * plus the Bernoulli issue decision.  Callers that batch several
-     * generators call draw() for each first and generate() afterwards —
-     * the RNG streams are per-generator, so interleaving draws across
-     * generators leaves every stream identical while letting the
-     * otherwise-serial xoshiro dependency chains overlap.
+     * Take the per-cycle draws of cycles from, from + 1, ... in cycle
+     * order, exactly the draws one draw() per cycle takes, and stop at
+     * the first cycle whose issue draw fires or at
+     * from + kScanHorizon - 1.  In private burst mode each cycle takes
+     * its transition draw before its issue draw; with a shared phase the
+     * state of cycle c is phase->at(c).  Call generate() for an issuing
+     * stop before the next scan(), so the access takes the values right
+     * after its issue draw, as tick() does.
+     */
+    Stop
+    scan(std::uint64_t from)
+    {
+        const std::uint64_t last = from + kScanHorizon - 1;
+        if (!phase_) {
+            for (std::uint64_t c = from;; ++c) {
+                if (privateDraw())
+                    return {c, true};
+                if (c == last)
+                    return {c, false};
+            }
+        }
+        std::uint64_t c = from;
+        while (true) {
+            const GlobalPhase::Run run = phase_->at(c);
+            const std::uint64_t threshold = run.on ? tRateOn_ : tRateOff_;
+            const std::uint64_t stop = std::min(run.end - 1, last);
+            for (; c <= stop; ++c) {
+                if (rng_.chanceT(threshold))
+                    return {c, true};
+            }
+            if (c > last)
+                return {last, false};
+        }
+    }
+
+    /**
+     * Reference path: one cycle's issue draw (the burst-phase transition
+     * in private mode, then the Bernoulli issue decision), reading a
+     * ticked phase through on().  verify::RefCluster and the traffic
+     * tests check scan() against it.
      */
     bool
     draw()
     {
-        bool on;
-        if (phase_) {
-            on = phase_->on();
-        } else {
-            // Private burst-phase transition, then the issue draw.
-            if (on_) {
-                if (rng_.chanceT(tOnToOff_))
-                    on_ = false;
-            } else {
-                if (rng_.chanceT(tOffToOn_))
-                    on_ = true;
-            }
-            on = on_;
-        }
-        return rng_.chanceT(on ? tRateOn_ : tRateOff_);
+        if (!phase_)
+            return privateDraw();
+        return rng_.chanceT(phase_->on() ? tRateOn_ : tRateOff_);
     }
 
-    /** Produce the access for a cycle whose draw() returned true. */
+    /** Produce the access for a cycle whose draw() or scan() fired. */
     MemAccess generate() { return generateAccess(); }
 
     /**
-     * Advance one network cycle.
+     * Reference path: advance one network cycle with draw().
      * @return an access if the core issued one this cycle.
      */
     std::optional<MemAccess>
@@ -180,6 +301,20 @@ class alignas(64) CoreDemandGenerator
     const BenchmarkProfile &profile() const { return profile_; }
 
   private:
+    /** Private burst-phase transition, then the issue draw. */
+    bool
+    privateDraw()
+    {
+        if (on_) {
+            if (rng_.chanceT(tOnToOff_))
+                on_ = false;
+        } else {
+            if (rng_.chanceT(tOffToOn_))
+                on_ = true;
+        }
+        return rng_.chanceT(on_ ? tRateOn_ : tRateOff_);
+    }
+
     MemAccess
     generateAccess()
     {
@@ -217,18 +352,16 @@ class alignas(64) CoreDemandGenerator
     /** Word accesses per cache line on a streaming walk. */
     static constexpr int kWordsPerLine = 8;
 
-    // Member order is the hot-path cache layout: with 96 generators
-    // walked every network cycle, the common no-access tick must touch
-    // one line per generator.  The RNG state, the rate thresholds (the
-    // chanceThreshold() images of the per-cycle draw probabilities —
-    // the integer fast path consumes the identical RNG stream), the
-    // phase pointer and the burst flag together fit the first 64-byte
-    // line of the alignas(64) object; everything generateAccess() needs
-    // (the rare path) follows.
+    // Member order is the scan's cache layout: the RNG state, the rate
+    // thresholds (the chanceThreshold() images of the per-cycle draw
+    // probabilities — the integer fast path consumes the identical RNG
+    // stream), the phase pointer and the burst flag fit the first
+    // 64-byte line of the alignas(64) object, so a scan's draw loop
+    // touches one line; everything generateAccess() needs follows.
     Rng rng_;
     std::uint64_t tRateOn_;
     std::uint64_t tRateOff_;
-    const GlobalPhase *phase_;
+    GlobalPhase *phase_;
     bool on_ = false;
     std::uint64_t tOnToOff_;
     std::uint64_t tOffToOn_;

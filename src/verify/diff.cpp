@@ -119,6 +119,91 @@ comparePacket(Divergence &d, std::size_t index, const Packet &pearl,
              ref.cycleDelivered);
 }
 
+/** expectEq / expectBits on `prefix + field`, building the label only
+ *  on a mismatch: these run for every field of every router each
+ *  cycle. */
+template <typename T>
+void
+expectField(Divergence &d, const std::string &prefix, const char *field,
+            const T &pearl, const T &ref)
+{
+    if (!d.hit && !(pearl == ref))
+        expectEq(d, (prefix + field).c_str(), pearl, ref);
+}
+
+void
+expectFieldBits(Divergence &d, const std::string &prefix, const char *field,
+                double pearl, double ref)
+{
+    if (!d.hit && !sameBits(pearl, ref))
+        expectBits(d, (prefix + field).c_str(), pearl, ref);
+}
+
+/** Every RouterTelemetry field RefNetwork models, doubles bit for bit:
+ *  all but outOfLockCycles, which only the thermal model (off in the
+ *  reference) counts. */
+void
+compareTelemetry(Divergence &d, const std::string &p,
+                 const sim::RouterTelemetry &pearl,
+                 const sim::RouterTelemetry &ref)
+{
+    expectFieldBits(d, p, "cpuCoreBufOccupancy", pearl.cpuCoreBufOccupancy,
+                    ref.cpuCoreBufOccupancy);
+    expectFieldBits(d, p, "otherRouterCpuBufOccupancy",
+                    pearl.otherRouterCpuBufOccupancy,
+                    ref.otherRouterCpuBufOccupancy);
+    expectFieldBits(d, p, "gpuCoreBufOccupancy", pearl.gpuCoreBufOccupancy,
+                    ref.gpuCoreBufOccupancy);
+    expectFieldBits(d, p, "otherRouterGpuBufOccupancy",
+                    pearl.otherRouterGpuBufOccupancy,
+                    ref.otherRouterGpuBufOccupancy);
+    expectField(d, p, "linkBusyCycles", pearl.linkBusyCycles,
+                ref.linkBusyCycles);
+    expectField(d, p, "packetsToCore", pearl.packetsToCore,
+                ref.packetsToCore);
+    expectField(d, p, "incomingFromRouters", pearl.incomingFromRouters,
+                ref.incomingFromRouters);
+    expectField(d, p, "incomingFromCores", pearl.incomingFromCores,
+                ref.incomingFromCores);
+    expectField(d, p, "requestsSent", pearl.requestsSent, ref.requestsSent);
+    expectField(d, p, "requestsReceived", pearl.requestsReceived,
+                ref.requestsReceived);
+    expectField(d, p, "responsesSent", pearl.responsesSent,
+                ref.responsesSent);
+    expectField(d, p, "responsesReceived", pearl.responsesReceived,
+                ref.responsesReceived);
+    for (int m = 0; m < sim::kNumMsgClasses; ++m) {
+        const auto i = static_cast<std::size_t>(m);
+        if (!d.hit && pearl.classCounts[i] != ref.classCounts[i]) {
+            expectEq(d,
+                     (p + "classCounts[" +
+                      sim::toString(static_cast<sim::MsgClass>(m)) + "]")
+                         .c_str(),
+                     pearl.classCounts[i], ref.classCounts[i]);
+        }
+    }
+    expectField(d, p, "wavelengths", pearl.wavelengths, ref.wavelengths);
+    expectField(d, p, "packetsInjected", pearl.packetsInjected,
+                ref.packetsInjected);
+    expectField(d, p, "retransmitsQueued", pearl.retransmitsQueued,
+                ref.retransmitsQueued);
+    expectField(d, p, "corruptedArrivals", pearl.corruptedArrivals,
+                ref.corruptedArrivals);
+    expectField(d, p, "packetsDropped", pearl.packetsDropped,
+                ref.packetsDropped);
+    expectField(d, p, "policyFallbackEntries", pearl.policyFallbackEntries,
+                ref.policyFallbackEntries);
+    expectField(d, p, "policyFallbackExits", pearl.policyFallbackExits,
+                ref.policyFallbackExits);
+    expectField(d, p, "policyFallbackWindows", pearl.policyFallbackWindows,
+                ref.policyFallbackWindows);
+    expectFieldBits(d, p, "dbaCpuShareSum", pearl.dbaCpuShareSum,
+                    ref.dbaCpuShareSum);
+    expectFieldBits(d, p, "dbaGpuShareSum", pearl.dbaGpuShareSum,
+                    ref.dbaGpuShareSum);
+    expectField(d, p, "dbaCycles", pearl.dbaCycles, ref.dbaCycles);
+}
+
 Divergence
 compareCycle(core::PearlNetwork &pearl, RefNetwork &ref)
 {
@@ -205,6 +290,10 @@ compareCycle(core::PearlNetwork &pearl, RefNetwork &ref)
                          ref.txHoldsExpress(r, type));
             }
         }
+        compareTelemetry(d, p + "telemetry ", router.telemetry(),
+                         ref.telemetryOf(r));
+        expectFieldBits(d, p, "betaTotalMean", router.betaTotalMean(),
+                        ref.betaTotalMean(r));
     }
 
     // Grouped chips: express-slot pools, group by group.
@@ -665,9 +754,22 @@ runClusterDiff(const ClusterDiffCase &c)
 {
     constexpr int kCluster = 3;
     const cache::HomeMap home;
-    cache::ClusterNode opt(kCluster, home, c.cfg, c.cpu, c.gpu,
-                           Rng(c.seed));
-    RefCluster ref(kCluster, home, c.cfg, c.cpu, c.gpu, Rng(c.seed));
+    // The phases, when on, come from streams of their own, so the
+    // cluster's stream is Rng(c.seed) in both modes.
+    Rng phase_rng(deriveSeed(c.seed, 0x9A5E));
+    const Rng cpu_phase_rng = phase_rng.fork();
+    const Rng gpu_phase_rng = phase_rng.fork();
+    traffic::GlobalPhase opt_cpu_phase(c.cpu, cpu_phase_rng);
+    traffic::GlobalPhase opt_gpu_phase(c.gpu, gpu_phase_rng);
+    traffic::GlobalPhase ref_cpu_phase(c.cpu, cpu_phase_rng);
+    traffic::GlobalPhase ref_gpu_phase(c.gpu, gpu_phase_rng);
+    const bool phases = c.sharedPhases;
+    cache::ClusterNode opt(kCluster, home, c.cfg, c.cpu, c.gpu, Rng(c.seed),
+                           phases ? &opt_cpu_phase : nullptr,
+                           phases ? &opt_gpu_phase : nullptr);
+    RefCluster ref(kCluster, home, c.cfg, c.cpu, c.gpu, Rng(c.seed),
+                   phases ? &ref_cpu_phase : nullptr,
+                   phases ? &ref_gpu_phase : nullptr);
     PacketLog opt_out;
     PacketLog ref_out;
     sim::RouterTelemetry opt_tel;
@@ -708,6 +810,10 @@ runClusterDiff(const ClusterDiffCase &c)
         deliver(now, true);
         if (!check(now, "before tick"))
             return out;
+        if (phases) {
+            ref_cpu_phase.tick();
+            ref_gpu_phase.tick();
+        }
         opt.tick(now);
         ref.tick(now);
         if (!check(now, "tick"))

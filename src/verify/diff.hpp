@@ -7,17 +7,20 @@
  * compares all externally visible state: injection acceptance,
  * delivered packets field by field, cumulative NetworkStats (latency
  * mean compared bit for bit), per-router laser state / switch counts /
- * fault caps / buffer occupancies, idleness, and the three energy
- * integrals compared bit for bit.  The optimized side also carries the
- * runtime invariant checker, so a conservation or legality violation
- * surfaces through the same DiffResult as a divergence.
+ * fault caps / buffer occupancies, every RouterTelemetry field the
+ * reference models and betaTotalMean() (doubles bit for bit), idleness,
+ * and the three energy integrals compared bit for bit.  The optimized
+ * side also carries the runtime invariant checker, so a conservation or
+ * legality violation surfaces through the same DiffResult as a
+ * divergence.
  *
  * runCmeshDiff does the same for the electrical baseline: the optimized
  * electrical::CmeshNetwork against the naive verify::RefCmesh.
  *
  * runClusterDiff covers the cache side: cache::ClusterNode, whose
- * MSHR-full accesses wait on a queue, against verify::RefCluster, which
- * polls, both answered by one seeded fake L3.
+ * MSHR-full accesses wait on a queue and whose cores are scanned ahead
+ * to their next issue, against verify::RefCluster, which polls and
+ * draws every core every cycle, both answered by one seeded fake L3.
  */
 
 #ifndef PEARL_VERIFY_DIFF_HPP
@@ -138,6 +141,11 @@ struct ClusterDiffCase
     double exclusiveRate = 0.5; //!< plain reads granted exclusive
     double probeRate = 0.05;    //!< per-cycle chance of a probe
     double preTickRate = 0.3;   //!< answers delivered before the tick
+    /** Drive both nodes' cores with chip-wide phases built from the
+     *  same seeds, as HeteroSystem does, instead of private burst
+     *  chains: the reference's phases are ticked every cycle, the
+     *  node's are read ahead. */
+    bool sharedPhases = false;
 };
 
 /**

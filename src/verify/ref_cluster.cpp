@@ -67,19 +67,21 @@ l2UpResponseClass(CoreType t)
 RefCluster::RefCluster(int id, const cache::HomeMap &home,
                        const cache::HierarchyConfig &cfg,
                        const traffic::BenchmarkProfile &cpu_prof,
-                       const traffic::BenchmarkProfile &gpu_prof, Rng rng)
+                       const traffic::BenchmarkProfile &gpu_prof, Rng rng,
+                       traffic::GlobalPhase *cpu_phase,
+                       traffic::GlobalPhase *gpu_phase)
     : id_(id), home_(home), cfg_(cfg),
       cpuL2_(cfg.cpuL2Lines, cfg.l2Ways), gpuL2_(cfg.gpuL2Lines, cfg.l2Ways)
 {
     const int cpu_cores = cfg.cpuCoresPerCluster;
     const int gpu_cus = cfg.gpuCusPerCluster;
     for (int c = 0; c < cpu_cores; ++c) {
-        cpuCores_.emplace_back(cpu_prof, id * 64 + c, rng.fork(), nullptr,
+        cpuCores_.emplace_back(cpu_prof, id * 64 + c, rng.fork(), cpu_phase,
                                cfg.sharedLines);
     }
     for (int g = 0; g < gpu_cus; ++g) {
         gpuCores_.emplace_back(gpu_prof, id * 64 + 32 + g, rng.fork(),
-                               nullptr, cfg.sharedLines);
+                               gpu_phase, cfg.sharedLines);
     }
     outstanding_[static_cast<int>(CoreType::CPU)].assign(cpu_cores, 0);
     outstanding_[static_cast<int>(CoreType::GPU)].assign(gpu_cus, 0);
@@ -162,8 +164,8 @@ RefCluster::sendNetwork(MsgClass cls, CoherenceOp op, std::uint64_t addr,
 void
 RefCluster::tick(Cycle now)
 {
-    // Same draw order as ClusterNode: every core's issue draw first,
-    // then the accesses in core order.
+    // One issue draw per core per cycle, every core's first, then the
+    // accesses in core order.
     std::vector<bool> cpu_fired(cpuCores_.size());
     std::vector<bool> gpu_fired(gpuCores_.size());
     for (std::size_t c = 0; c < cpuCores_.size(); ++c)

@@ -10,7 +10,10 @@
  * (due, seq), not a sim::MinHeap, so a diff against it also shows that
  * the cluster's event order does not depend on heap shape.  It shares
  * only leaf components with the optimized node: CacheArray, AddrMap,
- * the NMOESI tables, the demand generators and ClusterStats.
+ * the NMOESI tables, the demand generators and ClusterStats.  It draws
+ * each core's demand one cycle at a time (CoreDemandGenerator::draw),
+ * reading phases the caller ticks every cycle, where the node scans
+ * ahead on phases read through GlobalPhase::at().
  *
  * verify::runClusterDiff (verify/diff.hpp) steps a RefCluster and a
  * ClusterNode in lockstep against a seeded fake L3 and compares what
@@ -43,10 +46,14 @@ namespace verify {
 class RefCluster
 {
   public:
+    /** @param cpu_phase / gpu_phase optional chip-wide phases, which
+     *  the caller tick()s once before each tick(). */
     RefCluster(int id, const cache::HomeMap &home,
                const cache::HierarchyConfig &cfg,
                const traffic::BenchmarkProfile &cpu_prof,
-               const traffic::BenchmarkProfile &gpu_prof, Rng rng);
+               const traffic::BenchmarkProfile &gpu_prof, Rng rng,
+               traffic::GlobalPhase *cpu_phase = nullptr,
+               traffic::GlobalPhase *gpu_phase = nullptr);
 
     void
     attach(sim::PacketSink *sink, sim::RouterTelemetry *telemetry)

@@ -673,6 +673,16 @@ RefNetwork::telemetryOf(int node)
 }
 
 double
+RefNetwork::betaTotalMean(int node) const
+{
+    const RefRouter &router = routers_[static_cast<std::size_t>(node)];
+    return router.windowCycles
+               ? router.betaWindowSum /
+                     static_cast<double>(router.windowCycles)
+               : 0.0;
+}
+
+double
 RefNetwork::laserEnergyJ() const
 {
     double total = expressLaserEnergyJ_;

@@ -71,6 +71,8 @@ class RefNetwork : public sim::Network
     std::uint64_t downSwitches(int node) const;
     int bufferSlots(int node, bool rx, sim::CoreType type) const;
     sim::RouterTelemetry &telemetryOf(int node);
+    /** Mean Buf_omega since the node's last window boundary. */
+    double betaTotalMean(int node) const;
 
     double laserEnergyJ() const;
     double trimmingEnergyJ() const { return trimmingEnergyJ_; }

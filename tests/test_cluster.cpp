@@ -118,6 +118,17 @@ class ClusterTest : public ::testing::Test
     Cycle now_ = 0;
 };
 
+TEST_F(ClusterTest, TicksMustBeConsecutive)
+{
+    // Parked accesses poll at slots counted from the loop position each
+    // tick records, so a skipped or repeated cycle is a caller bug.
+    makeCluster(firehoseProfile(CoreType::CPU), silentProfile(CoreType::GPU));
+    runCycles(3); // ticked 0..2
+    EXPECT_DEATH(cluster_->tick(4), "skipped or repeated a cycle");
+    EXPECT_DEATH(cluster_->tick(2), "skipped or repeated a cycle");
+    cluster_->tick(3);
+}
+
 TEST_F(ClusterTest, FirstTouchMissesGoToHomeBank)
 {
     makeCluster(firehoseProfile(CoreType::CPU), silentProfile(CoreType::GPU));

@@ -50,6 +50,15 @@ TEST_F(SystemTest, PearlEndToEndTrafficFlows)
     EXPECT_GT(net.stats().classDelivered(sim::MsgClass::RespL3), 0u);
 }
 
+TEST_F(SystemTest, NeedsANetworkThatHasNotStepped)
+{
+    // The clusters key their demand on the network cycle from 0.
+    electrical::CmeshNetwork net;
+    net.step();
+    EXPECT_DEATH(HeteroSystem(net, pair_, SystemConfig{}),
+                 "network that has not stepped");
+}
+
 TEST_F(SystemTest, CmeshEndToEndTrafficFlows)
 {
     electrical::CmeshNetwork net;

@@ -514,6 +514,25 @@ TEST(RefCluster, FuzzedTinyMshrCasesMatchPollingReference)
     EXPECT_GT(waits, 10000u);
 }
 
+TEST(RefCluster, FuzzedTinyMshrCasesOnSharedPhasesMatchPollingReference)
+{
+    // The same cases with every core on a chip-wide phase, as every chip
+    // runs them: the reference reads phases ticked each cycle and draws
+    // each core each cycle, the node scans ahead on looked-ahead twins.
+    std::uint64_t waits = 0;
+    for (std::uint64_t i = 0; i < 48; ++i) {
+        ClusterDiffCase c = makeClusterFuzzCase(0xC1A5 + i);
+        c.cycles = 1500;
+        c.sharedPhases = true;
+        const DiffResult r = runClusterDiff(c);
+        ASSERT_TRUE(r.ok()) << "case seed " << c.seed << " cycle "
+                            << r.cycle << ": " << r.description;
+        EXPECT_GT(r.deliveredPackets, 0u) << "case seed " << c.seed;
+        waits += r.mshrWaits;
+    }
+    EXPECT_GT(waits, 10000u);
+}
+
 TEST(RefCluster, PaperHierarchyUnderMshrPressureMatchesPollingReference)
 {
     // The Table I hierarchy with its 32/128-entry MSHRs, driven hard
