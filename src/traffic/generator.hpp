@@ -128,6 +128,7 @@ class GlobalPhase
     {
         PEARL_ASSERT(!lookedAhead_, "GlobalPhase: tick() after at()");
         transition();
+        ++drawn_;
     }
 
     /** Reference path: the state after the last tick(). */
@@ -157,6 +158,8 @@ class GlobalPhase
     void
     drawAhead(std::uint64_t c)
     {
+        PEARL_ASSERT(lookedAhead_ || drawn_ == 0,
+                     "GlobalPhase: at() after tick()");
         lookedAhead_ = true;
         const std::uint64_t stop = c + kLookAhead;
         while (drawn_ < stop) {
@@ -183,7 +186,8 @@ class GlobalPhase
     /** The state before cycle 0's draw. */
     bool initialOn_;
     bool lookedAhead_ = false;
-    /** Cycles whose transition draw at() has taken: 0 .. drawn_ - 1. */
+    /** Cycles whose transition draw tick() or at() has taken:
+     *  0 .. drawn_ - 1. */
     std::uint64_t drawn_ = 0;
     /** The drawn cycles whose draw flipped the state, ascending. */
     std::vector<std::uint64_t> flips_;

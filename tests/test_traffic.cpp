@@ -320,6 +320,17 @@ TEST(GlobalPhase, LookAheadAnswersCyclesInAnyOrder)
     }
 }
 
+TEST(GlobalPhase, IsEitherTickedOrReadAhead)
+{
+    GlobalPhase ticked(0.01, 0.01, Rng(7));
+    ticked.tick();
+    EXPECT_DEATH(ticked.at(0), "at\\(\\) after tick\\(\\)");
+    GlobalPhase ahead(0.01, 0.01, Rng(7));
+    ahead.at(0);
+    EXPECT_DEATH(ahead.tick(), "tick\\(\\) after at\\(\\)");
+    EXPECT_DEATH(ahead.on(), "on\\(\\) after at\\(\\)");
+}
+
 /** One issue a demand generator made: its cycle and access. */
 struct Issue
 {
