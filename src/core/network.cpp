@@ -26,7 +26,7 @@ PearlNetwork::PearlNetwork(const PearlConfig &cfg,
 {
     PEARL_ASSERT(policy_, "PearlNetwork requires a power policy");
     PEARL_ASSERT(cfg_.numNodes() <= UINT16_MAX,
-                 "router ids must fit an in-flight key");
+                 "router ids must fit an in-flight record");
     l3Power_ = routerPower_.scaled(
         static_cast<double>(cfg_.l3WaveguideGroup));
     if (cfg_.faults.enabled) {
@@ -39,16 +39,17 @@ PearlNetwork::PearlNetwork(const PearlConfig &cfg,
         outstanding_.resize(static_cast<std::size_t>(cfg_.numNodes()));
     }
     routers_.reserve(static_cast<std::size_t>(cfg_.numNodes()));
-    // Reserve the event heaps, the in-flight slab and the per-step
-    // scratch once, here: 64 packets per router covers an unsaturated
-    // chip.  A saturated receiver holds more — a 128-cluster chip's MC
-    // hub keeps about 9k bounced arrivals in flight against 8,256
-    // reserved — so those vectors grow a few times early in such a run,
-    // then stay put.
+    // Reserve the event heaps, the in-flight slab and its records and
+    // the per-step scratch once, here: 64 packets per router covers an
+    // unsaturated chip.  A saturated receiver holds more — a 128-cluster
+    // chip's MC hub keeps about 9k bounced arrivals in flight against
+    // 8,256 reserved — so those vectors grow a few times early in such a
+    // run, then stay put.
     const std::size_t inflight_bound =
         static_cast<std::size_t>(cfg_.numNodes()) * 64;
     inFlight_.reserve(inflight_bound);
     inFlightSlab_.reserve(inflight_bound);
+    inFlightRecords_.reserve(inflight_bound);
     freeSlots_.reserve(inflight_bound);
     retryScratch_.reserve(inflight_bound);
     doneScratch_.reserve(64);
@@ -150,16 +151,24 @@ PearlNetwork::step()
     if (faults_.enabled())
         stepFaultPlane();
 
+    // In-flight keys hold a 32-bit due: this step's bounces land at
+    // cycle_ + 1 and its launches at cycle_ + linkLatencyCycles.
+    PEARL_ASSERT(cycle_ + static_cast<Cycle>(
+                              std::max(1, cfg_.linkLatencyCycles)) <=
+                     UINT32_MAX,
+                 "in-flight due no longer fits 32 bits at cycle ", cycle_);
+
     // 1. Land due arrivals into receive buffers; full buffers retry.
     retryScratch_.clear();
     while (!inFlight_.empty() && inFlight_.top().due <= cycle_) {
-        InFlightKey k = inFlight_.top();
+        const std::uint32_t slot = inFlight_.top().slot;
         inFlight_.pop();
-        auto &dst = *routers_[k.dst];
-        if (faults_.enabled() && !k.faultChecked) {
+        InFlightRecord &rec = inFlightRecords_[slot];
+        auto &dst = *routers_[rec.dst];
+        if (faults_.enabled() && !rec.faultChecked) {
             // One BER draw per arrival (not per rx-buffer retry).
-            k.faultChecked = true;
-            const Packet &pkt = inFlightSlab_[k.slot];
+            rec.faultChecked = true;
+            const Packet &pkt = inFlightSlab_[slot];
             double trim_gap = 0.0;
             bool locked = true;
             receiverThermal(pkt.dst, trim_gap, locked);
@@ -182,7 +191,7 @@ PearlNetwork::step()
                              static_cast<Cycle>(cfg_.linkLatencyCycles));
                 }
                 // Corrupted flits never enter the rx buffer.
-                freeSlots_.push_back(k.slot);
+                freeSlots_.push_back(slot);
                 continue;
             }
             // Clean arrival: the ACK retires the source's copy.  The
@@ -191,17 +200,17 @@ PearlNetwork::step()
             if (it != src_outstanding.end())
                 src_outstanding.erase(it);
         }
-        // The key alone decides a bounce, so a full rx buffer costs a
-        // heap pop and push and never touches the packet.
-        if (!dst.rxBuffers().of(k.type).canAccept(k.flits)) {
+        // The record alone decides a bounce, so a full rx buffer costs
+        // a heap pop and push of the key and never touches the packet.
+        if (!dst.rxBuffers().of(rec.type).canAccept(rec.flits)) {
             stats_.noteRxRetry();
-            k.due = cycle_ + 1;
-            retryScratch_.push_back(k);
+            retryScratch_.push_back(
+                InFlightKey{static_cast<std::uint32_t>(cycle_ + 1), slot});
             continue;
         }
-        const bool landed = dst.rxEnqueue(inFlightSlab_[k.slot]);
+        const bool landed = dst.rxEnqueue(inFlightSlab_[slot]);
         PEARL_ASSERT(landed, "rx buffer refused a packet it had room for");
-        freeSlots_.push_back(k.slot);
+        freeSlots_.push_back(slot);
     }
     for (const InFlightKey &k : retryScratch_)
         inFlight_.push(k);
@@ -472,18 +481,21 @@ void
 PearlNetwork::launch(Packet &&pkt, Cycle due)
 {
     const int flits = pkt.numFlits();
-    PEARL_ASSERT(flits < 128, "packet too large for an in-flight key");
-    InFlightKey key{due, 0, static_cast<std::uint16_t>(pkt.dst),
-                    pkt.coreType(), static_cast<std::uint8_t>(flits),
-                    false};
+    PEARL_ASSERT(flits < 128, "packet too large for an in-flight record");
+    const InFlightRecord rec{static_cast<std::uint16_t>(pkt.dst),
+                             pkt.coreType(),
+                             static_cast<std::uint8_t>(flits), false};
+    InFlightKey key{static_cast<std::uint32_t>(due), 0};
     if (freeSlots_.empty()) {
         PEARL_ASSERT(inFlightSlab_.size() < UINT32_MAX);
         key.slot = static_cast<std::uint32_t>(inFlightSlab_.size());
         inFlightSlab_.push_back(std::move(pkt));
+        inFlightRecords_.push_back(rec);
     } else {
         key.slot = freeSlots_.back();
         freeSlots_.pop_back();
         inFlightSlab_[key.slot] = std::move(pkt);
+        inFlightRecords_[key.slot] = rec;
     }
     inFlight_.push(key);
 }
@@ -736,7 +748,7 @@ PearlNetwork::auditCounts() const
     PEARL_ASSERT(inFlightSlab_.size() - freeSlots_.size() == c.inFlight,
                  "in-flight slab leaked or double-freed a slot");
     for (const InFlightKey &k : inFlight_.items()) {
-        if (!k.faultChecked)
+        if (!inFlightRecords_[k.slot].faultChecked)
             ++c.inFlightUnchecked;
     }
     c.retxQueued = retx_.size();

@@ -210,20 +210,17 @@ class PearlNetwork : public sim::Network
   private:
     /**
      * Heap key of one packet on a waveguide.  The packet waits in
-     * inFlightSlab_[slot]; the key holds what stage 1 needs to bounce an
-     * arrival off a full rx buffer without touching it.  Keys compare on
-     * `due` only, and std::push_heap/std::pop_heap move elements by
-     * comparison outcomes alone, so the heap pops keys in the order a
-     * heap of whole packets would — equal-due ties included.
+     * inFlightSlab_[slot] and what stage 1 reads of it in
+     * inFlightRecords_[slot], so a bounce sifts only these 8 bytes.
+     * Keys compare on `due` only, and std::push_heap/std::pop_heap move
+     * elements by comparison outcomes alone, so the heap pops keys in
+     * the order a heap of whole packets would — equal-due ties included.
+     * Comparing `slot` too would reorder those ties.
      */
     struct InFlightKey
     {
-        sim::Cycle due;
-        std::uint32_t slot;     //!< index into inFlightSlab_
-        std::uint16_t dst;      //!< destination router
-        sim::CoreType type;     //!< rx buffer class at dst
-        std::uint8_t flits : 7; //!< rx slots the packet occupies
-        bool faultChecked : 1;  //!< BER draw already taken (rx retry)
+        std::uint32_t due;  //!< arrival cycle; step() asserts it fits
+        std::uint32_t slot; //!< index into inFlightSlab_/inFlightRecords_
 
         bool
         operator>(const InFlightKey &o) const
@@ -231,8 +228,21 @@ class PearlNetwork : public sim::Network
             return due > o.due;
         }
     };
-    static_assert(sizeof(InFlightKey) <= 16,
+    static_assert(sizeof(InFlightKey) == 8,
                   "InFlightKey grew; every rx bounce sifts it");
+
+    /** What stage 1 needs of an in-flight packet to take its BER draw
+     *  once and to bounce it off a full rx buffer without touching the
+     *  slab.  launch() writes it whenever it fills the slot. */
+    struct InFlightRecord
+    {
+        std::uint16_t dst;      //!< destination router
+        sim::CoreType type;     //!< rx buffer class at dst
+        std::uint8_t flits : 7; //!< rx slots the packet occupies
+        bool faultChecked : 1;  //!< BER draw already taken (rx retry)
+    };
+    static_assert(sizeof(InFlightRecord) == 4,
+                  "InFlightRecord grew; stage 1 reads one per arrival");
 
     /** A transmitted packet the source keeps until it is ACKed. */
     struct Outstanding
@@ -280,8 +290,8 @@ class PearlNetwork : public sim::Network
     /** Track a fresh transmission: outstanding entry + timeout event. */
     void trackTransmission(const sim::Packet &pkt);
 
-    /** Put a transmitted packet on the waveguide: park it in the slab
-     *  and queue its key for arrival at `due`. */
+    /** Put a transmitted packet on the waveguide: park it and its
+     *  record in a slab slot and queue its key for arrival at `due`. */
     void launch(sim::Packet &&pkt, sim::Cycle due);
 
     void stepFaultPlane();
@@ -306,6 +316,7 @@ class PearlNetwork : public sim::Network
     /** Packets on a waveguide, indexed by InFlightKey::slot.  A slot is
      *  freed when its packet lands or is corrupted, and reused LIFO. */
     std::vector<sim::Packet> inFlightSlab_;
+    std::vector<InFlightRecord> inFlightRecords_; //!< per slab slot
     std::vector<std::uint32_t> freeSlots_;
     std::vector<sim::Packet> delivered_;
     std::vector<photonic::ThermalRingBank> thermal_; //!< optional

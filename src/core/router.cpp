@@ -1,7 +1,5 @@
 #include "core/router.hpp"
 
-#include <cmath>
-
 #include "common/log.hpp"
 
 namespace pearl {
@@ -32,10 +30,12 @@ PearlRouter::canAccept(const Packet &pkt) const
 bool
 PearlRouter::inject(const Packet &pkt, Cycle now)
 {
+    // Most refusals come from a full buffer: test it before the copy.
+    if (!canAccept(pkt))
+        return false;
     Packet copy = pkt;
     copy.cycleInjected = now;
-    if (!inject_.of(copy.coreType()).push(copy))
-        return false;
+    inject_.of(copy.coreType()).push(copy);
     // Telemetry: the packet entered the router from the local cores or
     // caches and is the quantity the ML model predicts (the label).
     telemetry_.noteClass(copy.msgClass);
@@ -51,10 +51,11 @@ PearlRouter::inject(const Packet &pkt, Cycle now)
 bool
 PearlRouter::reinject(const Packet &pkt, Cycle now)
 {
+    if (!canAccept(pkt))
+        return false;
     Packet copy = pkt;
     copy.cycleInjected = now;
-    if (!inject_.of(copy.coreType()).push(copy))
-        return false;
+    inject_.of(copy.coreType()).push(copy);
     ++telemetry_.retransmitsQueued;
     return true;
 }
@@ -65,14 +66,7 @@ PearlRouter::transmitClass(CoreType type, double share, int capacity_bits,
 {
     sim::FlitBuffer &buf = inject_.of(type);
     TxChannel &ch = tx_[static_cast<int>(type)];
-
-    if (buf.empty()) {
-        // Nothing queued: credits don't bank across idle periods, and
-        // the next packet's reservation can no longer hide behind data.
-        ch.creditBits = 0;
-        ch.backToBack = false;
-        return 0;
-    }
+    PEARL_ASSERT(!buf.empty(), "transmitClass on an empty class");
 
     if (!ch.active) {
         // New head packet.  The reservation broadcast runs on its own
@@ -104,9 +98,8 @@ PearlRouter::transmitClass(CoreType type, double share, int capacity_bits,
         return 0;
     }
 
-    const long bits =
-        std::lround(share * static_cast<double>(capacity_bits));
-    ch.creditBits += bits;
+    ch.creditBits +=
+        roundNonNegative(share * static_cast<double>(capacity_bits));
 
     // A waveguide group's serializers can drain packets side by side;
     // the single-waveguide (legacy) channel strictly serialises.
@@ -206,10 +199,20 @@ PearlRouter::transmitQueued(Cycle now, std::vector<TxCompletion> &done)
         telemetry_.dbaCpuShareSum += alloc.cpuShare;
         telemetry_.dbaGpuShareSum += alloc.gpuShare;
         ++telemetry_.dbaCycles;
-        bits += transmitClass(CoreType::CPU, alloc.cpuShare, capacity,
-                              done);
-        bits += transmitClass(CoreType::GPU, alloc.gpuShare, capacity,
-                              done);
+        const double shares[sim::kNumCoreTypes] = {alloc.cpuShare,
+                                                   alloc.gpuShare};
+        for (int ci = 0; ci < sim::kNumCoreTypes; ++ci) {
+            const auto type = static_cast<CoreType>(ci);
+            if (!inject_.of(type).empty()) {
+                bits += transmitClass(type, shares[ci], capacity, done);
+                continue;
+            }
+            // Nothing queued: credits don't bank across idle periods,
+            // and the next packet's reservation can no longer hide
+            // behind data.
+            tx_[ci].creditBits = 0;
+            tx_[ci].backToBack = false;
+        }
     }
     if (bits > 0)
         ++telemetry_.linkBusyCycles;

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/log.hpp"
 #include "core/arch_config.hpp"
 #include "core/dba.hpp"
 #include "photonic/laser.hpp"
@@ -37,6 +38,20 @@ struct TxCompletion
 {
     sim::Packet pkt;
 };
+
+/**
+ * std::lround(x) for x >= 0 without the libm call: x - trunc(x) is exact
+ * in binary64, so the halfway test rounds exactly as lround does (and
+ * 0.49999999999999994 rounds to 0).  Each active class-cycle rounds its
+ * credit share with it.
+ */
+inline long
+roundNonNegative(double x)
+{
+    PEARL_ASSERT(x >= 0.0, "roundNonNegative(", x, ")");
+    const long t = static_cast<long>(x);
+    return t + (x - static_cast<double>(t) >= 0.5);
+}
 
 /**
  * Per-group express-slot pool for grouped R-SWMR chips.
@@ -182,7 +197,7 @@ class PearlRouter
         // then.  Nothing while the lasers stabilise or under FCFS (no
         // channel is active without a queued packet); otherwise the DBA
         // splits the two zero occupancies and both channels drop their
-        // credit and back-to-back state.
+        // credit and back-to-back state, as an empty class does there.
         if (!laser_.stable(now) ||
             dba_.config().mode == DbaConfig::Mode::Fcfs)
             return 0;
@@ -300,6 +315,7 @@ class PearlRouter
     };
 
     int transmitQueued(sim::Cycle now, std::vector<TxCompletion> &done);
+    /** One cycle of a class channel with a queued packet. */
     int transmitClass(sim::CoreType type, double share, int capacity_bits,
                       std::vector<TxCompletion> &done);
     void ejectQueued(sim::Cycle now, std::vector<sim::Packet> &delivered);

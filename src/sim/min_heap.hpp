@@ -23,8 +23,8 @@
  * alone, so moving a payload out of the element — into a side table the
  * element indexes — keeps the pop order as long as the comparator reads
  * the same fields.  ClusterNode::LocalEvent stays at 32 bytes for this
- * reason, and PearlNetwork's in-flight heap holds 16-byte keys over a
- * packet slab.
+ * reason, and PearlNetwork's in-flight heap holds 8-byte {due, slot}
+ * keys over a packet slab and a slot-indexed record array.
  *
  * top() is a plain read of the first element, so ClusterNode::tick and
  * L3Bank::tick test `top().due` every cycle, inline, and skip the cycles

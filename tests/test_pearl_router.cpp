@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <set>
+
+#include "common/rng.hpp"
 #include "core/router.hpp"
 #include "photonic/power_model.hpp"
 
@@ -83,6 +87,91 @@ TEST_F(PearlRouterTest, InjectRespectsCapacity)
     // GPU class has its own pool.
     EXPECT_TRUE(router_->canAccept(
         makePacket(MsgClass::ReqGpuL2Down, sim::kRequestBits)));
+
+    // A refused injection or re-injection leaves buffers and telemetry
+    // as they were.
+    const Packet req = makePacket(MsgClass::ReqCpuL2Down, sim::kRequestBits);
+    const sim::RouterTelemetry before = router_->telemetry();
+    EXPECT_FALSE(router_->inject(req, 1));
+    EXPECT_FALSE(router_->reinject(req, 1));
+    EXPECT_EQ(router_->telemetry().packetsInjected, before.packetsInjected);
+    EXPECT_EQ(router_->telemetry().incomingFromCores,
+              before.incomingFromCores);
+    EXPECT_EQ(router_->telemetry().retransmitsQueued,
+              before.retransmitsQueued);
+    EXPECT_EQ(router_->injectBuffers().of(CoreType::CPU).packetCount(), 64u);
+    // An accepted re-injection is stamped with its cycle.
+    EXPECT_TRUE(router_->reinject(
+        makePacket(MsgClass::ReqGpuL2Down, sim::kRequestBits), 7));
+    EXPECT_EQ(router_->injectBuffers().of(CoreType::GPU).front().cycleInjected,
+              7u);
+    EXPECT_EQ(router_->telemetry().retransmitsQueued,
+              before.retransmitsQueued + 1);
+}
+
+TEST(RoundNonNegative, MatchesLroundAtHalfwaysAndBeyond2To52)
+{
+    std::vector<double> xs = {0.0, 0.49999999999999994, 0.5,
+                              std::nextafter(0.5, 1.0), 5e-324,
+                              std::nextafter(1.0, 0.0)};
+    for (int i = 0; i <= 4096; ++i)
+        xs.push_back(i + 0.5); // 0.5, 1.5, 2.5, ...
+    for (int e = 50; e <= 62; ++e) {
+        const double p = std::ldexp(1.0, e);
+        for (double x : {p - 1.0, p - 0.5, p, p + 0.5, p + 1.0, p + 2.0})
+            xs.push_back(x);
+    }
+    for (double x : xs)
+        EXPECT_EQ(roundNonNegative(x), std::lround(x)) << x;
+}
+
+TEST(RoundNonNegative, MatchesLroundOnEveryCreditShare)
+{
+    // Every share the ladder and the proportional modes hand out, over a
+    // grid of occupancies that covers every k/64 of the 64-slot buffers.
+    std::set<double> shares;
+    std::vector<DbaConfig> modes;
+    modes.push_back(DbaConfig{});
+    for (double step : {0.0625, 0.125, 0.25}) {
+        DbaConfig c;
+        c.mode = DbaConfig::Mode::Proportional;
+        c.stepFraction = step;
+        modes.push_back(c);
+    }
+    for (const DbaConfig &c : modes) {
+        const DynamicBandwidthAllocator dba(c);
+        for (int i = 0; i <= 64; ++i) {
+            for (int j = 0; j <= 64; ++j) {
+                const Allocation a = dba.allocate(i / 64.0, j / 64.0);
+                shares.insert(a.cpuShare);
+                shares.insert(a.gpuShare);
+            }
+        }
+    }
+    EXPECT_GE(shares.size(), 17u); // every 1/16 step, 0 and 1 included
+    for (double share : shares) {
+        for (WlState s : photonic::kWlStates) {
+            for (int waveguides : {1, 4}) {
+                const double x =
+                    share * static_cast<double>(
+                                photonic::bitsPerCycle(s) * waveguides);
+                EXPECT_EQ(roundNonNegative(x), std::lround(x))
+                    << share << " x " << photonic::toString(s);
+            }
+        }
+    }
+}
+
+TEST(RoundNonNegative, MatchesLroundOnSeededRandomDoubles)
+{
+    Rng rng(0x5EED);
+    int mismatches = 0;
+    for (int i = 0; i < 1000000; ++i) {
+        const double x = rng.uniform() * 1e6;
+        if (roundNonNegative(x) != std::lround(x) && ++mismatches <= 5)
+            ADD_FAILURE() << "roundNonNegative(" << x << ")";
+    }
+    EXPECT_EQ(mismatches, 0);
 }
 
 TEST_F(PearlRouterTest, SingleRequestTiming)
