@@ -12,6 +12,8 @@
 #
 # Each test flavour uses its own build directory (build-check-<flavour>)
 # so repeated runs are incremental and the user's ./build is untouched.
+# Every test flavour configures with PEARL_WERROR=ON, so a warning in
+# the default, asan or tsan build fails the check.
 # Every test flavour builds the library, the tests, bench/ and
 # examples/, so tier-1 includes the bench smokes (bench_trace_smoke,
 # which runs every table and figure of bench_paper,
@@ -73,8 +75,8 @@ run_flavour() {
         ;;
     esac
 
-    echo "==> [$flavour] configure (PEARL_SANITIZE=$sanitize)"
-    cmake -B "$dir" -DPEARL_SANITIZE="$sanitize" \
+    echo "==> [$flavour] configure (PEARL_SANITIZE=$sanitize, PEARL_WERROR=ON)"
+    cmake -B "$dir" -DPEARL_SANITIZE="$sanitize" -DPEARL_WERROR=ON \
         >"$dir.configure.log" 2>&1 || {
         cat "$dir.configure.log"
         exit 1

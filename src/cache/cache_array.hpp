@@ -7,27 +7,26 @@
  * state).  Addresses are cache-line granular throughout the simulator, so
  * the array indexes directly on line addresses.
  *
- * Sets materialise on first touch.  Construction takes one block for
+ * Ways are built on their first fill.  Construction takes one block for
  * the lines and shadow tags from the process-wide StoragePool, which
  * may be a block an earlier array left behind, and writes none of it; a
- * bitmap with one bit per set records which sets exist.  victim() and
- * victimWhere() construct a set's `Line{}`s and zero its shadow tags
- * the first time they reach it, and find() misses on a set that does
- * not exist yet without reading its storage.  A set therefore holds
- * exactly what an eagerly initialised array would hold before any
- * operation can observe it, whatever the block held before, so every
- * result is the eager array's, while a short run pays only for the sets
- * it touches (DESIGN.md "Hot path").  Under AddressSanitizer the
- * storage of every unmaterialised set is poisoned, and so is a block
- * once its array is destroyed, so reading a set that does not exist yet
- * or a line of a destroyed array fails the run.
+ * one-byte count per set records how many of its ways exist, always
+ * ways 0 to count - 1.  When every built way of a set is valid and the
+ * set is not full, victim() and victimWhere() build the next way, one
+ * `Line{}` and a zero shadow tag, and return it; find() and
+ * validLines() read built ways only.  An unbuilt way would hold a
+ * `Line{}` in state I, and its index is above every built way's, so
+ * the first invalid way, every lookup and every LRU pick are the eager
+ * array's, whatever the block held before, while a run pays only for
+ * the ways it fills (DESIGN.md "Hot path").  Under AddressSanitizer the
+ * storage of every unbuilt way is poisoned, and so is a block once its
+ * array is destroyed, so reading a way that does not exist yet or a
+ * line of a destroyed array fails the run.
  */
 
 #ifndef PEARL_CACHE_CACHE_ARRAY_HPP
 #define PEARL_CACHE_CACHE_ARRAY_HPP
 
-#include <algorithm>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -94,7 +93,7 @@ class CacheArray
         lines_ = Block(static_cast<Line *>(StoragePool::shared().take(bytes)),
                        GiveBack{bytes});
         tags_ = reinterpret_cast<std::uint64_t *>(lines_.get() + total_lines);
-        materialized_.assign((numSets_ + 63) / 64, 0);
+        built_.assign(numSets_, 0);
     }
 
     std::uint64_t numSets() const { return numSets_; }
@@ -105,21 +104,20 @@ class CacheArray
     Line *
     find(std::uint64_t line_addr)
     {
-        // A set that does not exist yet would hold only Line{}s, none
-        // valid, so it misses without its storage being read.
+        // Scan the set's built ways only: a way that does not exist yet
+        // would hold a Line{}, which is invalid.  Scan the densely packed
+        // tag shadow first: a set's tags span one or two cache lines,
+        // versus one line per way when striding over the full Line
+        // records.  The arrays together exceed the host LLC, so touched
+        // bytes per lookup are what this costs.  A tag hit still checks
+        // the authoritative state — callers invalidate lines by writing
+        // `state` directly, which leaves a stale shadow tag behind (and
+        // possibly a second, valid copy in another way), so a stale
+        // match must not end the scan.
         const std::uint64_t set = setOf(line_addr);
-        if (!isMaterialized(set))
-            return nullptr;
-        // Scan the densely packed tag shadow first: a set's tags span one
-        // or two cache lines, versus one line per way when striding over
-        // the full Line records.  The arrays together exceed the host
-        // LLC, so touched bytes per lookup are what this costs.  A tag
-        // hit still checks the authoritative state — callers invalidate
-        // lines by writing `state` directly, which leaves a stale shadow
-        // tag behind (and possibly a second, valid copy in another way),
-        // so a stale match must not end the scan.
         const std::uint64_t base = set * waysU();
-        for (int w = 0; w < ways_; ++w) {
+        const int built = built_[set];
+        for (int w = 0; w < built; ++w) {
             if (tags_[base + static_cast<std::uint64_t>(w)] != line_addr)
                 continue;
             Line &line = lines_[base + static_cast<std::uint64_t>(w)];
@@ -143,23 +141,26 @@ class CacheArray
     }
 
     /**
-     * Pick the victim way for `line_addr`: an invalid way if one exists,
+     * Pick the victim way for `line_addr`: the first invalid way if one
+     * exists (building the next way when every built one is valid),
      * otherwise the LRU way.  The caller must handle the eviction of a
      * valid victim (writeback, probes) before overwriting it.
      */
     Line &
     victim(std::uint64_t line_addr)
     {
-        Line *const base = materialize(setOf(line_addr));
+        const std::uint64_t set = setOf(line_addr);
+        Line *const base = lines_.get() + set * waysU();
+        const int built = built_[set];
         Line *lru = base;
-        for (int w = 0; w < ways_; ++w) {
+        for (int w = 0; w < built; ++w) {
             Line &line = base[w];
             if (!isValid(line.state))
                 return line;
             if (line.lastUse < lru->lastUse)
                 lru = &line;
         }
-        return *lru;
+        return built < ways_ ? buildWay(set) : *lru;
     }
 
     /**
@@ -171,17 +172,22 @@ class CacheArray
     Line &
     victimWhere(std::uint64_t line_addr, BusyPred busy)
     {
-        // Probe candidates in LRU order and stop at the first non-busy
-        // one.  The LRU stamps are unique (useClock_ strictly
-        // increases), so "first non-busy in ascending lastUse order" is
-        // exactly "least-recently-used non-busy way" — the same line
-        // the old every-way scan picked — while the busy predicate
-        // (typically an MSHR scan) usually runs once instead of per way.
-        Line *const base = materialize(setOf(line_addr));
-        for (int w = 0; w < ways_; ++w) {
+        const std::uint64_t set = setOf(line_addr);
+        Line *const base = lines_.get() + set * waysU();
+        const int built = built_[set];
+        for (int w = 0; w < built; ++w) {
             if (!isValid(base[w].state))
                 return base[w];
         }
+        if (built < ways_)
+            return buildWay(set);
+        // Every way is built and valid.  Probe candidates in LRU order
+        // and stop at the first non-busy one.  The LRU stamps are unique
+        // (useClock_ strictly increases), so "first non-busy in
+        // ascending lastUse order" is exactly "least-recently-used
+        // non-busy way" — the same line the old every-way scan picked —
+        // while the busy predicate (typically an MSHR scan) usually runs
+        // once instead of per way.
         bool tried[64] = {};
         PEARL_ASSERT(ways_ <= 64);
         for (int round = 0; round < ways_; ++round) {
@@ -221,29 +227,23 @@ class CacheArray
     validLines() const
     {
         std::uint64_t n = 0;
-        for (std::size_t word = 0; word < materialized_.size(); ++word) {
-            for (std::uint64_t bits = materialized_[word]; bits;
-                 bits &= bits - 1) {
-                const std::uint64_t set =
-                    word * 64 +
-                    static_cast<std::uint64_t>(std::countr_zero(bits));
-                const Line *const base = &lines_[set * waysU()];
-                for (int w = 0; w < ways_; ++w) {
-                    if (isValid(base[w].state))
-                        ++n;
-                }
+        for (std::uint64_t set = 0; set < numSets_; ++set) {
+            const Line *const base = lines_.get() + set * waysU();
+            for (int w = 0; w < built_[set]; ++w) {
+                if (isValid(base[w].state))
+                    ++n;
             }
         }
         return n;
     }
 
-    /** Sets constructed so far (tests). */
+    /** Ways built so far, summed over every set (tests). */
     std::uint64_t
-    materializedSets() const
+    builtWays() const
     {
         std::uint64_t n = 0;
-        for (std::uint64_t word : materialized_)
-            n += static_cast<std::uint64_t>(std::popcount(word));
+        for (std::uint8_t built : built_)
+            n += built;
         return n;
     }
 
@@ -275,28 +275,18 @@ class CacheArray
 
     std::uint64_t waysU() const { return static_cast<std::uint64_t>(ways_); }
 
-    bool
-    isMaterialized(std::uint64_t set) const
+    /** Build the next way of `set`, which must not be full: a Line{}
+     *  and a zero shadow tag, as the eager array held there. */
+    Line &
+    buildWay(std::uint64_t set)
     {
-        return (materialized_[set >> 6] >> (set & 63)) & 1;
-    }
-
-    /** First way of `set`, constructing the set on first touch. */
-    Line *
-    materialize(std::uint64_t set)
-    {
-        Line *const base = lines_.get() + set * waysU();
-        std::uint64_t &word = materialized_[set >> 6];
-        const std::uint64_t bit = std::uint64_t{1} << (set & 63);
-        if (!(word & bit)) {
-            word |= bit;
-            std::uint64_t *const tags = tags_ + set * waysU();
-            unpoisonStorage(base, waysU() * sizeof(Line));
-            unpoisonStorage(tags, waysU() * sizeof(std::uint64_t));
-            std::uninitialized_value_construct_n(base, ways_);
-            std::fill_n(tags, ways_, std::uint64_t{0});
-        }
-        return base;
+        std::uint8_t &built = built_[set];
+        const std::uint64_t i = set * waysU() + built;
+        ++built;
+        unpoisonStorage(lines_.get() + i, sizeof(Line));
+        unpoisonStorage(tags_ + i, sizeof(std::uint64_t));
+        tags_[i] = 0;
+        return *std::construct_at(lines_.get() + i);
     }
 
     int ways_;
@@ -309,8 +299,10 @@ class CacheArray
      *  Entries for invalid lines are stale, never cleared.  Points into
      *  lines_'s block. */
     std::uint64_t *tags_ = nullptr;
-    /** One bit per set: set `s` exists iff bit `s % 64` of word `s / 64`. */
-    std::vector<std::uint64_t> materialized_;
+    /** Built ways per set: set `s` has ways 0 to built_[s] - 1.  The
+     *  count fits a byte because validateArrayGeometry() caps the
+     *  associativity at 64. */
+    std::vector<std::uint8_t> built_;
     std::uint64_t useClock_ = 0;
 };
 

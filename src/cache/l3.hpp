@@ -26,7 +26,6 @@
 #include "sim/min_heap.hpp"
 #include "sim/packet.hpp"
 #include "sim/sink.hpp"
-#include "sim/telemetry.hpp"
 
 namespace pearl {
 namespace cache {
@@ -83,12 +82,7 @@ class L3Bank
     L3Bank(sim::NodeId node_id, int num_clusters,
            const HierarchyConfig &cfg, const HomeMap &map);
 
-    void
-    attach(sim::PacketSink *sink, sim::RouterTelemetry *telemetry)
-    {
-        sink_ = sink;
-        telemetry_ = telemetry;
-    }
+    void attach(sim::PacketSink *sink) { sink_ = sink; }
 
     /** Advance one cycle: run due L3 array accesses.  Most cycles have
      *  none, and the check is all they cost. */
@@ -192,7 +186,6 @@ class L3Bank
     HierarchyConfig cfg_;
     sim::NodeId memoryNode_;
     sim::PacketSink *sink_ = nullptr;
-    sim::RouterTelemetry *telemetry_ = nullptr;
 
     L3Array l3_;
     AddrMap<Transaction> mshr_;

@@ -51,7 +51,7 @@ HeteroSystem::HeteroSystem(sim::Network &network,
     for (int b = 0; b < banks; ++b) {
         banks_.push_back(std::make_unique<cache::L3Bank>(
             b, clusters, cfg.hierarchy, cfg.home));
-        banks_.back()->attach(this, telemetry_ ? telemetry_(b) : nullptr);
+        banks_.back()->attach(this);
     }
     memory_ = std::make_unique<cache::MemoryNode>(
         cfg.home.memoryNode, cfg.hierarchy, cfg.memResponsesPerCycle);

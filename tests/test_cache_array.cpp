@@ -2,8 +2,8 @@
  * @file
  * Tests for the generic set-associative cache array, including a
  * lockstep differential test against the eagerly initialised array the
- * simulator used before sets materialised on first touch, over fresh
- * and recycled storage.
+ * simulator used before ways were built on their first fill, over fresh
+ * and recycled storage, up to the 64-way maximum associativity.
  */
 
 #include <gtest/gtest.h>
@@ -158,40 +158,85 @@ TEST(CacheArray, InvalidLinesNotFound)
 
 TEST(CacheArray, ConstructionFindAndResetMaterialiseNoSet)
 {
-    // Pins the lazy layout: only victim() and victimWhere() construct a
-    // set, so a return to eager initialisation fails here.  The reset is
-    // a rebuild over the recycled block.
+    // Pins the per-way layout: construction, find() and a rebuild over
+    // the recycled block build no way, and a fill that finds no invalid
+    // built way builds exactly the set's next one.  Building a whole set
+    // on its first touch, or every set at construction, fails here.
     std::optional<CacheArray<>> arr(std::in_place, 1024, 8); // 128 sets
-    EXPECT_EQ(arr->materializedSets(), 0u);
+    EXPECT_EQ(arr->builtWays(), 0u);
     for (std::uint64_t addr = 0; addr < 4096; addr += 3)
         EXPECT_EQ(arr->find(addr), nullptr);
     EXPECT_EQ(arr->find(~std::uint64_t{0}), nullptr);
-    EXPECT_EQ(arr->materializedSets(), 0u);
+    EXPECT_EQ(arr->builtWays(), 0u);
     EXPECT_EQ(arr->validLines(), 0u);
 
-    arr->install(arr->victim(5), 5, CacheState::S);
-    EXPECT_EQ(arr->materializedSets(), 1u);
-    arr->victimWhere(6, [](std::uint64_t) { return true; });
-    EXPECT_EQ(arr->materializedSets(), 2u);
-    arr->victim(5 + 128); // same set as 5
-    EXPECT_EQ(arr->materializedSets(), 2u);
-    EXPECT_NE(arr->find(5), nullptr);
-    EXPECT_EQ(arr->materializedSets(), 2u);
+    // Set 5 fills in way order, one built way per fill.
+    using Line = CacheArray<>::Line;
+    const auto in_set5 = [](std::uint64_t k) { return 5 + 128 * k; };
+    Line *const way0 = &arr->victim(in_set5(0));
+    EXPECT_EQ(arr->builtWays(), 1u);
+    arr->install(*way0, in_set5(0), CacheState::S);
+    for (std::uint64_t k = 1; k < 4; ++k) {
+        Line &v = arr->victim(in_set5(k));
+        EXPECT_EQ(&v, way0 + k);
+        EXPECT_EQ(v.state, CacheState::I);
+        EXPECT_EQ(arr->builtWays(), k + 1);
+        arr->install(v, in_set5(k), CacheState::S);
+    }
+    EXPECT_NE(arr->find(in_set5(2)), nullptr);
+    EXPECT_EQ(arr->builtWays(), 4u);
+
+    // An invalid built way is taken before a new way is built.
+    const auto always_busy = [](std::uint64_t) { return true; };
+    arr->find(in_set5(1))->state = CacheState::I;
+    EXPECT_EQ(&arr->victim(in_set5(4)), way0 + 1);
+    EXPECT_EQ(&arr->victimWhere(in_set5(4), always_busy), way0 + 1);
+    EXPECT_EQ(arr->builtWays(), 4u);
+    arr->install(way0[1], in_set5(1), CacheState::S);
+
+    // With every built way valid and busy, victimWhere() builds the next
+    // way instead of returning a busy one, and takes it again while it
+    // stays invalid.
+    Line &fresh = arr->victimWhere(in_set5(4), always_busy);
+    EXPECT_EQ(&fresh, way0 + 4);
+    EXPECT_EQ(fresh.state, CacheState::I);
+    EXPECT_EQ(arr->builtWays(), 5u);
+    EXPECT_EQ(&arr->victimWhere(in_set5(4), always_busy), way0 + 4);
+    EXPECT_EQ(arr->builtWays(), 5u);
+
+    // An untouched set builds one way, not eight.
+    EXPECT_EQ(arr->victimWhere(6, always_busy).state, CacheState::I);
+    EXPECT_EQ(arr->builtWays(), 6u);
+
+    // A full set builds nothing more: its victim is the LRU way (way 0,
+    // installed first), or the LRU non-busy way (way 2; way 1 was
+    // installed again above).
+    for (std::uint64_t k = 4; k < 8; ++k)
+        arr->install(arr->victim(in_set5(k)), in_set5(k), CacheState::S);
+    EXPECT_EQ(arr->builtWays(), 9u);
+    EXPECT_EQ(&arr->victim(in_set5(8)), way0);
+    EXPECT_EQ(&arr->victimWhere(in_set5(8),
+                                [&](std::uint64_t tag) {
+                                    return tag == in_set5(0);
+                                }),
+              way0 + 2);
+    EXPECT_EQ(arr->builtWays(), 9u);
+    EXPECT_EQ(arr->validLines(), 8u);
 
     const void *const block = arr->storageBlock();
     arr.emplace(1024, 8);
     EXPECT_EQ(arr->storageBlock(), block);
-    EXPECT_EQ(arr->materializedSets(), 0u);
+    EXPECT_EQ(arr->builtWays(), 0u);
     EXPECT_EQ(arr->find(5), nullptr);
-    EXPECT_EQ(arr->materializedSets(), 0u);
+    EXPECT_EQ(arr->builtWays(), 0u);
     EXPECT_EQ(arr->capacityLines(), 1024u);
 }
 
 // Differential test against the eager array ------------------------------
 
 /**
- * The cache array as it was before sets materialised on first touch:
- * every line and shadow tag written at construction.  Kept as the
+ * The cache array as it was before its storage was built lazily: every
+ * line and shadow tag written at construction.  Kept as the
  * lockstep reference: its operations are copied unchanged, only
  * comments and members the test does not use are dropped.
  */
@@ -457,7 +502,7 @@ runLockstep(std::uint64_t total_lines, int ways, std::uint64_t seed,
     const auto draw_addr = [&]() -> std::uint64_t {
         switch (rng.below(16)) {
         case 0:
-            return 0; // matches the zeroed shadow tags of fresh sets
+            return 0; // matches the zeroed shadow tags of fresh ways
         case 1:
             return (std::uint64_t{1} << 40) + rng.below(total_lines);
         default:
@@ -534,14 +579,14 @@ runLockstep(std::uint64_t total_lines, int ways, std::uint64_t seed,
             const void *const block = lazy->storageBlock();
             rebuild();
             ASSERT_EQ(lazy->storageBlock(), block);
-            ASSERT_EQ(lazy->materializedSets(), 1u); // victim(0)'s set
+            ASSERT_EQ(lazy->builtWays(), 1u); // victim(0)'s way
         }
     }
 
     for (std::uint64_t addr = 0; addr < 4 * total_lines; ++addr)
         ASSERT_TRUE(same(lazy->find(addr), eager->find(addr))) << addr;
     EXPECT_EQ(lazy->validLines(), eager->validLines());
-    EXPECT_LE(lazy->materializedSets(), lazy->numSets());
+    EXPECT_LE(lazy->builtWays(), lazy->capacityLines());
     const void *const block = lazy->storageBlock();
     rebuild();
     EXPECT_EQ(lazy->storageBlock(), block);
@@ -549,7 +594,9 @@ runLockstep(std::uint64_t total_lines, int ways, std::uint64_t seed,
     EXPECT_EQ(eager->validLines(), 0u);
 }
 
-/** Geometries with power-of-two and odd set counts at 1/2/8/16 ways. */
+/** Geometries with power-of-two and odd set counts at 1/2/8/16 ways and
+ *  at the validated maximum of 64, where the built-way count and
+ *  victimWhere()'s `tried[64]` reach their bounds. */
 struct Geometry
 {
     std::uint64_t lines;
@@ -558,6 +605,7 @@ struct Geometry
 constexpr Geometry kGeometries[] = {
     {64, 1},  {37, 1},  {64, 2},   {42, 2},
     {128, 8}, {104, 8}, {256, 16}, {176, 16},
+    {512, 64}, {448, 64},
 };
 constexpr int kLockstepOps = 12000;
 
@@ -589,7 +637,7 @@ TEST(CacheArrayLockstep, MatchesEagerArrayWithDirMeta)
 
 // A recycled block holds the last array's lines: every way of every set
 // valid, with metadata.  The new array must still match a fresh eager
-// one, so a set must be built in full before anything reads it.
+// one, so a way must be built before anything reads it.
 
 TEST(CacheArrayLockstep, RecycledBlockMatchesEagerArrayWithoutMeta)
 {

@@ -32,7 +32,7 @@ class L3BankTest : public ::testing::Test
         map_.memoryNode = 16;
         bank_ = std::make_unique<L3Bank>(/*node=*/3, /*clusters=*/16,
                                          cfg_, map_);
-        bank_->attach(&sink_, nullptr);
+        bank_->attach(&sink_);
     }
 
     /** Run the bank forward to `cycle`. */

@@ -95,7 +95,7 @@ TEST(StoragePool, MissingSizeFreesOldestBlocksFirst)
 int
 useOnce(CacheArray<> &arr, Rng &rng)
 {
-    int bad = arr.materializedSets() != 0 ? 1 : 0;
+    int bad = arr.builtWays() != 0 ? 1 : 0;
     std::uint64_t addrs[8];
     for (std::uint64_t &addr : addrs) {
         addr = rng.below(4 * arr.capacityLines());
