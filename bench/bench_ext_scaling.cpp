@@ -33,10 +33,10 @@
 #include <algorithm>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "common/parallel.hpp"
 #include "core/topology.hpp"
 #include "metrics/csv.hpp"
 #include "metrics/runner.hpp"
@@ -180,8 +180,7 @@ run()
                     {"seed", jsonNum(kSeed)},
                     {"warmup_cycles", jsonNum(opts.warmupCycles)},
                     {"measure_cycles", jsonNum(opts.measureCycles)},
-                    {"host_cpus",
-                     jsonNum(std::thread::hardware_concurrency())},
+                    {"host_cpus", jsonNum(usableCpus())},
                     {"build_type", jsonStr(PEARL_BUILD_TYPE)},
                     {"reps", jsonNum(kReps)}},
                    results);

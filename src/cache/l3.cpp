@@ -40,7 +40,6 @@ L3Bank::L3Bank(sim::NodeId node_id, int num_clusters,
     PEARL_ASSERT(num_clusters <= kMaxClusters,
                  "directory mask is kMaxClusters bits wide");
     mshr_.reserve(64);
-    events_.reserve(64);
 }
 
 void
@@ -90,17 +89,20 @@ L3Bank::sendToMemory(CoherenceOp op, std::uint64_t addr, Cycle now)
 void
 L3Bank::runDue(Cycle now)
 {
-    while (!events_.empty() && events_.top().due <= now) {
-        const TimedEvent ev = events_.top();
-        events_.pop();
-        runLookup(ev.addr, now);
+    while (!events_.empty() && events_.front().due <= now) {
+        const std::uint64_t addr = events_.front().addr;
+        events_.pop_front();
+        runLookup(addr, now);
     }
 }
 
 void
 L3Bank::startLookup(std::uint64_t addr, Cycle now)
 {
-    events_.push(TimedEvent{now + cfg_.l3AccessCycles, ++eventSeq_, addr});
+    const Cycle due = now + cfg_.l3AccessCycles;
+    PEARL_ASSERT(events_.empty() || events_.back().due <= due,
+                 "L3 lookup queued at an earlier cycle");
+    events_.push_back(TimedEvent{due, addr});
 }
 
 void

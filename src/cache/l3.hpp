@@ -16,6 +16,7 @@
 #define PEARL_CACHE_L3_HPP
 
 #include <cstdint>
+#include <deque>
 #include <vector>
 
 #include "cache/addr_map.hpp"
@@ -23,7 +24,6 @@
 #include "cache/config.hpp"
 #include "cache/home_map.hpp"
 #include "cache/sharer_mask.hpp"
-#include "sim/min_heap.hpp"
 #include "sim/packet.hpp"
 #include "sim/sink.hpp"
 
@@ -89,7 +89,7 @@ class L3Bank
     void
     tick(sim::Cycle now)
     {
-        if (!events_.empty() && events_.top().due <= now)
+        if (!events_.empty() && events_.front().due <= now)
             runDue(now);
     }
 
@@ -150,19 +150,11 @@ class L3Bank
         int pendingAcks = 0;
     };
 
-    /** A queued array lookup.  Pops in (due, seq) order; seq is taken
-     *  when the lookup is queued. */
+    /** A queued array lookup, due l3AccessCycles after it was queued. */
     struct TimedEvent
     {
         sim::Cycle due;
-        std::uint64_t seq;
         std::uint64_t addr;
-
-        bool
-        operator>(const TimedEvent &o) const
-        {
-            return due != o.due ? due > o.due : seq > o.seq;
-        }
     };
 
     void runDue(sim::Cycle now);
@@ -189,8 +181,8 @@ class L3Bank
 
     L3Array l3_;
     AddrMap<Transaction> mshr_;
-    sim::MinHeap<TimedEvent> events_;
-    std::uint64_t eventSeq_ = 0; //!< last seq handed to a TimedEvent
+    /** Queue order, which is due order (DESIGN.md, "Event order"). */
+    std::deque<TimedEvent> events_;
 
     L3Stats stats_;
     std::uint64_t packetSeq_ = 0;

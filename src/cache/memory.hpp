@@ -12,9 +12,10 @@
 #define PEARL_CACHE_MEMORY_HPP
 
 #include <cstdint>
+#include <deque>
 
 #include "cache/config.hpp"
-#include "sim/min_heap.hpp"
+#include "common/log.hpp"
 #include "sim/packet.hpp"
 #include "sim/sink.hpp"
 
@@ -52,8 +53,10 @@ class MemoryNode
     {
         if (pkt.op == sim::CoherenceOp::Read) {
             ++stats_.reads;
-            pending_.push(Pending{now + cfg_.memoryCycles, ++pendingSeq_,
-                                  pkt.src, pkt.addr});
+            const sim::Cycle due = now + cfg_.memoryCycles;
+            PEARL_ASSERT(pending_.empty() || pending_.back().due <= due,
+                         "memory read delivered at an earlier cycle");
+            pending_.push_back(Pending{due, pkt.src, pkt.addr});
         } else {
             // Writebacks (and stray data) are absorbed.
             ++stats_.writes;
@@ -66,14 +69,14 @@ class MemoryNode
     {
         credit_ += rate_;
         bool stalled = false;
-        while (!pending_.empty() && pending_.top().due <= now) {
+        while (!pending_.empty() && pending_.front().due <= now) {
             if (credit_ < 1.0) {
                 stalled = true;
                 break;
             }
             credit_ -= 1.0;
-            const Pending p = pending_.top();
-            pending_.pop();
+            const Pending p = pending_.front();
+            pending_.pop_front();
 
             sim::Packet resp;
             resp.id = (static_cast<std::uint64_t>(nodeId_ + 1) << 48) |
@@ -98,20 +101,12 @@ class MemoryNode
     bool quiescent() const { return pending_.empty(); }
 
   private:
-    /** A read in service.  Pops in (due, seq) order; seq is taken when
-     *  the read arrives. */
+    /** A read in service, due memoryCycles after it arrived. */
     struct Pending
     {
         sim::Cycle due;
-        std::uint64_t seq;
         sim::NodeId requester;
         std::uint64_t addr;
-
-        bool
-        operator>(const Pending &o) const
-        {
-            return due != o.due ? due > o.due : seq > o.seq;
-        }
     };
 
     sim::NodeId nodeId_;
@@ -119,10 +114,10 @@ class MemoryNode
     double rate_;
     double credit_ = 0.0;
     sim::PacketSink *sink_ = nullptr;
-    sim::MinHeap<Pending> pending_;
+    /** Arrival order, which is due order (DESIGN.md, "Event order"). */
+    std::deque<Pending> pending_;
     MemoryStats stats_;
-    std::uint64_t seq_ = 0;        //!< response packet-id counter
-    std::uint64_t pendingSeq_ = 0; //!< last seq handed to a Pending
+    std::uint64_t seq_ = 0; //!< response packet-id counter
 };
 
 } // namespace cache

@@ -213,7 +213,7 @@ envRegistry()
          "trace output path; extension picks the sink (.jsonl or "
          "Chrome .json)"},
         // Sweep engine.
-        {"PEARL_THREADS", "u64", "hardware threads",
+        {"PEARL_THREADS", "u64", "CPUs in the affinity mask",
          "job worker threads for sweeps and training-data collection; "
          "single runs use one thread"},
         // Benchmarks (bench/*).

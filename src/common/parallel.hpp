@@ -12,6 +12,8 @@
 #ifndef PEARL_COMMON_PARALLEL_HPP
 #define PEARL_COMMON_PARALLEL_HPP
 
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
@@ -28,8 +30,22 @@
 namespace pearl {
 
 /**
+ * CPUs the calling thread may run on (taskset and cpusets narrow its
+ * affinity mask), or hardware_concurrency() if the mask is unreadable.
+ */
+inline unsigned
+usableCpus()
+{
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof(set), &set) == 0)
+        return static_cast<unsigned>(CPU_COUNT(&set));
+    return std::thread::hardware_concurrency();
+}
+
+/**
  * Effective job-worker count: `requested` if nonzero, else
- * PEARL_THREADS, else hardware_concurrency(); clamped to [1, 256].
+ * PEARL_THREADS, else usableCpus(); clamped to [1, 256].
  */
 inline unsigned
 resolveThreads(unsigned requested)
@@ -41,7 +57,7 @@ resolveThreads(unsigned requested)
     if (n == 0)
         n = envU64("PEARL_THREADS", 0);
     if (n == 0)
-        n = std::thread::hardware_concurrency();
+        n = usableCpus();
     return static_cast<unsigned>(
         std::clamp<std::uint64_t>(n, 1, kMaxThreads));
 }

@@ -242,8 +242,7 @@ PearlNetwork::step()
         bitsScratch_[r] = bits;
         dynamicEnergyJ_ +=
             static_cast<double>(bits) * dynEnergyPerBitJ_;
-        for (auto &completion : doneScratch_) {
-            Packet &pkt = completion.pkt;
+        for (Packet &pkt : doneScratch_) {
             if (faults_.enabled()) {
                 if (pkt.attempt == 0)
                     pkt.seq = nextSeq_[r]++;

@@ -350,7 +350,7 @@ class PearlNetwork : public sim::Network
     // Per-step scratch, hoisted out of step()/drainRetxQueue() so the
     // steady-state cycle loop performs no heap allocation.
     std::vector<InFlightKey> retryScratch_;
-    std::vector<TxCompletion> doneScratch_;
+    std::vector<sim::Packet> doneScratch_;
     std::vector<int> bitsScratch_;
     std::vector<PendingRetx> blockedScratch_;
 };

@@ -62,7 +62,7 @@ PearlRouter::reinject(const Packet &pkt, Cycle now)
 
 int
 PearlRouter::transmitClass(CoreType type, double share, int capacity_bits,
-                           std::vector<TxCompletion> &done)
+                           std::vector<Packet> &done)
 {
     sim::FlitBuffer &buf = inject_.of(type);
     TxChannel &ch = tx_[static_cast<int>(type)];
@@ -114,7 +114,7 @@ PearlRouter::transmitClass(CoreType type, double share, int capacity_bits,
         }
         if (ch.flitsRemaining > 0)
             break; // out of credit mid-packet; remainder carries over
-        done.push_back(TxCompletion{buf.pop()});
+        done.push_back(buf.pop());
         ch.active = false;
         ch.backToBack = true;
         if (ch.holdsExpressSlot) {
@@ -149,7 +149,7 @@ PearlRouter::transmitClass(CoreType type, double share, int capacity_bits,
 }
 
 int
-PearlRouter::transmitQueued(Cycle now, std::vector<TxCompletion> &done)
+PearlRouter::transmitQueued(Cycle now, std::vector<Packet> &done)
 {
     if (!laser_.stable(now))
         return 0; // lasers still stabilising after an upward switch

@@ -33,12 +33,6 @@
 namespace pearl {
 namespace core {
 
-/** A packet that finished serialising onto the waveguide this cycle. */
-struct TxCompletion
-{
-    sim::Packet pkt;
-};
-
 /**
  * std::lround(x) for x >= 0 without the libm call: x - trunc(x) is exact
  * in binary64, so the halfway test rounds exactly as lround does (and
@@ -189,7 +183,7 @@ class PearlRouter
      * @return bits transmitted this cycle (for energy accounting).
      */
     int
-    transmitCycle(sim::Cycle now, std::vector<TxCompletion> &done)
+    transmitCycle(sim::Cycle now, std::vector<sim::Packet> &done)
     {
         if (!inject_.empty())
             return transmitQueued(now, done);
@@ -314,10 +308,10 @@ class PearlRouter
         bool holdsExpressSlot = false; //!< inter-group slot held
     };
 
-    int transmitQueued(sim::Cycle now, std::vector<TxCompletion> &done);
+    int transmitQueued(sim::Cycle now, std::vector<sim::Packet> &done);
     /** One cycle of a class channel with a queued packet. */
     int transmitClass(sim::CoreType type, double share, int capacity_bits,
-                      std::vector<TxCompletion> &done);
+                      std::vector<sim::Packet> &done);
     void ejectQueued(sim::Cycle now, std::vector<sim::Packet> &delivered);
 
     int id_;

@@ -76,9 +76,10 @@ HeteroSystem::send(Packet &&pkt)
                     ++tel->responsesSent;
             }
         }
-        const Cycle now = network_.cycle();
-        localHops_.push(LocalHop{now + cfg_.localHopCycles, ++localHopSeq_,
-                                 std::move(pkt)});
+        const Cycle due = network_.cycle() + cfg_.localHopCycles;
+        PEARL_ASSERT(localHops_.empty() || localHops_.back().due <= due,
+                     "local hop sent at an earlier cycle");
+        localHops_.push_back(LocalHop{due, std::move(pkt)});
         return;
     }
     outbox_[static_cast<std::size_t>(pkt.src)].push_back(std::move(pkt));
@@ -116,9 +117,9 @@ HeteroSystem::stepOnce()
     memory_->tick(now);
 
     // 2. Due local (same-router) hops.
-    while (!localHops_.empty() && localHops_.top().due <= now) {
-        const Packet pkt = localHops_.top().pkt;
-        localHops_.pop();
+    while (!localHops_.empty() && localHops_.front().due <= now) {
+        const Packet pkt = localHops_.front().pkt;
+        localHops_.pop_front();
         dispatch(pkt, now);
     }
 

@@ -25,7 +25,6 @@
 #include "cache/l3.hpp"
 #include "cache/memory.hpp"
 #include "core/arch_config.hpp"
-#include "sim/min_heap.hpp"
 #include "sim/network.hpp"
 #include "sim/sink.hpp"
 #include "traffic/suite.hpp"
@@ -94,19 +93,12 @@ class HeteroSystem : public sim::PacketSink
     cache::L3Stats aggregateL3Stats() const;
 
   private:
-    /** A same-router packet on the local crossbar.  Pops in (due, seq)
-     *  order; seq is taken when the packet is sent. */
+    /** A same-router packet on the local crossbar, due localHopCycles
+     *  after it was sent. */
     struct LocalHop
     {
         sim::Cycle due;
-        std::uint64_t seq;
         sim::Packet pkt;
-
-        bool
-        operator>(const LocalHop &o) const
-        {
-            return due != o.due ? due > o.due : seq > o.seq;
-        }
     };
 
     void stepOnce();
@@ -121,8 +113,8 @@ class HeteroSystem : public sim::PacketSink
     std::vector<std::unique_ptr<cache::L3Bank>> banks_;
     std::unique_ptr<cache::MemoryNode> memory_;
     std::vector<std::deque<sim::Packet>> outbox_;
-    sim::MinHeap<LocalHop> localHops_;
-    std::uint64_t localHopSeq_ = 0; //!< last seq handed to a LocalHop
+    /** Send order, which is due order (DESIGN.md, "Event order"). */
+    std::deque<LocalHop> localHops_;
 };
 
 } // namespace core

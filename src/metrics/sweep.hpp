@@ -17,7 +17,7 @@
  *    worker, so jobs share nothing mutable.
  *
  * Job threads: an explicit `SweepOptions::threads` wins, else
- * `PEARL_THREADS`, else `hardware_concurrency()` (`resolveThreads`);
+ * `PEARL_THREADS`, else `usableCpus()` (`resolveThreads`);
  * `1` forces the serial path (no worker threads are spawned at all).
  * The jobs run on the job loop of `common/parallel.hpp`, which the ML
  * training pipeline shares; each job steps its simulation on the
@@ -101,7 +101,7 @@ struct RunSpec
 struct SweepOptions
 {
     /** Worker threads.  Nonzero pins the count; 0 — the default —
-     *  resolves PEARL_THREADS, then hardware_concurrency(). */
+     *  resolves PEARL_THREADS, then usableCpus(). */
     unsigned threads = 0;
     /** Base of the per-job seed derivation. */
     std::uint64_t baseSeed = 100;

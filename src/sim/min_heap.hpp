@@ -12,11 +12,11 @@
  * pop_back on pop) matches the standard adaptor exactly, so replacing a
  * `std::priority_queue<T, std::vector<T>, std::greater<T>>` with
  * `MinHeap<T>` yields the identical element order — including the order
- * of equal-priority elements.  The node-side heaps (ClusterNode,
- * L3Bank, MemoryNode, HeteroSystem's local hops) compare (due, seq), a
- * total order, so their pop order does not depend on heap shape.  The
- * network-side heaps still compare due only, and their equal-due ties
- * pop in push_heap order (DESIGN.md, "Event order").
+ * of equal-priority elements.  The one node-side heap, ClusterNode's,
+ * compares (due, seq), a total order, so its pop order does not depend
+ * on heap shape.  The network-side heaps still compare due only, and
+ * their equal-due ties pop in push_heap order (DESIGN.md, "Event
+ * order").
  *
  * A pop sifts about log2(size) elements, so its cost scales with
  * sizeof(T).  The heap algorithms move elements by comparison outcomes
@@ -26,9 +26,9 @@
  * reason, and PearlNetwork's in-flight heap holds 8-byte {due, slot}
  * keys over a packet slab and a slot-indexed record array.
  *
- * top() is a plain read of the first element, so ClusterNode::tick and
- * L3Bank::tick test `top().due` every cycle, inline, and skip the cycles
- * with nothing due; only a due event costs a pop.
+ * top() is a plain read of the first element, so ClusterNode::tick
+ * tests `top().due` every cycle, inline, and skips the cycles with
+ * nothing due; only a due event costs a pop.
  */
 
 #ifndef PEARL_SIM_MIN_HEAP_HPP

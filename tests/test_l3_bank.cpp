@@ -95,6 +95,15 @@ class L3BankTest : public ::testing::Test
     std::uint64_t seq_ = 0;
 };
 
+TEST_F(L3BankTest, LookupsMustBeQueuedInCycleOrder)
+{
+    // Lookups queue in order, which is due order only while every new
+    // address arrives no earlier than the last.
+    bank_->deliver(request(1, CoherenceOp::Read, 0x42), 5);
+    EXPECT_DEATH(bank_->deliver(request(2, CoherenceOp::Read, 0x43), 4),
+                 "L3 lookup queued at an earlier cycle");
+}
+
 TEST_F(L3BankTest, ColdReadFetchesFromMemory)
 {
     bank_->deliver(request(1, CoherenceOp::Read, 0x42), now_);

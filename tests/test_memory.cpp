@@ -93,8 +93,25 @@ TEST(MemoryNode, BandwidthCapThrottlesResponses)
     for (; t < 200 && sink.packets.size() < 40; ++t)
         mem.tick(t);
     EXPECT_GE(t, 70u);
-    EXPECT_EQ(sink.packets.size(), 40u);
+    ASSERT_EQ(sink.packets.size(), 40u);
     EXPECT_GT(mem.stats().busyStallCycles, 0u);
+    // Reads due in the same cycle leave in arrival order.
+    for (std::size_t i = 0; i < sink.packets.size(); ++i)
+        EXPECT_EQ(sink.packets[i].addr, 0x1000u + i) << "response " << i;
+}
+
+TEST(MemoryNode, ReadsMustArriveInCycleOrder)
+{
+    // Reads queue in arrival order, which is due order only while every
+    // read arrives no earlier than the last.
+    HierarchyConfig cfg;
+    CapturingSink sink;
+    MemoryNode mem(16, cfg);
+    mem.attach(&sink);
+    mem.deliver(memRead(0, 0x10), 5);
+    mem.deliver(memRead(1, 0x20), 5);
+    EXPECT_DEATH(mem.deliver(memRead(2, 0x30), 4),
+                 "memory read delivered at an earlier cycle");
 }
 
 TEST(MemoryNode, ReadsCounted)

@@ -58,7 +58,7 @@ class PearlRouterTest : public ::testing::Test
     int
     cyclesToTransmit(std::size_t n, int limit = 1000)
     {
-        std::vector<TxCompletion> done;
+        std::vector<Packet> done;
         int cycles = 0;
         while (done.size() < n && cycles < limit) {
             router_->transmitCycle(now_++, done);
@@ -233,7 +233,7 @@ TEST_F(PearlRouterTest, ClassesTransmitSimultaneously)
         makePacket(MsgClass::RespCpuL2Down, sim::kResponseBits), 0);
     router_->inject(
         makePacket(MsgClass::RespGpuL2Down, sim::kResponseBits), 0);
-    std::vector<TxCompletion> done;
+    std::vector<Packet> done;
     int cycles = 0;
     while (done.size() < 2 && cycles < 200) {
         router_->transmitCycle(now_++, done);
@@ -251,7 +251,7 @@ TEST_F(PearlRouterTest, LaserBlackoutStopsTransmission)
     router_->inject(makePacket(MsgClass::ReqCpuL2Down, sim::kRequestBits),
                     0);
     router_->laser().requestState(WlState::WL64, 0); // 4-cycle blackout
-    std::vector<TxCompletion> done;
+    std::vector<Packet> done;
     for (Cycle t = 0; t < 4; ++t) {
         EXPECT_EQ(router_->transmitCycle(t, done), 0);
     }
@@ -336,7 +336,7 @@ TEST_F(PearlRouterTest, WaveguideGroupMultipliesCapacity)
     PearlRouter wide(16, cfg_, power_, DbaConfig{}, /*waveguides=*/4);
     Packet p = makePacket(MsgClass::RespCpuL2Down, sim::kResponseBits);
     ASSERT_TRUE(wide.inject(p, 0));
-    std::vector<TxCompletion> done;
+    std::vector<Packet> done;
     int cycles = 0;
     Cycle t = 0;
     while (done.empty() && cycles < 100) {
@@ -359,17 +359,17 @@ TEST_F(PearlRouterTest, FcfsModeServesArrivalOrder)
     Packet cpu = makePacket(MsgClass::ReqCpuL2Down, sim::kRequestBits);
     router.inject(gpu, 0);
     router.inject(cpu, 1); // later arrival
-    std::vector<TxCompletion> done;
+    std::vector<Packet> done;
     Cycle t = 0;
     while (done.empty() && t < 100)
         router.transmitCycle(t++, done);
     ASSERT_EQ(done.size(), 1u);
-    EXPECT_EQ(done[0].pkt.coreType(), CoreType::GPU);
+    EXPECT_EQ(done[0].coreType(), CoreType::GPU);
     // The CPU packet completes strictly after the GPU packet.
     while (done.size() < 2 && t < 200)
         router.transmitCycle(t++, done);
     ASSERT_EQ(done.size(), 2u);
-    EXPECT_EQ(done[1].pkt.coreType(), CoreType::CPU);
+    EXPECT_EQ(done[1].coreType(), CoreType::CPU);
 }
 
 TEST_F(PearlRouterTest, IdleReflectsBuffers)

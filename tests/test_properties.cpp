@@ -41,7 +41,7 @@ TEST_P(WlStateSweep, RouterDeliversAtEveryState)
     pkt.sizeBits = sim::kResponseBits;
     ASSERT_TRUE(router.inject(pkt, 0));
 
-    std::vector<core::TxCompletion> done;
+    std::vector<sim::Packet> done;
     sim::Cycle t = 0;
     while (done.empty() && t < 1000)
         router.transmitCycle(t++, done);

@@ -3,11 +3,13 @@
  * Tests of the parallel sweep engine: bit-identical determinism across
  * thread counts, submission-order preservation, seed derivation, error
  * propagation/cancellation and the job-thread precedence (explicit
- * request > PEARL_THREADS > hardware).
+ * request > PEARL_THREADS > the CPU affinity mask).
  */
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdlib>
 #include <memory>
@@ -372,6 +374,27 @@ TEST_F(SweepTest, ResolveThreadsPrecedence)
     setenv("PEARL_THREADS", "100000", 1);
     EXPECT_EQ(resolveThreads(0), 256u);
     EXPECT_EQ(resolveThreads(1000), 256u);
+}
+
+TEST_F(SweepTest, ResolveThreadsCountsTheAffinityMask)
+{
+    // Fixture cleared PEARL_THREADS: a thread pinned to one CPU gets one
+    // job thread, however many CPUs the host has online.
+    cpu_set_t saved;
+    CPU_ZERO(&saved);
+    ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+    int cpu = 0;
+    while (!CPU_ISSET(cpu, &saved))
+        ++cpu;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+    const unsigned pinned = resolveThreads(0);
+    ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+    EXPECT_EQ(pinned, 1u);
+    EXPECT_EQ(resolveThreads(0),
+              std::min(static_cast<unsigned>(CPU_COUNT(&saved)), 256u));
 }
 
 TEST_F(SweepTest, EmptySweepIsANoop)
